@@ -14,7 +14,7 @@ parity conditions at all, which is what ties the weighted count to the
 distinct-part counting function.
 
 Inverses recompute rather than remember: the choice bits are recovered
-from which pile holds the subtracted value, and every inverse asserts
+from which pile holds the subtracted value, and every inverse checks
 the forward map reproduces its input.
 """
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (
+    Family,
     Partition,
     chains,
     enumerate_members,
@@ -131,6 +132,12 @@ class TriplePartition:
         return self.pi1.sigma + self.pi3.sigma + self.pi4.sigma
 
 
+def _require(holds: bool, invariant: str) -> None:
+    # an explicit raise, so the check survives python -O
+    if not holds:
+        raise AssertionError(f"invariant broken: {invariant}")
+
+
 def _t_within(parts: tuple[int, ...]) -> dict[int, int]:
     # number of odd parts strictly below each part, inside this tuple
     out: dict[int, int] = {}
@@ -167,12 +174,7 @@ def identify(pi: Partition) -> MarkedPartition:
     w = membership_and_weight("S", pi)
     if w is None:
         raise ValueError("partition fails the even-part parity condition")
-    odd_below: dict[int, int] = {}
-    odd = 0
-    for p in pi.parts:
-        odd_below[p] = odd
-        if p % 2 == 1:
-            odd += 1
+    odd_below = _t_within(pi.parts)
     marks = set()
     for ch in chains(pi):
         lam = ch.lam
@@ -182,7 +184,7 @@ def identify(pi: Partition) -> MarkedPartition:
             and (lam - 2 * odd_below[lam]) % 4 == _S.chain_offset
         ):
             marks.add(lam)
-    assert 2 ** len(marks) == w
+    _require(2 ** len(marks) == w, "one mark per factor 2 of the weight")
     return MarkedPartition(pi, frozenset(marks))
 
 
@@ -214,7 +216,7 @@ def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
     pi2 = Partition(tuple(v + 2 * k for k, v in enumerate(pile2)))
     pi1 = Partition(tuple(v + 2 * (n2 + k) for k, v in enumerate(pile1)))
     pair = SplitPair(pi1, pi2)
-    assert pair.sigma == m.base.sigma
+    _require(pair.sigma == m.base.sigma, "redistribution keeps the size")
     return pair
 
 
@@ -289,7 +291,7 @@ def ferrers_graph(pi2: Partition) -> list[list[int]]:
                 row.append(2)
             else:
                 row.append(4)
-        assert sum(row) == p
+        _require(sum(row) == p, "graph rows sum to their parts")
         rows.append(row)
     return rows
 
@@ -307,19 +309,19 @@ def ferrers_split(pi2: Partition) -> tuple[Partition, Partition]:
     pi4_parts = []
     for c, i in one_cols:
         col = [rows[j][c] for j in range(i, nrows)]
-        assert col[0] == 1 and all(x == 2 for x in col[1:])
+        _require(col[0] == 1 and all(x == 2 for x in col[1:]), "columns are a 1 over 2s")
         pi4_parts.append(sum(col))
     pi3_parts = []
     drop = {c for c, _ in one_cols}
     for row in rows:
         kept = [w for c, w in enumerate(row) if c not in drop]
-        assert all(w == 4 for w in kept)
+        _require(all(w == 4 for w in kept), "the remainder holds only 4s")
         pi3_parts.append(sum(kept))
     pi3 = Partition(tuple(pi3_parts))
     pi4 = Partition(tuple(sorted(pi4_parts)))
-    assert pi3.sigma + pi4.sigma == pi2.sigma
-    assert pi3.nu == pi2.nu
-    assert not pi4.parts or pi4.parts[-1] < 2 * pi2.nu
+    _require(pi3.sigma + pi4.sigma == pi2.sigma, "the split keeps the size")
+    _require(pi3.nu == pi2.nu, "the split keeps the number of parts")
+    _require(not pi4.parts or pi4.parts[-1] < 2 * pi2.nu, "pi4 parts stay below 2*nu")
     return pi3, pi4
 
 
@@ -358,7 +360,7 @@ def triple_map(m: MarkedPartition, choice: tuple[bool, ...]) -> TriplePartition:
     pair = redistribute(m, choice)
     pi3, pi4 = ferrers_split(pair.pi2)
     t = TriplePartition(pair.pi1, pi3, pi4)
-    assert t.sigma == m.base.sigma
+    _require(t.sigma == m.base.sigma, "the pipeline keeps the size")
     return t
 
 
@@ -371,35 +373,31 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 
 
 def _distinct_odds(n: int, min_part: int) -> list[Partition]:
-    def ext(prefix, p):
-        return p % 2 == 1 and p >= min_part and (not prefix or p > prefix[-1])
-
-    return enumerate_partitions(n, extend=ext)
+    odds = Family(lambda last, p: (p, 1) if p % 2 == 1 and p >= min_part and p > last else None)
+    return enumerate_partitions(n, odds)
 
 
-def _pi2_family(n: int) -> list[Partition]:
-    def ext(prefix, p):
-        if prefix and p - prefix[-1] < 4:
-            return False
-        t = sum(1 for x in prefix if x % 2 == 1)
-        if p % 2 == 1:
-            if p < 5 or (p - 2 * t) % 4 != 1:
-                return False
-            last_odd = next((x for x in reversed(prefix) if x % 2 == 1), None)
-            if last_odd is not None and p - last_odd < 6:
-                return False
-        elif (p - 2 * t) % 4 != 0:
-            return False
-        return True
+def _pi2_step(state: int, p: int):
+    # state: last part, odd parts so far mod 2.  Gaps are >= 4, so the
+    # last odd part is within 6 of p only when it is the last part.
+    last, t = state >> 1, state & 1
+    odd = p % 2
+    if (last and p - last < 4) or (p - 2 * t) % 4 != odd:
+        return None
+    if odd and (p < 5 or (last % 2 == 1 and p - last < 6)):
+        return None
+    return p << 1 | (t ^ odd), 1
 
-    return enumerate_partitions(n, extend=ext)
+
+_PI2 = Family(_pi2_step, bits=1)
+_MULT4 = Family(lambda last, p: (p, 1) if p % 4 == 0 and p > last else None)
 
 
 @lru_cache(maxsize=None)
 def split_pairs(n: int) -> tuple[SplitPair, ...]:
     out = []
     for s2 in range(n + 1):
-        for pi2 in _pi2_family(s2):
+        for pi2 in enumerate_partitions(s2, _PI2):
             bound = 2 * pi2.nu
             for pi1 in _distinct_odds(n - s2, bound + 1):
                 out.append(SplitPair(pi1, pi2))
@@ -408,12 +406,9 @@ def split_pairs(n: int) -> tuple[SplitPair, ...]:
 
 @lru_cache(maxsize=None)
 def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
-    def mult4(prefix, p):
-        return p % 4 == 0 and (not prefix or p > prefix[-1])
-
     out = []
     for s3 in range(n + 1):
-        for pi3 in enumerate_partitions(s3, extend=mult4):
+        for pi3 in enumerate_partitions(s3, _MULT4):
             nu = pi3.nu
             for s4 in range(n - s3 + 1):
                 for pi4 in _distinct_odds(s4, 1):
@@ -443,7 +438,7 @@ def trace_pipeline(pi: Partition, choice: tuple[bool, ...]) -> list[tuple[str, s
         ("pi4", _fmt(pi4.parts)),
     ]
     back_m, back_bits = triple_inverse(TriplePartition(pair.pi1, pi3, pi4))
-    assert back_m == m and back_bits == tuple(choice)
+    _require(back_m == m and back_bits == tuple(choice), "the trace inverts")
     return stages
 
 

@@ -16,9 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bijection import identify, trace_pipeline, triple_map
+from .bijection import _fmt, identify, trace_pipeline, triple_map
 from .partitions import (
-    Partition,
     ResidueFamilyConfig,
     count_g,
     count_gg,
@@ -249,10 +248,6 @@ def _family_counter(family: str):
     )
 
 
-def _fmt_partition(pi: Partition) -> str:
-    return "+".join(str(p) for p in pi.parts) if pi.parts else "0"
-
-
 # -- subcommands --------------------------------------------------------
 
 
@@ -282,6 +277,8 @@ def _cmd_verify_all(args, cfg: CliConfig) -> int:
 
 
 def _cmd_count(args, cfg: CliConfig) -> int:
+    if args.max < 0:
+        raise ValueError("--max must be nonnegative")
     counter = _family_counter(args.family)
     counts = [counter(n) for n in range(args.max + 1)]
     fmt = args.emit or cfg.output_format
@@ -321,10 +318,10 @@ def _cmd_bijection(args, cfg: CliConfig) -> int:
                 t = triple_map(m, choice)
                 shown = "".join("2" if b else "1" for b in choice) or "-"
                 lines.append(
-                    f"pi={_fmt_partition(pi)} choice={shown} -> "
-                    f"pi1={_fmt_partition(t.pi1)} "
-                    f"pi3={_fmt_partition(t.pi3)} "
-                    f"pi4={_fmt_partition(t.pi4)}"
+                    f"pi={_fmt(pi.parts)} choice={shown} -> "
+                    f"pi1={_fmt(t.pi1.parts)} "
+                    f"pi3={_fmt(t.pi3.parts)} "
+                    f"pi4={_fmt(t.pi4.parts)}"
                 )
     _write_out("\n".join(lines) + "\n" if lines else "", args.out or cfg.out_path)
     return 0

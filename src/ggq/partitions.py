@@ -1,13 +1,14 @@
-"""Partitions with ascending parts, constrained enumeration, and counting.
+"""Partitions with ascending parts, family listing, and counting.
 
 Parts are kept in ascending order throughout.  "Parity" of a part means
 its residue class mod 4, not mod 2; all parity predicates below are
 written mod 4 explicitly.
 
-The enumeration backbone is a depth-first search over ascending parts.
-Family constraints are supplied as an ``extend(prefix, p)`` callback that
-sees the whole prefix, so gap and statistic conditions prune branches as
-early as possible; n <= 60 exhaustive runs finish in well under a second.
+Each family is described once, as a ``Family``: a state machine that
+reads the parts smallest first, keeping the last part and a few parity
+bits.  The description drives both ``enumerate_partitions``, which lists
+members for the bijection, and a counter memoized over (remaining, state)
+that builds no member, so the counts stay cheap far past n = 60.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Iterator, Optional
 
 __all__ = [
     "Partition",
+    "Family",
     "Chain",
     "ResidueFamilyConfig",
     "WeightVariant",
@@ -97,35 +99,82 @@ class Chain:
         return len(self.parts)
 
 
-ExtendFn = Callable[[tuple[int, ...], int], bool]
-AcceptFn = Callable[[tuple[int, ...]], bool]
+@dataclass(frozen=True, eq=False)
+class Family:
+    """A partition family read one part at a time, smallest part first.
 
-
-def enumerate_partitions(
-    n: int,
-    extend: Optional[ExtendFn] = None,
-    accept: Optional[AcceptFn] = None,
-) -> list[Partition]:
-    """All partitions of n passing the filters, ascending-lexicographic.
-
-    extend(prefix, p) is consulted before appending p (p >= last part is
-    already guaranteed); accept sees the completed tuple.
+    A state is an int: the last part shifted left by ``bits``, over
+    ``bits`` bits of statistics of the parts so far; the empty prefix is
+    state 0.  ``step(state, p)``, for p no smaller than the last part,
+    returns the next state and p's weight, or None when p may not
+    follow.  Every admitted prefix is a member, weighted by the product
+    of its steps' weights.
     """
+
+    step: Callable[[int, int], Optional[tuple[int, int]]]
+    bits: int = 0
+    _memo: list = field(default_factory=list, repr=False)  # [remaining][state]
+
+
+_ANY = Family(lambda last, p: (p, 1))
+
+
+def _next_parts(last: int, remaining: int) -> list[int]:
+    # the rest, or a part leaving room for a further one at least as large
+    lo = last or 1
+    return [*range(lo, remaining // 2 + 1), remaining] if lo <= remaining else []
+
+
+def enumerate_partitions(n: int, family: Optional[Family] = None) -> list[Partition]:
+    """The members of n in ascending-lexicographic order; every partition
+    of n when no family is given."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    fam = family or _ANY
+    step, bits = fam.step, fam.bits
     out: list[Partition] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, lo: int):
+    stack = [((), n, 0)]
+    while stack:
+        prefix, remaining, state = stack.pop()
         if remaining == 0:
-            if accept is None or accept(prefix):
-                out.append(Partition(prefix))
-            return
-        for p in range(lo, remaining + 1):
-            if extend is None or extend(prefix, p):
-                rec(prefix + (p,), remaining - p, p)
-
-    rec((), n, 1)
+            out.append(Partition(prefix))
+            continue
+        for p in reversed(_next_parts(state >> bits, remaining)):
+            nxt = step(state, p)
+            if nxt is not None:
+                stack.append((prefix + (p,), remaining - p, nxt[0]))
     return out
+
+
+def _count(family: Family, n: int) -> int:
+    """Weighted number of members of n, without listing them: memoized
+    over (remaining, state), so counts for successive n share the work,
+    and walked with an explicit stack, so no part count is too deep."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 1
+    memo, step, bits = family._memo, family.step, family.bits
+    memo.extend({} for _ in range(len(memo), n + 1))
+    stack = [[n, 0, None]]
+    while stack:
+        remaining, state, moves = frame = stack[-1]
+        if moves is None:
+            if state in memo[remaining]:
+                stack.pop()
+                continue
+            moves = frame[2] = []
+            for p in _next_parts(state >> bits, remaining):
+                nxt = step(state, p)
+                if nxt is not None:
+                    moves.append((remaining - p, *nxt))
+            pending = [[r, s, None] for r, s, _ in moves if r and s not in memo[r]]
+            if pending:
+                stack.extend(pending)
+                continue
+        memo[remaining][state] = sum(w * memo[r][s] if r else w for r, s, w in moves)
+        stack.pop()
+    return memo[n][0]
 
 
 def chains(pi: Partition) -> list[Chain]:
@@ -220,39 +269,44 @@ def membership_and_weight(variant: str, pi: Partition) -> Optional[int]:
     return weight
 
 
-def _member_extend(variant: str) -> ExtendFn:
+def _member_family(variant: str) -> Family:
+    """Gollnitz-Gordon gaps, the even-part parity test, and weight 2 at the
+    least part of each qualifying odd chain; state: odd parts so far mod 2."""
     v = VARIANTS[variant]
 
-    def ext(prefix: tuple[int, ...], p: int) -> bool:
-        if prefix:
-            d = p - prefix[-1]
-            if d < 2 or (d == 2 and p % 2 == 0):
-                return False
+    def step(state: int, p: int):
+        last, t = state >> 1, state & 1
+        d = p - last
+        if last and (d < 2 or (d == 2 and p % 2 == 0)):
+            return None
         if p % 2 == 0:
-            t = sum(1 for x in prefix if x % 2 == 1)
-            if (p - 2 * t) % 4 != v.even_offset:
-                return False
-        return True
+            return (p << 1 | t, 1) if (p - 2 * t) % 4 == v.even_offset else None
+        marked = (not last or d > 2) and p >= v.chain_min and (p - 2 * t) % 4 == v.chain_offset
+        return p << 1 | (t ^ 1), 2 if marked else 1
 
-    return ext
+    return Family(step, bits=1)
+
+
+_MEMBERS = {name: _member_family(name) for name in VARIANTS}
 
 
 def enumerate_members(variant: str, n: int) -> list[Partition]:
     """All weighted-family members of n (S or Sstar)."""
-    return enumerate_partitions(n, extend=_member_extend(variant))
+    return enumerate_partitions(n, _MEMBERS[variant])
 
 
 @lru_cache(maxsize=None)
 def weighted_count(variant: str, n: int) -> int:
-    total = 0
-    for pi in enumerate_members(variant, n):
-        w = membership_and_weight(variant, pi)
-        assert w is not None  # enumeration already pruned on parity
-        total += w
-    return total
+    return _count(_MEMBERS[variant], n)
 
 
 # -- counting functions -------------------------------------------------
+
+
+_Q = {
+    i: Family(lambda last, p, i=i: (p, 1) if p > last and p % 4 != i else None)
+    for i in range(4)
+}
 
 
 @lru_cache(maxsize=None)
@@ -260,11 +314,20 @@ def count_q(i: int, n: int) -> int:
     """Partitions of n into distinct parts with no part == i (mod 4)."""
     if i not in (0, 1, 2, 3):
         raise ValueError("i must be 0..3")
+    return _count(_Q[i], n)
 
-    def ext(prefix, p):
-        return p % 4 != i and (not prefix or p > prefix[-1])
 
-    return len(enumerate_partitions(n, extend=ext))
+@lru_cache(maxsize=None)
+def _gap_family(min_part: int, strict_parity: int) -> Family:
+    """Parts >= min_part, gaps >= 2, no gap of 2 below a part == strict_parity (mod 2)."""
+
+    def step(last: int, p: int):
+        d = p - last
+        if p < min_part or (last and (d < 2 or (d == 2 and p % 2 == strict_parity))):
+            return None
+        return p, 1
+
+    return Family(step)
 
 
 @lru_cache(maxsize=None)
@@ -272,32 +335,12 @@ def count_thm1_side(i: int, n: int) -> int:
     """Gaps >= 2, strict above odd parts, smallest part > (4-i)/2."""
     if i not in (1, 3):
         raise ValueError("i must be 1 or 3")
-    min_part = 2 if i == 1 else 1
-
-    def ext(prefix, p):
-        if p < min_part:
-            return False
-        if prefix:
-            d = p - prefix[-1]
-            if d < 2 or (d == 2 and p % 2 == 1):
-                return False
-        return True
-
-    return len(enumerate_partitions(n, extend=ext))
+    return _count(_gap_family(2 if i == 1 else 1, 1), n)
 
 
 @lru_cache(maxsize=None)
 def count_gg(n: int, min_part: int = 1) -> int:
-    def ext(prefix, p):
-        if p < min_part:
-            return False
-        if prefix:
-            d = p - prefix[-1]
-            if d < 2 or (d == 2 and p % 2 == 0):
-                return False
-        return True
-
-    return len(enumerate_partitions(n, extend=ext))
+    return _count(_gap_family(min_part, 0), n)
 
 
 def count_thm2_sides(i: int, n: int) -> tuple[int, int]:
@@ -308,22 +351,26 @@ def count_thm2_sides(i: int, n: int) -> tuple[int, int]:
     return residue, count_gg(n, min_part=i)
 
 
+def _g_step(state: int, p: int):
+    # state: last part, parts so far mod 2, even parts so far mod 2
+    last, k, s = state >> 2, state >> 1 & 1, state & 1
+    if p <= last or (last and (p - last) % 4 == 1):
+        return None
+    want = (1 if p % 2 else 2) + 2 * (k + 1) + 2 * s
+    if (p - want) % 4:
+        return None
+    return p << 2 | (k ^ 1) << 1 | (s ^ (p % 2 == 0)), 1
+
+
+_G = Family(_g_step, bits=2)
+
+
 @lru_cache(maxsize=None)
 def count_g(n: int) -> int:
     """Distinct parts, no consecutive gap == 1 (mod 4), and the k-th
     smallest part b satisfies b == 1+2k+2s(b) (odd) or 2+2k+2s(b) (even),
     mod 4 with k counted from 1."""
-
-    def ext(prefix, p):
-        k = len(prefix) + 1
-        if prefix:
-            if p <= prefix[-1] or (p - prefix[-1]) % 4 == 1:
-                return False
-        s = sum(1 for x in prefix if x % 2 == 0)
-        want = (1 if p % 2 else 2) + 2 * k + 2 * s
-        return (p - want) % 4 == 0
-
-    return len(enumerate_partitions(n, extend=ext))
+    return _count(_G, n)
 
 
 @dataclass(frozen=True)
@@ -354,15 +401,18 @@ class ResidueFamilyConfig:
 
 
 @lru_cache(maxsize=None)
-def count_residue_family(cfg: ResidueFamilyConfig, n: int) -> int:
-    def ext(prefix, p):
-        if not cfg.permits(p):
-            return False
-        if prefix and p == prefix[-1] and cfg.must_be_distinct(p):
-            return False
-        return True
+def _residue_family(cfg: ResidueFamilyConfig) -> Family:
+    def step(last: int, p: int):
+        if not cfg.permits(p) or (p == last and cfg.must_be_distinct(p)):
+            return None
+        return p, 1
 
-    return len(enumerate_partitions(n, extend=ext))
+    return Family(step)
+
+
+@lru_cache(maxsize=None)
+def count_residue_family(cfg: ResidueFamilyConfig, n: int) -> int:
+    return _count(_residue_family(cfg), n)
 
 
 # parts == +-3, +-4 (mod 12), those == 3 (mod 6) distinct

@@ -45,7 +45,6 @@ from .partitions import (
     count_thm2_sides,
     enumerate_members,
     interp_config,
-    membership_and_weight,
     weighted_count,
 )
 from .series import (
@@ -101,9 +100,6 @@ Q1F = F(1, 2, 2)  # (q; q)
 Q2F = F(1, 4, 4)  # (q^2; q^2)
 Q4F = F(1, 8, 8)  # (q^4; q^4)
 MQ_Q2 = F(-1, 2, 4)  # (-q; q^2)
-
-KINDS = ("series-equality", "count-equality", "round-trip", "polynomial-equality")
-
 
 @dataclass
 class Facet:
@@ -390,9 +386,6 @@ def _build_2_7(sigma_max):
         bad = 0
         total = 0
         for pi in enumerate_members("S", n):
-            w = membership_and_weight("S", pi)
-            if w is None:
-                continue
             m = identify(pi)
             k = len(m.marks)
             for bits in range(1 << k):

@@ -74,7 +74,8 @@ def q_binomial(top: int, bottom: int, step2: int = 2) -> TruncSeries:
         # divide in place by (1 - x^i); ascending order keeps it exact
         for j in range(i, deg + 1):
             coeffs[j] += coeffs[j - i]
-    assert sum(coeffs) == comb(top, bottom)  # q=1 specialization
+    if sum(coeffs) != comb(top, bottom):  # q=1 specialization
+        raise AssertionError(f"q-binomial [{top}, {bottom}] fails its q=1 value")
     terms = {(u * step2, 0, 0): c for u, c in enumerate(coeffs) if c}
     return TruncSeries(terms, deg * step2 + 1, exact=True)
 
@@ -186,7 +187,7 @@ def _rhs_hierarchy(k: int, piece) -> TruncSeries:
     """Sum the alternating j-series; stop after two all-zero |j| levels.
 
     piece(j) returns the exact polynomial for one j.  The closure rule is
-    asserted, not assumed: both levels beyond the last contributing one
+    enforced, not assumed: both levels beyond the last contributing one
     are checked to vanish identically.
     """
     parts = []
@@ -201,7 +202,8 @@ def _rhs_hierarchy(k: int, piece) -> TruncSeries:
             zero_levels = 0
             parts.extend(level)
         t += 1
-        assert t < 200, "j-sum failed to close"
+        if t >= 200:
+            raise AssertionError("j-sum failed to close")
     return poly_sum(parts)
 
 

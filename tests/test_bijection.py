@@ -2,6 +2,7 @@
 
 import pytest
 
+from ggq import bijection
 from ggq.bijection import (
     MarkedPartition,
     SplitPair,
@@ -51,6 +52,14 @@ def test_identify_worked_example():
     m = identify(Partition((5,)))
     assert m.marks == frozenset({5})
     assert m.choice_count() == 1
+
+
+def test_broken_invariant_raises(monkeypatch):
+    # a wrong weight breaks identify's one-mark-per-factor-2 invariant; the
+    # check is an explicit raise, so it fires under python -O as well
+    monkeypatch.setattr(bijection, "membership_and_weight", lambda variant, pi: 4)
+    with pytest.raises(AssertionError, match="invariant broken"):
+        identify(Partition((5,)))
 
 
 def test_identify_mark_count_matches_weight():

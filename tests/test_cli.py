@@ -87,6 +87,12 @@ def test_count_json(capsys):
     assert json.loads(out)["counts"] == [1, 0, 0, 1, 1, 0, 0, 1, 2, 1]
 
 
+def test_count_negative_max_is_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--family", "Q2", "--max", "-1")
+    assert code == 2
+    assert out == "" and "--max" in err
+
+
 def test_count_residue_family(capsys):
     code, out, _ = run(
         capsys, "count", "--family", "residue:4:1,2", "--max", "3"

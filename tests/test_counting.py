@@ -1,0 +1,120 @@
+"""State-machine counters and listers against the brute-force oracle."""
+
+from functools import partial
+
+import brute_force as bf
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ggq.bijection import _MULT4, _PI2, _distinct_odds
+from ggq.partitions import (
+    MOD8_CONFIG,
+    P_CONFIG,
+    ResidueFamilyConfig,
+    count_g,
+    count_gg,
+    count_p,
+    count_q,
+    count_residue_family,
+    count_thm1_side,
+    count_thm2_sides,
+    enumerate_members,
+    enumerate_partitions,
+    interp_config,
+    weighted_count,
+)
+
+N = 40
+
+
+def listed(extend):
+    return lambda n: bf.count(n, extend)
+
+
+def thm2_listed(i):
+    return lambda n: (bf.count(n, bf.residue_side(MOD8_CONFIG[i])), bf.count(n, bf.gap_side(i, 0)))
+
+
+# family name -> (state counter, brute-force count), both taking n
+FAMILIES = {
+    **{f"Q{i}": (partial(count_q, i), listed(bf.q_side(i))) for i in range(4)},
+    "thm1 i=1": (partial(count_thm1_side, 1), listed(bf.gap_side(2, 1))),
+    "thm1 i=3": (partial(count_thm1_side, 3), listed(bf.gap_side(1, 1))),
+    **{f"thm2 i={i}": (partial(count_thm2_sides, i), thm2_listed(i)) for i in (1, 3)},
+    **{
+        f"GG min_part={m}": (lambda n, m=m: count_gg(n, m), listed(bf.gap_side(m, 0)))
+        for m in (1, 2, 3)
+    },
+    "S": (partial(weighted_count, "S"), partial(bf.weighted, "S")),
+    "Sstar": (partial(weighted_count, "Sstar"), partial(bf.weighted, "Sstar")),
+    "G": (count_g, listed(bf.g_side)),
+    "P": (count_p, listed(bf.residue_side(P_CONFIG))),
+    **{
+        f"interp k={k}": (
+            partial(count_residue_family, interp_config(k)),
+            listed(bf.residue_side(interp_config(k))),
+        )
+        for k in range(1, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_counter_matches_brute_force(name):
+    counter, oracle = FAMILIES[name]
+    assert [counter(n) for n in range(N + 1)] == [oracle(n) for n in range(N + 1)]
+
+
+def test_listers_match_brute_force():
+    for n in range(26):
+        for variant in ("S", "Sstar"):
+            want = bf.enumerate_partitions(n, bf.member_side(variant))
+            assert enumerate_members(variant, n) == want
+        assert enumerate_partitions(n, _PI2) == bf.enumerate_partitions(n, bf.pi2_side)
+        assert enumerate_partitions(n, _MULT4) == bf.enumerate_partitions(
+            n, bf.distinct_where(lambda p: p % 4 == 0)
+        )
+        for lo in (1, 4):
+            assert _distinct_odds(n, lo) == bf.enumerate_partitions(
+                n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
+            )
+
+
+@st.composite
+def residue_configs(draw):
+    modulus = draw(st.integers(1, 12))
+    allowed = draw(st.frozensets(st.integers(0, modulus - 1), max_size=modulus))
+    sub = draw(st.one_of(st.none(), st.integers(1, 12)))
+    distinct = draw(st.frozensets(st.integers(0, (sub or modulus) - 1), max_size=4))
+    return ResidueFamilyConfig(modulus, allowed, distinct, sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_configs(), st.integers(0, 24))
+def test_random_residue_families_match_brute_force(cfg, n):
+    assert count_residue_family(cfg, n) == bf.count(n, bf.residue_side(cfg))
+
+
+def test_deep_count_needs_no_recursion():
+    # only the part 1 is allowed: one member, 1500 parts deep
+    assert count_residue_family(ResidueFamilyConfig(2000, frozenset({1})), 1500) == 1
+
+
+@pytest.mark.parametrize(
+    "counter",
+    [
+        lambda n: count_q(2, n),
+        lambda n: count_thm1_side(1, n),
+        lambda n: count_thm2_sides(3, n),
+        count_gg,
+        count_g,
+        count_p,
+        lambda n: count_residue_family(MOD8_CONFIG[1], n),
+        lambda n: weighted_count("S", n),
+        lambda n: enumerate_members("Sstar", n),
+        enumerate_partitions,
+    ],
+)
+def test_negative_n_is_rejected(counter):
+    with pytest.raises(ValueError):
+        counter(-1)
