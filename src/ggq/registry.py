@@ -1112,8 +1112,17 @@ def run_check(
                 f"valid: {sorted(params)}"
             )
         params[k] = v
+    # out-of-domain bounds would compare nothing and pass; they are usage errors
+    for name in ("order2", "n_max", "sigma_max", "l_max", "m_max", "k_max", "j_max",
+                 "triples_max", "counts_max"):
+        if params.get(name, 0) < 0:
+            raise ValueError(f"check {check_id}: {name} must be nonnegative, got {params[name]}")
+    if min([*params.get("k_list", ()), params.get("k_max", 1)]) < 1:
+        raise ValueError(f"check {check_id}: k must be at least 1, got {params}")
     t0 = time.perf_counter()
     facets = entry.builder(**params)
+    if not facets:
+        raise ValueError(f"check {check_id} compares no facets with {params}")
     if corrupt is not None:
         facets[0] = _corrupted(facets[0], corrupt)
     first = None

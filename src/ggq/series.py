@@ -14,13 +14,20 @@ closed-form summands, before a series is ever built.
 A series carries its truncation bound ``order2``: terms with e2 >=
 order2 are unknown and silently dropped by the ring operations.  The
 ``exact`` flag stays True only while no term has ever been dropped, so
-polynomial pipelines can assert that nothing was truncated.
+polynomial pipelines can assert that nothing was truncated; it is set at
+construction and never changed.  Products go pair by pair through a dict,
+or for long univariate operands through shift-add or one signed Kronecker
+product; the comment above ``_mul_univariate`` says which and why.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Optional
 
 Key = tuple[int, int, int]
@@ -145,9 +152,6 @@ class TruncSeries:
             raise ValueError(f"coefficient e2={e2} beyond truncation order2={self.order2}")
         return self.terms.get((e2, dz, dw), 0)
 
-    def q_coeff(self, n: int) -> int:
-        return self.coeff(2 * n)
-
     def max_e2(self) -> int:
         """Largest stored exponent, -1 for the zero series."""
         return max((k[0] for k in self.terms), default=-1)
@@ -243,58 +247,85 @@ def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int):
     return out, dropped
 
 
-def _dense(terms: dict[Key, int]) -> list[int]:
-    top = max(k[0] for k in terms)
-    arr = [0] * (top + 1)
+# Univariate products with more than 400 term pairs.  When the shorter
+# operand has at most two terms, as a Pochhammer factor (1 - s q^(e/2))
+# does, each term c q^(e/2) adds c times the long operand's dense list,
+# shifted by e, to the result.  Cold runs of check 4.11 at order2 1001
+# (2-core x86-64, Python 3.11) took 0.53-0.65 s this way and 1.54-1.98 s
+# with Kronecker only; cuts of 4, 8 and 16 were within noise of 2 there and
+# on 4.12, so the smallest cut that covers a factor stays.  Otherwise one
+# signed Kronecker product: each operand is P - N, its positive and negated
+# negative coefficients packed into B-bit slots, B holding min(terms) *
+# max|a| * max|b| plus a sign bit.  So each product slot lies in
+# [-2^(B-1), 2^(B-1)), and adding 2^(B-1) to every slot makes each a digit
+# in [0, 2^B): no slot borrows from the next.  Only slots below order2 are
+# unpacked, through array for 1, 2, 4 or 8 bytes on little-endian machines.
+
+_SHIFT_ADD_TERMS = 2
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+@lru_cache(maxsize=None)
+def _uni_keys(size: int) -> tuple[Key, ...]:
+    return tuple((e2, 0, 0) for e2 in range(size))
+
+
+def _uni_terms(coeffs: Iterable[int], n: int) -> dict[Key, int]:
+    """{(e2, 0, 0): c} over the nonzero ones of the first n coefficients."""
+    return {k: c for k, c in zip(_uni_keys(1 << (n - 1).bit_length()), coeffs) if c}
+
+
+def _pack(terms: dict[Key, int], nslots: int, width: int) -> int:
+    pos = [0] * nslots
+    neg = [0] * nslots
     for (e2, _, _), c in terms.items():
-        arr[e2] = c
-    return arr
+        if c > 0:
+            pos[e2] = c
+        else:
+            neg[e2] = -c
+    code = _ARRAY_CODES.get(width)
+    pos, neg = (
+        array(code, xs) if code else b"".join(c.to_bytes(width, "little") for c in xs)
+        for xs in (pos, neg)
+    )
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _pack(arr: list[int], width: int) -> int:
-    buf = bytearray(len(arr) * width)
-    for i, c in enumerate(arr):
-        if c:
-            buf[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(bytes(buf), "little")
-
-
-def _unpack(val: int, nslots: int, width: int) -> list[int]:
-    raw = val.to_bytes(nslots * width, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(nslots)
+def _unpack(val: int, nslots: int, width: int) -> dict[Key, int]:
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * nslots, "little")
+    raw = ((val + bias) & ((1 << (8 * width * nslots)) - 1)).to_bytes(width * nslots, "little")
+    code = _ARRAY_CODES.get(width)
+    digits = array(code, raw) if code else [
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
+    return _uni_terms(map(sub, digits, repeat(half)), nslots)
 
 
 def _mul_univariate(a: dict[Key, int], b: dict[Key, int], order2: int):
-    # Kronecker-substitution convolution: pack coefficients into one big
-    # integer per sign component and let bignum multiplication do the work.
-    # Exact for arbitrary coefficient sizes because the slot width is
-    # derived from the actual operands.
-    fa = _dense(a)
-    fb = _dense(b)
-    la, lb = len(fa), len(fb)
-    dropped = (la - 1) + (lb - 1) >= order2
-    res_len = min(la + lb - 1, order2)
-    maxa = max(abs(c) for c in fa)
-    maxb = max(abs(c) for c in fb)
-    nbits = maxa.bit_length() + maxb.bit_length() + min(la, lb).bit_length() + 2
-    width = (nbits + 7) // 8
-    ap = _pack([c if c > 0 else 0 for c in fa], width)
-    an = _pack([-c if c < 0 else 0 for c in fa], width)
-    bp = _pack([c if c > 0 else 0 for c in fb], width)
-    bn = _pack([-c if c < 0 else 0 for c in fb], width)
-    pos = ap * bp + an * bn
-    neg = ap * bn + an * bp
-    nslots = la + lb
-    pvals = _unpack(pos, nslots, width) if pos else [0] * nslots
-    nvals = _unpack(neg, nslots, width) if neg else [0] * nslots
-    out: dict[Key, int] = {}
-    for e2 in range(res_len):
-        c = pvals[e2] - nvals[e2]
-        if c:
-            out[(e2, 0, 0)] = c
-    return out, dropped
+    if len(a) > len(b):
+        a, b = b, a
+    top_a, top_b = max(a)[0], max(b)[0]
+    dropped = top_a + top_b >= order2
+    res_len = min(top_a + top_b + 1, order2)
+    if len(a) <= _SHIFT_ADD_TERMS:
+        fb = [0] * (top_b + 1)
+        for (e2, _, _), c in b.items():
+            fb[e2] = c
+        res = [0] * res_len
+        for (e, _, _), c in a.items():
+            end = min(e + len(fb), res_len)
+            seg = res[e:end]
+            res[e:end] = map(add, seg, fb) if c == 1 else map(sub, seg, fb) if c == -1 else [
+                x + c * y for x, y in zip(seg, fb)
+            ]
+        return _uni_terms(res, res_len), dropped
+    bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
+    width = (bound.bit_length() + len(a).bit_length() + 8) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    prod = _pack(a, top_a + 1, width) * _pack(b, top_b + 1, width)
+    return _unpack(prod, res_len, width), dropped
 
 
 # -- constructors and reshaping -----------------------------------------
@@ -466,20 +497,18 @@ def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
     """
     if f.e2 == 0 and f.dz == 0 and f.dw == 0:
         raise ValueError("infinite product needs a positive exponent or a marker")
-    acc = one(order2)
+    acc = TruncSeries({(0, 0, 0): 1}, order2, exact=False)
     j = 0
     while f.e2 + j * f.step2 < order2:
         acc = acc * _factor(f, j, order2)
         j += 1
-    acc.exact = False
     return acc
 
 
 def poch_product(specs: Iterable[FactorSpec], *, order2: int) -> TruncSeries:
-    acc = one(order2)
+    acc = TruncSeries({(0, 0, 0): 1}, order2, exact=False)
     for f in specs:
         acc = acc * poch_infinite(f, order2=order2)
-    acc.exact = False
     return acc
 
 
@@ -513,16 +542,14 @@ def reciprocal(s: TruncSeries) -> TruncSeries:
         return _reciprocal_univariate(s, c0)
     # graded geometric expansion: s = c0 (1 - u), u has min e2 >= 1
     u = one(s.order2) - s.scale(c0)
-    acc = one(s.order2)
+    acc = TruncSeries({(0, 0, 0): 1}, s.order2, exact=False)
     powu = one(s.order2)
     for _ in range(s.order2):
         powu = powu * u
         if not powu:
             break
         acc = acc + powu
-    out = acc.scale(c0)
-    out.exact = False
-    return out
+    return acc.scale(c0)
 
 
 def _reciprocal_univariate(s: TruncSeries, c0: int) -> TruncSeries:
@@ -541,8 +568,7 @@ def _reciprocal_univariate(s: TruncSeries, c0: int) -> TruncSeries:
             acc += sv[i] * rv[j - i]
         if acc:
             rv[j] = -c0 * acc
-    out = {(e2, 0, 0): c for e2, c in enumerate(rv) if c}
-    return TruncSeries(out, order2, False)
+    return TruncSeries(_uni_terms(rv, order2), order2, False)
 
 
 # -- bilateral theta and the triple product -----------------------------
@@ -662,10 +688,9 @@ def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
         prod = prod * (one(inner) - monomial(s_x, c, order2=inner))
     if e2a > 0:
         prod = prod * poch_infinite(FactorSpec(s_a, e2a, 4), order2=inner)
+    # prod starts from an infinite product, so it and rhs are inexact
     rhs = shift_exponents(prod.scale(mult), n0 - shift)
-    rhs = at_order(rhs, order2)
-    rhs.exact = False
-    return lhs, rhs
+    return lhs, at_order(rhs, order2)
 
 
 def jacobi_check(zspec, *, order2: int) -> bool:

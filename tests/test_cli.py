@@ -57,6 +57,24 @@ def test_verify_grid_flags(capsys):
     assert "pass" in out
 
 
+def test_verify_negative_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--id", "thm3", "--n", "-3")
+    assert code == 2
+    assert out == "" and "n_max" in err
+
+
+def test_verify_negative_grid_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--id", "4.20", "--l", "-1")
+    assert code == 2
+    assert out == "" and "l_max" in err
+
+
+def test_verify_k_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--id", "4.12", "--k", "0")
+    assert code == 2
+    assert out == "" and "k must be at least 1" in err
+
+
 def test_verify_corrupt_fails(capsys):
     code, out, _ = run(
         capsys, "verify", "--id", "1.1", "--order", "41", "--corrupt", ":1"

@@ -75,6 +75,26 @@ def test_unknown_id_and_parameter():
         run_check("1.1", bogus=3)
 
 
+@pytest.mark.parametrize(
+    "check_id,bad",
+    [
+        ("thm3", {"n_max": -3}),
+        ("4.20", {"l_max": -1}),
+        ("1.1", {"counts_max": -1}),
+        ("4.12", {"k_list": [0]}),
+        ("4.5", {"k_max": 0}),
+    ],
+)
+def test_out_of_domain_parameters_rejected(check_id, bad):
+    with pytest.raises(ValueError):
+        run_check(check_id, **bad)
+
+
+def test_check_without_facets_rejected():
+    with pytest.raises(ValueError, match="no facets"):
+        run_check("4.15", k_list=[])
+
+
 def test_none_override_means_default():
     a = run_check("thm1", n_max=None)
     assert a.parameters["n_max"] == REGISTRY["thm1"].quick["n_max"]

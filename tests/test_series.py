@@ -11,6 +11,7 @@ from ggq.series import (
     inv_poch_finite,
     inv_poch_infinite,
     jacobi_check,
+    jacobi_sides,
     jacobi_theta,
     lift,
     monomial,
@@ -85,6 +86,72 @@ def test_packed_multiplication_matches_schoolbook(a, b):
 @given(small_series, small_series)
 def test_sparse_multiplication_matches_schoolbook(a, b):
     assert (a * b).terms == _naive_mul(a, b, ORD)
+
+
+def _naive_dropped(a, b, order2):
+    return any(ea + eb >= order2 for (ea, _, _) in a.terms for (eb, _, _) in b.terms)
+
+
+def _univariate(coeffs, min_size, max_size, order2):
+    keys = st.tuples(st.integers(0, order2 - 1), st.just(0), st.just(0))
+    return st.dictionaries(keys, coeffs, min_size=min_size, max_size=max_size).map(
+        lambda t: TruncSeries(t, order2)
+    )
+
+
+_mixed = st.one_of(st.integers(-99, 99), st.integers(-(2**100), 2**100)).filter(bool)
+_wide = st.one_of(st.integers(2**64, 2**100), st.integers(-(2**100), -(2**64)))
+_negative = st.one_of(st.integers(-99, -1), st.integers(-(2**70), -1))
+
+
+def _long(coeffs):
+    # 201-300 terms on every first or second exponent, below order2 600
+    return st.builds(
+        lambda cs, stride: TruncSeries({(i * stride, 0, 0): c for i, c in enumerate(cs)}, 600),
+        st.lists(coeffs, min_size=201, max_size=300),
+        st.integers(1, 2),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_univariate(_mixed, 2, 2, 600), _long(_mixed))
+def test_shift_add_multiplication_matches_schoolbook(short, long):
+    # past 400 term pairs, so the product takes the univariate kernel
+    prod = short * long
+    assert prod.terms == _naive_mul(short, long, 600)
+    assert prod.exact is not _naive_dropped(short, long, 600)
+    assert (long * short).terms == prod.terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(_univariate(_wide, 21, 45, 60), _univariate(_mixed, 21, 45, 60))
+def test_wide_packed_multiplication_matches_schoolbook(a, b):
+    # coefficients past 2^64 need slots wider than eight bytes
+    assert (a * b).terms == _naive_mul(a, b, 60)
+    assert (a * a).terms == _naive_mul(a, a, 60)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _univariate(_negative, 21, 45, 60),
+    _univariate(_negative, 21, 45, 60),
+    _univariate(_negative, 2, 2, 600),
+    _long(_negative),
+)
+def test_all_negative_multiplication_matches_schoolbook(a, b, short, long):
+    assert (a * b).terms == _naive_mul(a, b, 60)
+    assert (short * long).terms == _naive_mul(short, long, 600)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_univariate(_mixed, 5, 20, 200), _univariate(_mixed, 81, 120, 200), st.integers(-2, 60))
+def test_exactness_matches_schoolbook_when_straddling_the_bound(a, b, slack):
+    # slack <= 0 keeps every term, slack 1 drops exactly the top one
+    order2 = max(a.max_e2() + b.max_e2() + 1 - slack, 200)
+    a, b = TruncSeries(a.terms, order2), TruncSeries(b.terms, order2)
+    prod = a * b
+    assert prod.terms == _naive_mul(a, b, order2)
+    assert prod.exact is not _naive_dropped(a, b, order2)
 
 
 def test_validation():
@@ -216,6 +283,36 @@ def test_triple_product(zspec):
 def test_theta_rejects_unnormalizable_input():
     with pytest.raises(ValueError):
         jacobi_theta((1, 6), order2=40)  # negative exponents before normalization
+
+
+def test_inexact_builders_pass_the_flag_at_construction():
+    # results pinned from the builders that set .exact = False afterwards
+    half_odd = poch_infinite(FactorSpec(-1, 1, 2), order2=30)
+    assert half_odd.exact is False
+    assert [half_odd.coeff(e2) for e2 in range(30)] == [
+        1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3,
+        4, 5, 5, 5, 6, 7, 8, 8, 9, 11, 12, 12, 14, 16, 17,
+    ]
+    prod = poch_product([Q, FactorSpec(1, 4, 4, 1)], order2=16)
+    assert prod.exact is False
+    assert prod.terms == {
+        (0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): -1, (4, 1, 0): -1, (6, 1, 0): 1,
+        (10, 0, 0): 1, (10, 1, 0): 1, (12, 2, 0): 1, (14, 0, 0): 1, (14, 2, 0): -1,
+    }
+    inv = reciprocal(one(12) - monomial(1, 2, 1, 0, order2=12) - monomial(1, 3, 0, 1, order2=12))
+    assert inv.exact is False
+    assert inv.terms == {
+        (0, 0, 0): 1, (2, 1, 0): 1, (3, 0, 1): 1, (4, 2, 0): 1, (5, 1, 1): 2,
+        (6, 0, 2): 1, (6, 3, 0): 1, (7, 2, 1): 3, (8, 1, 2): 3, (8, 4, 0): 1,
+        (9, 0, 3): 1, (9, 3, 1): 4, (10, 2, 2): 6, (10, 5, 0): 1, (11, 1, 3): 4,
+        (11, 4, 1): 5,
+    }
+    for side in jacobi_sides((1, 6), order2=30):
+        assert side.exact is False
+        assert side.terms == {(0, 0, 0): 2, (4, 0, 0): 2, (12, 0, 0): 2, (24, 0, 0): 2}
+    # the cached inverse stays inexact however often it is handed out
+    assert inv_poch_infinite(Q, order2=30) is inv_poch_infinite(Q, order2=30)
+    assert inv_poch_infinite(Q, order2=30).exact is False
 
 
 def test_product_shorthand():
