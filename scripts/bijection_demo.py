@@ -17,10 +17,7 @@ def main():
     args = ap.parse_args()
 
     for pi in enumerate_members("S", args.n):
-        m = identify(pi)
-        k = len(m.marks)
-        for bits in range(1 << k):
-            choice = tuple(bool(bits >> j & 1) for j in range(k))
+        for choice in identify(pi).choices():
             for stage, value in trace_pipeline(pi, choice):
                 print(f"  {stage:>16}: {value}")
             print()

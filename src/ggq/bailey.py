@@ -25,16 +25,16 @@ from .series import (
     series_diff,
     zero,
 )
-from .trinomials import q_binomial
+from .trinomials import n_vectors, q_binomial
 
 __all__ = [
     "BaileyPair",
     "seed_E4",
+    "defining_sum",
     "pair_mismatch",
     "verify_pair",
     "step",
     "iterate_closed",
-    "n_vectors",
     "lhs_4_7",
     "rhs_4_7",
     "finite_identity_4_7",
@@ -78,15 +78,20 @@ def seed_E4(n_max: int, order2: int) -> BaileyPair:
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
 
+def defining_sum(p: BaileyPair, n: int) -> TruncSeries:
+    """The right side of the defining relation at n, built from alpha."""
+    acc = zero(p.order2)
+    for i in range(n + 1):
+        acc = acc + p.alpha[i] * inv_poch_finite(
+            Q, n - i, order2=p.order2
+        ) * inv_poch_finite(Q, n + i, order2=p.order2)
+    return acc
+
+
 def pair_mismatch(p: BaileyPair) -> Optional[tuple[int, tuple, int, int]]:
     """First (n, key, expected, got) where the defining relation breaks."""
     for n in range(p.n_max + 1):
-        rhs = zero(p.order2)
-        for i in range(n + 1):
-            rhs = rhs + p.alpha[i] * inv_poch_finite(
-                Q, n - i, order2=p.order2
-            ) * inv_poch_finite(Q, n + i, order2=p.order2)
-        d = series_diff(p.beta[n], rhs)
+        d = series_diff(p.beta[n], defining_sum(p, n))
         if d is not None:
             key, want, got = d
             return n, key, want, got
@@ -113,19 +118,6 @@ def step(p: BaileyPair) -> BaileyPair:
             )
         beta.append(acc * inv_poch_finite(SQ, n, order2=p.order2))
     return BaileyPair(tuple(alpha), tuple(beta), p.order2)
-
-
-def n_vectors(k: int, cap: int):
-    """Weakly decreasing nonnegative (N_1..N_k) with N_1 <= cap."""
-
-    def rec(prefix, hi):
-        if len(prefix) == k:
-            yield prefix
-            return
-        for v in range(hi, -1, -1):
-            yield from rec(prefix + (v,), v)
-
-    yield from rec((), cap)
 
 
 def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:

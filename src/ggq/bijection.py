@@ -64,6 +64,13 @@ class MarkedPartition:
     def choice_count(self) -> int:
         return len(self.marks)
 
+    def choices(self):
+        """Every tuple of routing bits, one per mark; bit j of the
+        running index is the bit of the j-th mark."""
+        k = len(self.marks)
+        for bits in range(1 << k):
+            yield tuple(bool(bits >> j & 1) for j in range(k))
+
 
 @dataclass(frozen=True)
 class SplitPair:

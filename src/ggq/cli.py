@@ -307,9 +307,7 @@ def _cmd_bijection(args, cfg: CliConfig) -> int:
     lines = []
     for pi in enumerate_members("S", args.n):
         m = identify(pi)
-        k = len(m.marks)
-        for bits in range(1 << k):
-            choice = tuple(bool(bits >> j & 1) for j in range(k))
+        for choice in m.choices():
             if args.trace:
                 for stage, value in trace_pipeline(pi, choice):
                     lines.append(f"{stage}: {value}")

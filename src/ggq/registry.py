@@ -15,11 +15,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Optional
 
 from .bailey import (
-    BaileyPair,
+    defining_sum,
     iterate_closed,
     lhs_4_7,
     rhs_4_7,
@@ -73,26 +72,20 @@ from .trinomials import (
     limit_4_10,
     limit_4_17,
     limit_4_18,
+    n_vectors,
     rhs_4_15,
     rhs_4_20,
 )
 
 __all__ = [
-    "CheckSpec",
     "Corruption",
     "Facet",
     "UnknownCheckError",
     "VerificationReport",
-    "check_double_series",
-    "check_hierarchy",
-    "check_reduction",
-    "check_single_series",
-    "check_theorems",
     "natural_key",
     "registry_ids",
     "run_all",
     "run_check",
-    "spec_for",
 ]
 
 F = FactorSpec
@@ -218,27 +211,9 @@ def _double_sum(order2, exp2, num, den2, z_mark: bool, w_mark: bool) -> TruncSer
     return total
 
 
-def _hier_vectors(k: int, order2: int):
-    """Weakly decreasing nonnegative (N_1..N_k) with 2*sum(N_i^2) < order2."""
-
-    def rec(prefix, cap, sq):
-        if len(prefix) == k:
-            yield prefix
-            return
-        v = 0
-        while v <= cap:
-            s2 = sq + 2 * v * v
-            if s2 >= order2:
-                break
-            yield from rec(prefix + (v,), v, s2)
-            v += 1
-
-    yield from rec((), isqrt(order2 // 2) + 1, 0)
-
-
 def _lhs_hierarchy(k: int, order2: int) -> TruncSeries:
     total = zero(order2)
-    for nvec in _hier_vectors(k, order2):
+    for nvec in n_vectors(k, order2, order2):  # the budget binds, not the cap
         e2 = 2 * (sum(v * v for v in nvec) + 2 * nvec[-1])
         term = monomial(1, e2, order2=order2)
         term = term * poch_finite(MQ_Q2, nvec[-1], order2=order2)
@@ -308,6 +283,16 @@ def _counts_cap(counts_max: int, order2: int) -> int:
     return min(counts_max, (order2 - 1) // 2)
 
 
+def _counts_facet(label, series: TruncSeries, cmax: int, oracle) -> Facet:
+    """The q^0..q^cmax coefficients of series against oracle(n)."""
+    return Facet(
+        label,
+        "counts",
+        q_coefficients(series, cmax),
+        [oracle(n) for n in range(cmax + 1)],
+    )
+
+
 # -- builders, one per catalog id ---------------------------------------
 
 
@@ -319,12 +304,7 @@ def _build_1_1(order2, counts_max):
     cmax = _counts_cap(counts_max, order2)
     return [
         Facet("sum-vs-product", "series", lhs, rhs),
-        Facet(
-            "product-vs-counts",
-            "counts",
-            q_coefficients(rhs, cmax),
-            [count_q(1, n) for n in range(cmax + 1)],
-        ),
+        _counts_facet("product-vs-counts", rhs, cmax, lambda n: count_q(1, n)),
     ]
 
 
@@ -336,12 +316,7 @@ def _build_1_2(order2, counts_max):
     cmax = _counts_cap(counts_max, order2)
     return [
         Facet("sum-vs-product", "series", lhs, rhs),
-        Facet(
-            "product-vs-counts",
-            "counts",
-            q_coefficients(rhs, cmax),
-            [count_q(3, n) for n in range(cmax + 1)],
-        ),
+        _counts_facet("product-vs-counts", rhs, cmax, lambda n: count_q(3, n)),
     ]
 
 
@@ -353,11 +328,11 @@ def _build_1_3(order2, counts_max):
     cmax = _counts_cap(counts_max, order2)
     return [
         Facet("sum-vs-product", "series", lhs, rhs),
-        Facet(
+        _counts_facet(
             "product-vs-counts",
-            "counts",
-            q_coefficients(rhs, cmax),
-            [count_residue_family(MOD8_CONFIG[1], n) for n in range(cmax + 1)],
+            rhs,
+            cmax,
+            lambda n: count_residue_family(MOD8_CONFIG[1], n),
         ),
     ]
 
@@ -370,11 +345,11 @@ def _build_1_4(order2, counts_max):
     cmax = _counts_cap(counts_max, order2)
     return [
         Facet("sum-vs-product", "series", lhs, rhs),
-        Facet(
+        _counts_facet(
             "product-vs-counts",
-            "counts",
-            q_coefficients(rhs, cmax),
-            [count_residue_family(MOD8_CONFIG[3], n) for n in range(cmax + 1)],
+            rhs,
+            cmax,
+            lambda n: count_residue_family(MOD8_CONFIG[3], n),
         ),
     ]
 
@@ -387,9 +362,7 @@ def _build_2_7(sigma_max):
         total = 0
         for pi in enumerate_members("S", n):
             m = identify(pi)
-            k = len(m.marks)
-            for bits in range(1 << k):
-                choice = tuple(bool(bits >> j & 1) for j in range(k))
+            for choice in m.choices():
                 pair = redistribute(m, choice)
                 total += 1
                 if redistribute_inverse(pair) != (m, choice):
@@ -449,21 +422,12 @@ def _build_3_2(order2, counts_max, triples_max):
     rhs_b = poch_product([F(-1, 2, 4), F(-1, 8, 8)], order2=order2)
     cmax = _counts_cap(counts_max, order2)
     tmax = min(triples_max, cmax)
-    coeffs = q_coefficients(lhs, cmax)
     return [
         Facet("sum-vs-product", "series", lhs, rhs_a),
         Facet("product-vs-product", "series", rhs_a, rhs_b),
-        Facet(
-            "sum-vs-counts",
-            "counts",
-            coeffs,
-            [count_q(2, n) for n in range(cmax + 1)],
-        ),
-        Facet(
-            "sum-vs-triples",
-            "counts",
-            coeffs[: tmax + 1],
-            [len(triple_partitions(n)) for n in range(tmax + 1)],
+        _counts_facet("sum-vs-counts", lhs, cmax, lambda n: count_q(2, n)),
+        _counts_facet(
+            "sum-vs-triples", lhs, tmax, lambda n: len(triple_partitions(n))
         ),
     ]
 
@@ -484,11 +448,8 @@ def _build_3_4(order2, counts_max):
     cmax = _counts_cap(counts_max, order2)
     return [
         Facet("sum-vs-product", "series", lhs, rhs),
-        Facet(
-            "collapsed-vs-counts",
-            "counts",
-            q_coefficients(collapse_zw(lhs), cmax),
-            [count_q(0, n) for n in range(cmax + 1)],
+        _counts_facet(
+            "collapsed-vs-counts", collapse_zw(lhs), cmax, lambda n: count_q(0, n)
         ),
     ]
 
@@ -545,19 +506,10 @@ def _build_3_10(order2):
     ]
 
 
-def _defining_sum(p: BaileyPair, n: int) -> TruncSeries:
-    acc = zero(p.order2)
-    for i in range(n + 1):
-        acc = acc + p.alpha[i] * inv_poch_finite(
-            Q1F, n - i, order2=p.order2
-        ) * inv_poch_finite(Q1F, n + i, order2=p.order2)
-    return acc
-
-
 def _build_4_6(order2, n_max):
     p = seed_E4(n_max, order2)
     return [
-        Facet(f"defining-relation n={n}", "series", p.beta[n], _defining_sum(p, n))
+        Facet(f"defining-relation n={n}", "series", p.beta[n], defining_sum(p, n))
         for n in range(n_max + 1)
     ]
 
@@ -565,7 +517,7 @@ def _build_4_6(order2, n_max):
 def _build_4_3(order2, n_max):
     p = step(seed_E4(n_max, order2))
     return [
-        Facet(f"stepped-relation n={n}", "series", p.beta[n], _defining_sum(p, n))
+        Facet(f"stepped-relation n={n}", "series", p.beta[n], defining_sum(p, n))
         for n in range(n_max + 1)
     ]
 
@@ -639,24 +591,19 @@ def _build_4_12(order2, k_list, counts_max):
             facets.append(
                 Facet(f"quadruple-form k={k}", "series", form1, rewrite)
             )
+        config = interp_config(k)
         facets.append(
-            Facet(
+            _counts_facet(
                 f"sum-vs-counts k={k}",
-                "counts",
-                q_coefficients(lhs, cmax),
-                [
-                    count_residue_family(interp_config(k), n)
-                    for n in range(cmax + 1)
-                ],
+                lhs,
+                cmax,
+                lambda n: count_residue_family(config, n),
             )
         )
         if k == 2:
             facets.append(
-                Facet(
-                    "sum-vs-distinct-counts k=2",
-                    "counts",
-                    q_coefficients(lhs, cmax),
-                    [count_q(2, n) for n in range(cmax + 1)],
+                _counts_facet(
+                    "sum-vs-distinct-counts k=2", lhs, cmax, lambda n: count_q(2, n)
                 )
             )
     return facets
@@ -670,12 +617,7 @@ def _build_4_13(order2, counts_max):
     return [
         Facet("sum-vs-pair-product", "series", a, b),
         Facet("pair-vs-triple-product", "series", b, c),
-        Facet(
-            "sum-vs-counts",
-            "counts",
-            q_coefficients(a, cmax),
-            [count_q(2, n) for n in range(cmax + 1)],
-        ),
+        _counts_facet("sum-vs-counts", a, cmax, lambda n: count_q(2, n)),
     ]
 
 
@@ -697,12 +639,7 @@ def _build_4_14(order2, counts_max):
             q_coefficients(lhs, 9),
             [1, 0, 0, 1, 1, 0, 0, 1, 2, 1],
         ),
-        Facet(
-            "sum-vs-counts",
-            "counts",
-            q_coefficients(lhs, cmax),
-            [count_p(n) for n in range(cmax + 1)],
-        ),
+        _counts_facet("sum-vs-counts", lhs, cmax, count_p),
     ]
 
 
@@ -841,7 +778,6 @@ def _build_lemma2(n_max):
 
 @dataclass(frozen=True)
 class _Entry:
-    kind: str
     builder: Callable[..., list[Facet]]
     quick: dict
     full: dict
@@ -849,155 +785,102 @@ class _Entry:
 
 REGISTRY: dict[str, _Entry] = {
     "1.1": _Entry(
-        "series-equality",
         _build_1_1,
         {"order2": 201, "counts_max": 60},
         {"order2": 301, "counts_max": 72},
     ),
     "1.2": _Entry(
-        "series-equality",
         _build_1_2,
         {"order2": 201, "counts_max": 60},
         {"order2": 301, "counts_max": 72},
     ),
     "1.3": _Entry(
-        "series-equality",
         _build_1_3,
         {"order2": 201, "counts_max": 60},
         {"order2": 301, "counts_max": 72},
     ),
     "1.4": _Entry(
-        "series-equality",
         _build_1_4,
         {"order2": 201, "counts_max": 60},
         {"order2": 301, "counts_max": 72},
     ),
-    "2.7": _Entry(
-        "round-trip", _build_2_7, {"sigma_max": 36}, {"sigma_max": 40}
-    ),
+    "2.7": _Entry(_build_2_7, {"sigma_max": 36}, {"sigma_max": 40}),
     "3.2": _Entry(
-        "series-equality",
         _build_3_2,
         {"order2": 81, "counts_max": 40, "triples_max": 36},
         {"order2": 121, "counts_max": 46, "triples_max": 38},
     ),
-    "3.3": _Entry(
-        "series-equality", _build_3_3, {"order2": 81}, {"order2": 121}
-    ),
+    "3.3": _Entry(_build_3_3, {"order2": 81}, {"order2": 121}),
     "3.4": _Entry(
-        "series-equality",
         _build_3_4,
         {"order2": 81, "counts_max": 40},
         {"order2": 121, "counts_max": 46},
     ),
-    "3.5": _Entry(
-        "series-equality", _build_3_5, {"order2": 81}, {"order2": 121}
-    ),
-    "3.7": _Entry(
-        "series-equality", _build_3_7, {"order2": 121}, {"order2": 161}
-    ),
-    "3.8": _Entry(
-        "series-equality", _build_3_8, {"order2": 81}, {"order2": 121}
-    ),
-    "3.10": _Entry(
-        "series-equality", _build_3_10, {"order2": 121}, {"order2": 161}
-    ),
-    "4.3": _Entry(
-        "series-equality",
-        _build_4_3,
-        {"order2": 60, "n_max": 5},
-        {"order2": 80, "n_max": 6},
-    ),
+    "3.5": _Entry(_build_3_5, {"order2": 81}, {"order2": 121}),
+    "3.7": _Entry(_build_3_7, {"order2": 121}, {"order2": 161}),
+    "3.8": _Entry(_build_3_8, {"order2": 81}, {"order2": 121}),
+    "3.10": _Entry(_build_3_10, {"order2": 121}, {"order2": 161}),
+    "4.3": _Entry(_build_4_3, {"order2": 60, "n_max": 5}, {"order2": 80, "n_max": 6}),
     "4.5": _Entry(
-        "series-equality",
         _build_4_5,
         {"order2": 80, "k_max": 4, "n_max": 4},
         {"order2": 100, "k_max": 5, "n_max": 4},
     ),
-    "4.6": _Entry(
-        "series-equality",
-        _build_4_6,
-        {"order2": 80, "n_max": 6},
-        {"order2": 100, "n_max": 8},
-    ),
+    "4.6": _Entry(_build_4_6, {"order2": 80, "n_max": 6}, {"order2": 100, "n_max": 8}),
     "4.7": _Entry(
-        "series-equality",
         _build_4_7,
         {"order2": 80, "n_max": 6, "k_max": 3},
         {"order2": 100, "n_max": 7, "k_max": 4},
     ),
-    "4.9": _Entry(
-        "series-equality",
-        _build_4_9,
-        {"order2": 81, "m_max": 4},
-        {"order2": 101, "m_max": 5},
-    ),
+    "4.9": _Entry(_build_4_9, {"order2": 81, "m_max": 4}, {"order2": 101, "m_max": 5}),
     "4.10": _Entry(
-        "series-equality",
         _build_4_10,
         {"order2": 81, "j_max": 2},
         {"order2": 101, "j_max": 3},
     ),
-    "4.11": _Entry(
-        "series-equality", _build_4_11, {"order2": 121}, {"order2": 161}
-    ),
+    "4.11": _Entry(_build_4_11, {"order2": 121}, {"order2": 161}),
     "4.12": _Entry(
-        "series-equality",
         _build_4_12,
         {"order2": 121, "k_list": [1, 2, 3, 4, 5, 6], "counts_max": 40},
-        {
-            "order2": 161,
-            "k_list": [1, 2, 3, 4, 5, 6, 7, 8],
-            "counts_max": 44,
-        },
+        {"order2": 161, "k_list": [1, 2, 3, 4, 5, 6, 7, 8], "counts_max": 44},
     ),
     "4.13": _Entry(
-        "series-equality",
         _build_4_13,
         {"order2": 121, "counts_max": 40},
         {"order2": 161, "counts_max": 46},
     ),
     "4.14": _Entry(
-        "series-equality",
         _build_4_14,
         {"order2": 201, "counts_max": 40},
         {"order2": 301, "counts_max": 46},
     ),
     "4.15": _Entry(
-        "polynomial-equality",
         _build_4_15,
         {"k_list": [1, 2, 3], "l_max": 6, "m_max": 6},
         {"k_list": [1, 2, 3, 4], "l_max": 7, "m_max": 7},
     ),
     "4.17": _Entry(
-        "series-equality",
         _build_4_17,
         {"order2": 81, "m_max": 2},
         {"order2": 101, "m_max": 3},
     ),
     "4.18": _Entry(
-        "series-equality",
         _build_4_18,
         {"order2": 81, "b_list": [0, 1]},
         {"order2": 101, "b_list": [-1, 0, 1, 2]},
     ),
     "4.20": _Entry(
-        "polynomial-equality",
         _build_4_20,
         {"k_list": [1, 2, 3], "l_max": 10},
         {"k_list": [1, 2, 3, 4], "l_max": 12},
     ),
-    "thm1": _Entry("count-equality", _build_thm1, {"n_max": 40}, {"n_max": 48}),
-    "thm2": _Entry("count-equality", _build_thm2, {"n_max": 40}, {"n_max": 48}),
-    "thm3": _Entry("count-equality", _build_thm3, {"n_max": 50}, {"n_max": 56}),
-    "thm4": _Entry("count-equality", _build_thm4, {"n_max": 50}, {"n_max": 56}),
-    "thm5": _Entry("count-equality", _build_thm5, {"n_max": 50}, {"n_max": 56}),
-    "lemma1": _Entry(
-        "count-equality", _build_lemma1, {"n_max": 36}, {"n_max": 40}
-    ),
-    "lemma2": _Entry(
-        "count-equality", _build_lemma2, {"n_max": 36}, {"n_max": 40}
-    ),
+    "thm1": _Entry(_build_thm1, {"n_max": 40}, {"n_max": 48}),
+    "thm2": _Entry(_build_thm2, {"n_max": 40}, {"n_max": 48}),
+    "thm3": _Entry(_build_thm3, {"n_max": 50}, {"n_max": 56}),
+    "thm4": _Entry(_build_thm4, {"n_max": 50}, {"n_max": 56}),
+    "thm5": _Entry(_build_thm5, {"n_max": 50}, {"n_max": 56}),
+    "lemma1": _Entry(_build_lemma1, {"n_max": 36}, {"n_max": 40}),
+    "lemma2": _Entry(_build_lemma2, {"n_max": 36}, {"n_max": 40}),
 }
 
 
@@ -1012,39 +895,6 @@ def natural_key(check_id: str):
         return (2, int(check_id[5:]), 0)
     major, minor = check_id.split(".")
     return (0, int(major), int(minor))
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    id: str
-    parameters: dict
-    order2: int
-    kind: str
-
-    def __post_init__(self):
-        if self.id not in REGISTRY:
-            raise UnknownCheckError(self.id, registry_ids())
-        entry = REGISTRY[self.id]
-        if self.kind != entry.kind:
-            raise ValueError(
-                f"check {self.id} has kind {entry.kind}, not {self.kind}"
-            )
-        known = set(entry.quick)
-        bad = set(self.parameters) - known
-        if bad:
-            raise ValueError(
-                f"unknown parameters for {self.id}: {sorted(bad)}; "
-                f"valid: {sorted(known)}"
-            )
-
-
-def spec_for(check_id: str, level: str = "quick") -> CheckSpec:
-    entry = REGISTRY.get(check_id)
-    if entry is None:
-        raise UnknownCheckError(check_id, registry_ids())
-    params = dict(entry.quick if level == "quick" else entry.full)
-    order2 = params.pop("order2", 0)
-    return CheckSpec(check_id, params, order2, entry.kind)
 
 
 # -- runner -------------------------------------------------------------
@@ -1092,6 +942,10 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
     return Facet(f.label, f.kind, got, f.expected)
 
 
+_LEAST_BOUNDS = {"order2": 3, "n_max": 1, "sigma_max": 1, "k_max": 1, "l_max": 0,
+                 "m_max": 0, "j_max": 0, "triples_max": 0, "counts_max": 0}
+
+
 def run_check(
     check_id: str,
     *,
@@ -1112,12 +966,14 @@ def run_check(
                 f"valid: {sorted(params)}"
             )
         params[k] = v
-    # out-of-domain bounds would compare nothing and pass; they are usage errors
-    for name in ("order2", "n_max", "sigma_max", "l_max", "m_max", "k_max", "j_max",
-                 "triples_max", "counts_max"):
-        if params.get(name, 0) < 0:
-            raise ValueError(f"check {check_id}: {name} must be nonnegative, got {params[name]}")
-    if min([*params.get("k_list", ()), params.get("k_max", 1)]) < 1:
+    # bounds below these compare nothing, or nothing past q^0, and would
+    # pass; they are usage errors
+    for name, least in _LEAST_BOUNDS.items():
+        if params.get(name, least) < least:
+            raise ValueError(
+                f"check {check_id}: {name} must be at least {least}, got {params[name]}"
+            )
+    if any(k < 1 for k in params.get("k_list", ())):
         raise ValueError(f"check {check_id}: k must be at least 1, got {params}")
     t0 = time.perf_counter()
     facets = entry.builder(**params)
@@ -1177,53 +1033,3 @@ def run_all(
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             return list(ex.map(_run_by_id, jobs))
     return [_run_by_id(j) for j in jobs]
-
-
-# -- grouped front doors ------------------------------------------------
-
-_DOUBLE_IDS = ("3.2", "3.3", "3.4", "3.5", "3.8")
-_REDUCTION_IDS = ("3.7", "3.10")
-_THEOREM_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "lemma1", "lemma2")
-
-
-def check_single_series(i: int, order2: Optional[int] = None) -> VerificationReport:
-    """Both single-sum checks attached to the index i (1 or 3); on
-    failure the failing member's report is returned, with summed time."""
-    pair = {1: ("1.1", "1.3"), 3: ("1.2", "1.4")}.get(i)
-    if pair is None:
-        raise ValueError("i must be 1 or 3")
-    reports = [run_check(cid, order2=order2) for cid in pair]
-    elapsed = sum(r.elapsed_ms for r in reports)
-    chosen = next((r for r in reports if r.status == "fail"), reports[0])
-    return VerificationReport(
-        chosen.id,
-        chosen.parameters,
-        chosen.order2,
-        chosen.status,
-        chosen.first_mismatch,
-        elapsed,
-    )
-
-
-def check_double_series(check_id: str, order2: Optional[int] = None) -> VerificationReport:
-    if check_id not in _DOUBLE_IDS:
-        raise UnknownCheckError(check_id, list(_DOUBLE_IDS))
-    return run_check(check_id, order2=order2)
-
-
-def check_reduction(check_id: str, order2: Optional[int] = None) -> VerificationReport:
-    if check_id not in _REDUCTION_IDS:
-        raise UnknownCheckError(check_id, list(_REDUCTION_IDS))
-    return run_check(check_id, order2=order2)
-
-
-def check_hierarchy(k: int, order2: Optional[int] = None) -> VerificationReport:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return run_check("4.12", order2=order2, k_list=[k])
-
-
-def check_theorems(check_id: str, n_max: Optional[int] = None) -> VerificationReport:
-    if check_id not in _THEOREM_IDS:
-        raise UnknownCheckError(check_id, list(_THEOREM_IDS))
-    return run_check(check_id, n_max=n_max)

@@ -10,7 +10,7 @@ an exponent doubling, never a re-expansion.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .series import (
     FactorSpec,
@@ -18,16 +18,17 @@ from .series import (
     at_order,
     inv_poch_finite,
     inv_poch_infinite,
-    monomial,
     one,
     poch_finite,
     poly_mul,
     poly_sum,
     scale_exponents,
     series_diff,
+    shift_exponents,
 )
 
 __all__ = [
+    "n_vectors",
     "q_binomial",
     "t_warnaar",
     "t_ab",
@@ -80,13 +81,6 @@ def q_binomial(top: int, bottom: int, step2: int = 2) -> TruncSeries:
     return TruncSeries(terms, deg * step2 + 1, exact=True)
 
 
-def _shifted(poly: TruncSeries, e2: int) -> TruncSeries:
-    if not poly.terms:
-        return TruncSeries({}, 1)
-    out = {(k + e2, dz, dw): c for (k, dz, dw), c in poly.terms.items()}
-    return TruncSeries(out, poly.order2 + e2, exact=poly.exact)
-
-
 def t_warnaar(l: int, m: int, a: int, b: int) -> TruncSeries:
     """Refined q-trinomial at base q; exponents n^2/2 live on the half grid."""
     if l < 0 or m < 0:
@@ -101,7 +95,7 @@ def t_warnaar(l: int, m: int, a: int, b: int) -> TruncSeries:
         f3 = q_binomial(m - b + (l + a - n) // 2, m - b)
         if not (f1.terms and f2.terms and f3.terms):
             continue
-        parts.append(_shifted(poly_mul(poly_mul(f1, f2), f3), n * n))
+        parts.append(shift_exponents(poly_mul(poly_mul(f1, f2), f3), n * n))
     return poly_sum(parts)
 
 
@@ -116,7 +110,7 @@ def t_ab(l: int, a: int) -> TruncSeries:
         f2 = q_binomial(l - n, (l - a - n) // 2)
         if not (f1.terms and f2.terms):
             continue
-        parts.append(_shifted(poly_mul(f1, f2), n * n))
+        parts.append(shift_exponents(poly_mul(f1, f2), n * n))
     return poly_sum(parts)
 
 
@@ -139,57 +133,72 @@ def poly_equal(a: TruncSeries, b: TruncSeries):
 # -- the doubly bounded identity and its m -> infinity form -------------
 
 
-def _n_vectors(k: int, n1_cap: int):
-    """Weakly decreasing (N_1.. N_k) with N_1 <= n1_cap."""
+def n_vectors(k: int, cap: int, order2: int = 0):
+    """Weakly decreasing nonnegative (N_1..N_k) with N_1 <= cap, in
+    descending lexicographic order.
 
-    def rec(prefix, cap):
+    A positive order2 is a truncation budget: only vectors with
+    2*sum(N_i^2) < order2 are listed, and the walk never enters a
+    subtree past it.
+    """
+
+    def rec(prefix, hi, sq):
         if len(prefix) == k:
             yield prefix
             return
-        for v in range(cap, -1, -1):
-            yield from rec(prefix + (v,), v)
+        if order2 > 0:
+            hi = min(hi, isqrt((order2 - 1 - sq) // 2))
+        for v in range(hi, -1, -1):
+            yield from rec(prefix + (v,), v, sq + 2 * v * v)
 
-    yield from rec((), n1_cap)
+    yield from rec((), cap, 0)
 
 
-def lhs_4_15(k: int, l: int, m: int) -> TruncSeries:
+def _bounded_lhs(k: int, l: int, cap: int, head) -> TruncSeries:
+    """The multisum side of 4.15 and 4.20 over N_1 <= cap; head(N_1) is
+    the leading factor, a Gaussian binomial in m for 4.15 and 1 for 4.20."""
     parts = []
-    for nvec in _n_vectors(k, m):
+    for nvec in n_vectors(k, cap):
         small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
         nk = small[-1]
         total = sum(nvec)
-        head = q_binomial(l + m - nvec[0], m - nvec[0], step2=4)
-        if not head.terms:
+        term = head(nvec[0])
+        if not term.terms:
             continue
-        term = head
-        dead = False
         run = 0
         for j in range(k - 1):
             run += nvec[j]
             fj = q_binomial(l - run + small[j], small[j], step2=4)
             if not fj.terms:
-                dead = True
                 break
             term = poly_mul(term, fj)
-        if dead:
-            continue
-        for s in range(0, nk + 1):
-            f4 = q_binomial(nk + (l - 1 - total - s) // 2, nk, step2=8)
-            fs = q_binomial(nk, s, step2=4)
-            if not (f4.terms and fs.terms):
-                continue
-            e2 = 2 * (sum(v * v for v in nvec) + s * s + 2 * nk)
-            parts.append(_shifted(poly_mul(poly_mul(term, f4), fs), e2))
+        else:
+            for s in range(0, nk + 1):
+                f4 = q_binomial(nk + (l - 1 - total - s) // 2, nk, step2=8)
+                fs = q_binomial(nk, s, step2=4)
+                if not (f4.terms and fs.terms):
+                    continue
+                e2 = 2 * (sum(v * v for v in nvec) + s * s + 2 * nk)
+                parts.append(shift_exponents(poly_mul(poly_mul(term, f4), fs), e2))
     return poly_sum(parts)
 
 
-def _rhs_hierarchy(k: int, piece) -> TruncSeries:
-    """Sum the alternating j-series; stop after two all-zero |j| levels.
+def _rhs_hierarchy(k: int, u) -> TruncSeries:
+    """Sum the alternating j-series of 4.15 and 4.20 over u(a, b), which
+    is u_tilde or u_of at the identity's bounds; stop after two all-zero
+    |j| levels.
 
-    piece(j) returns the exact polynomial for one j.  The closure rule is
-    enforced, not assumed: both levels beyond the last contributing one
-    are checked to vanish identically.
+    The closure rule is enforced, not assumed: both levels beyond the
+    last contributing one are checked to vanish identically.
     """
+
+    def piece(j: int) -> TruncSeries:
+        u1 = scale_exponents(u(2 * (k + 2) * j + 1, 2 * j), 2)
+        u2 = scale_exponents(u(2 * (k + 2) * j + k + 1, 2 * j + 1), 2)
+        e1 = 2 * ((4 * k + 8) * j * j + 4 * j)
+        e2 = 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k)
+        return poly_sum([shift_exponents(u1, e1), shift_exponents(u2, e2).scale(-1)])
+
     parts = []
     zero_levels = 0
     t = 0
@@ -207,15 +216,12 @@ def _rhs_hierarchy(k: int, piece) -> TruncSeries:
     return poly_sum(parts)
 
 
-def rhs_4_15(k: int, l: int, m: int) -> TruncSeries:
-    def piece(j: int) -> TruncSeries:
-        u1 = scale_exponents(u_tilde(l, m, 2 * (k + 2) * j + 1, 2 * j), 2)
-        u2 = scale_exponents(u_tilde(l, m, 2 * (k + 2) * j + k + 1, 2 * j + 1), 2)
-        e1 = 2 * ((4 * k + 8) * j * j + 4 * j)
-        e2 = 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k)
-        return poly_sum([_shifted(u1, e1), _shifted(u2, e2).scale(-1)])
+def lhs_4_15(k: int, l: int, m: int) -> TruncSeries:
+    return _bounded_lhs(k, l, m, lambda n1: q_binomial(l + m - n1, m - n1, step2=4))
 
-    return _rhs_hierarchy(k, piece)
+
+def rhs_4_15(k: int, l: int, m: int) -> TruncSeries:
+    return _rhs_hierarchy(k, lambda a, b: u_tilde(l, m, a, b))
 
 
 def identity_4_15(k: int, l: int, m: int):
@@ -223,43 +229,12 @@ def identity_4_15(k: int, l: int, m: int):
 
 
 def lhs_4_20(k: int, l: int) -> TruncSeries:
-    parts = []
     cap = max(l, 0) if k > 1 else max(l - 1, 0)
-    for nvec in _n_vectors(k, cap):
-        small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
-        nk = small[-1]
-        total = sum(nvec)
-        term = one(1)
-        dead = False
-        run = 0
-        for j in range(k - 1):
-            run += nvec[j]
-            fj = q_binomial(l - run + small[j], small[j], step2=4)
-            if not fj.terms:
-                dead = True
-                break
-            term = poly_mul(term, fj)
-        if dead:
-            continue
-        for s in range(0, nk + 1):
-            f4 = q_binomial(nk + (l - 1 - total - s) // 2, nk, step2=8)
-            fs = q_binomial(nk, s, step2=4)
-            if not (f4.terms and fs.terms):
-                continue
-            e2 = 2 * (sum(v * v for v in nvec) + s * s + 2 * nk)
-            parts.append(_shifted(poly_mul(poly_mul(term, f4), fs), e2))
-    return poly_sum(parts)
+    return _bounded_lhs(k, l, cap, lambda n1: one(1))
 
 
 def rhs_4_20(k: int, l: int) -> TruncSeries:
-    def piece(j: int) -> TruncSeries:
-        u1 = scale_exponents(u_of(l, 2 * (k + 2) * j + 1), 2)
-        u2 = scale_exponents(u_of(l, 2 * (k + 2) * j + k + 1), 2)
-        e1 = 2 * ((4 * k + 8) * j * j + 4 * j)
-        e2 = 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k)
-        return poly_sum([_shifted(u1, e1), _shifted(u2, e2).scale(-1)])
-
-    return _rhs_hierarchy(k, piece)
+    return _rhs_hierarchy(k, lambda a, b: u_of(l, a))
 
 
 def identity_4_20(k: int, l: int):

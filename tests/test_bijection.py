@@ -32,10 +32,11 @@ from ggq.partitions import (
 SIGMA = 28  # exhaustive round-trip bound for this module's own suite
 
 
-def all_choices(m: MarkedPartition):
-    k = len(m.marks)
-    for bits in range(1 << k):
-        yield tuple(bool(bits >> j & 1) for j in range(k))
+def test_choices_cover_every_bit_tuple_in_order():
+    m = MarkedPartition(Partition((1, 5, 9)), frozenset({1, 5}))
+    f, t = False, True
+    assert list(m.choices()) == [(f, f), (t, f), (f, t), (t, t)]
+    assert list(MarkedPartition(Partition((2,)), frozenset()).choices()) == [()]
 
 
 def test_staircase_pair():
@@ -86,7 +87,7 @@ def test_redistribute_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
             m = identify(pi)
-            for choice in all_choices(m):
+            for choice in m.choices():
                 pair = redistribute(m, choice)
                 assert pair.sigma == n
                 assert redistribute_inverse(pair) == (m, choice)
@@ -168,7 +169,7 @@ def test_triple_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
             m = identify(pi)
-            for choice in all_choices(m):
+            for choice in m.choices():
                 t = triple_map(m, choice)
                 assert t.sigma == n
                 assert triple_inverse(t) == (m, choice)

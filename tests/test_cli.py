@@ -75,6 +75,25 @@ def test_verify_k_below_one_is_usage_error(capsys):
     assert out == "" and "k must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["--id", "1.1", "--order", "1"], "order2"),
+        (["--id", "1.1", "--order", "2"], "order2"),
+        (["--id", "3.3", "--order", "1"], "order2"),
+        (["--id", "4.11", "--order", "1"], "order2"),
+        (["--id", "4.9", "--order", "1"], "order2"),
+        (["--id", "thm1", "--n", "0"], "n_max"),
+        (["--id", "2.7", "--n", "0"], "sigma_max"),
+    ],
+)
+def test_verify_bound_past_nothing_is_usage_error(capsys, argv, bound):
+    # each of these would compare nothing past q^0 and pass
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and f"{bound} must be at least" in err
+
+
 def test_verify_corrupt_fails(capsys):
     code, out, _ = run(
         capsys, "verify", "--id", "1.1", "--order", "41", "--corrupt", ":1"

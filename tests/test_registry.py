@@ -6,19 +6,14 @@ import pytest
 
 from ggq.registry import (
     REGISTRY,
-    CheckSpec,
     Corruption,
     UnknownCheckError,
-    check_double_series,
-    check_hierarchy,
-    check_reduction,
-    check_single_series,
-    check_theorems,
+    _corrupted,
+    _facet_mismatch,
     natural_key,
     registry_ids,
     run_all,
     run_check,
-    spec_for,
 )
 
 SMALL = {"1.1": {"order2": 41, "counts_max": 16}}
@@ -126,27 +121,26 @@ def test_run_all_parallel_matches_serial():
     assert serial == par
 
 
-def test_spec_for_levels():
-    q = spec_for("1.1")
-    f = spec_for("1.1", level="full")
-    assert q.order2 < f.order2
-    assert "order2" not in q.parameters
-    with pytest.raises(UnknownCheckError):
-        spec_for("nope")
-    with pytest.raises(ValueError):
-        CheckSpec("1.1", q.parameters, q.order2, "counts")
-    with pytest.raises(ValueError):
-        CheckSpec("1.1", {"bogus": 1}, q.order2, q.kind)
+# facets each id builds at its quick parameters; a refactor that drops or
+# adds one shows here
+QUICK_FACETS = {
+    "1.1": 2, "1.2": 2, "1.3": 2, "1.4": 2, "2.7": 4,
+    "3.2": 4, "3.3": 1, "3.4": 2, "3.5": 1, "3.7": 4, "3.8": 1, "3.10": 3,
+    "4.3": 6, "4.5": 40, "4.6": 7, "4.7": 21, "4.9": 1, "4.10": 1, "4.11": 4,
+    "4.12": 24, "4.13": 3, "4.14": 4, "4.15": 147, "4.17": 1, "4.18": 1, "4.20": 33,
+    "thm1": 2, "thm2": 2, "thm3": 1, "thm4": 1, "thm5": 2, "lemma1": 1, "lemma2": 2,
+}
 
 
-def test_front_doors():
-    assert check_single_series(1, order2=41).status == "pass"
-    assert check_double_series("3.3", order2=41).status == "pass"
-    assert check_reduction("3.7", order2=61).status == "pass"
-    assert check_hierarchy(2, order2=61).status == "pass"
-    assert check_theorems("thm3", n_max=20).status == "pass"
-    assert check_theorems("lemma2", n_max=16).status == "pass"
-    with pytest.raises(ValueError):
-        check_single_series(2)
-    with pytest.raises(ValueError):
-        check_double_series("3.7")
+def test_every_facet_matches_and_fails_under_corruption():
+    assert set(QUICK_FACETS) == set(REGISTRY)
+    built = {}
+    for check_id, entry in REGISTRY.items():
+        facets = entry.builder(**entry.quick)
+        built[check_id] = len(facets)
+        for f in facets:
+            assert _facet_mismatch(f) is None, (check_id, f.label)
+            broken = _corrupted(f, Corruption())
+            assert _facet_mismatch(broken) is not None, (check_id, f.label)
+    assert built == QUICK_FACETS
+    assert sum(built.values()) == 332

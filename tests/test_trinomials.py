@@ -1,6 +1,7 @@
 """Gaussian binomials, refined trinomials, and their limiting behavior."""
 
-from math import comb
+from itertools import product
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from ggq.trinomials import (
     limit_4_10,
     limit_4_17,
     limit_4_18,
+    n_vectors,
     poly_equal,
     q_binomial,
     stabilized,
@@ -21,6 +23,29 @@ from ggq.trinomials import (
     u_of,
     u_tilde,
 )
+
+
+def _decreasing(vectors):
+    return [v for v in vectors if all(a >= b for a, b in zip(v, v[1:]))]
+
+
+def _within(vectors, order2):
+    return [v for v in vectors if 2 * sum(x * x for x in v) < order2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_n_vectors_match_brute_force(k):
+    for cap in range(7):
+        brute = sorted(_decreasing(product(range(cap + 1), repeat=k)), reverse=True)
+        assert list(n_vectors(k, cap)) == brute
+        for order2 in range(1, 80, 3):
+            assert list(n_vectors(k, cap, order2)) == _within(brute, order2)
+    # with the budget as the only bound: every weakly decreasing vector
+    # with 2*sum(N_i^2) < order2, the set the hierarchy sums over
+    for order2 in (1, 2, 3, 4, 9, 10, 41, 121):
+        top = isqrt(order2 // 2) + 1
+        hier = _within(_decreasing(product(range(top + 1), repeat=k)), order2)
+        assert sorted(n_vectors(k, order2, order2)) == sorted(hier)
 
 
 def test_frozen_small_binomial():
