@@ -27,7 +27,6 @@ from .partitions import (
     Family,
     Partition,
     chains,
-    enumerate_members,
     enumerate_partitions,
     is_gollnitz_gordon,
     membership_and_weight,
@@ -60,9 +59,6 @@ _S = VARIANTS["S"]
 class MarkedPartition:
     base: Partition
     marks: frozenset[int]  # part values carrying a tilde
-
-    def choice_count(self) -> int:
-        return len(self.marks)
 
     def choices(self):
         """Every tuple of routing bits, one per mark; bit j of the

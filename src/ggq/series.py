@@ -113,6 +113,22 @@ class TruncSeries:
         self.exact = exact
         self._uni = uni
 
+    @classmethod
+    def _trusted(cls, terms: dict[Key, int], order2: int, exact: bool, uni: bool) -> "TruncSeries":
+        """A kernel output whose terms are already nonzero, nonnegative and
+        below order2, so they are not checked again one by one.  uni may be
+        False for a univariate result, never True with a marker term.  Only
+        the marker bound is checked, on marked results, because products
+        and smaller bounds can break it."""
+        if not uni and any(dz + dw > order2 for _, dz, dw in terms):
+            raise ValueError("marker degree exceeds truncation order")
+        s = object.__new__(cls)
+        s.terms = terms
+        s.order2 = order2
+        s.exact = exact
+        s._uni = uni
+        return s
+
     # -- basic protocol -------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -163,12 +179,15 @@ class TruncSeries:
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries({k: -c for k, c in self.terms.items()}, self.order2, self.exact)
+        return TruncSeries._trusted(
+            {k: -c for k, c in self.terms.items()}, self.order2, self.exact, self._uni
+        )
 
     def scale(self, c: int) -> "TruncSeries":
         if c == 0:
-            return TruncSeries({}, self.order2, self.exact)
-        return TruncSeries({k: c * v for k, v in self.terms.items()}, self.order2, self.exact)
+            return TruncSeries._trusted({}, self.order2, self.exact, True)
+        terms = {k: c * v for k, v in self.terms.items()}
+        return TruncSeries._trusted(terms, self.order2, self.exact, self._uni)
 
     def __add__(self, other) -> "TruncSeries":
         if isinstance(other, int):
@@ -189,7 +208,7 @@ class TruncSeries:
                 elif k in out:
                     del out[k]
         exact = self.exact and other.exact and not dropped
-        return TruncSeries(out, order2, exact)
+        return TruncSeries._trusted(out, order2, exact, self._uni and other._uni)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -211,14 +230,14 @@ class TruncSeries:
             return NotImplemented
         order2 = min(self.order2, other.order2)
         if not self.terms or not other.terms:
-            return TruncSeries({}, order2, self.exact and other.exact)
-        small = len(self.terms) * len(other.terms) <= 400
-        if self._uni and other._uni and not small:
+            return TruncSeries._trusted({}, order2, self.exact and other.exact, True)
+        uni = self._uni and other._uni
+        if uni and len(self.terms) * len(other.terms) > 400:
             terms, dropped = _mul_univariate(self.terms, other.terms, order2)
         else:
             terms, dropped = _mul_sparse(self.terms, other.terms, order2)
         exact = self.exact and other.exact and not dropped
-        return TruncSeries(terms, order2, exact)
+        return TruncSeries._trusted(terms, order2, exact, uni)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -353,11 +372,13 @@ def one(order2: int) -> TruncSeries:
 
 def truncate(s: TruncSeries, order2: int) -> TruncSeries:
     """Forget everything at or above the new, not larger, bound."""
+    if order2 <= 0:
+        raise ValueError("order2 must be positive")
     if order2 > s.order2:
         raise ValueError("truncate cannot raise order2; use lift")
     kept = {k: c for k, c in s.terms.items() if k[0] < order2}
     exact = s.exact and len(kept) == len(s.terms)
-    return TruncSeries(kept, order2, exact)
+    return TruncSeries._trusted(kept, order2, exact, s._uni)
 
 
 def lift(s: TruncSeries, order2: int) -> TruncSeries:
@@ -568,7 +589,7 @@ def _reciprocal_univariate(s: TruncSeries, c0: int) -> TruncSeries:
             acc += sv[i] * rv[j - i]
         if acc:
             rv[j] = -c0 * acc
-    return TruncSeries(_uni_terms(rv, order2), order2, False)
+    return TruncSeries._trusted(_uni_terms(rv, order2), order2, False, True)
 
 
 # -- bilateral theta and the triple product -----------------------------

@@ -50,35 +50,48 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def q_binomial(top: int, bottom: int, step2: int = 2) -> TruncSeries:
-    """Gaussian binomial [top choose bottom] in q^(step2/2), exact.
+def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> TruncSeries:
+    """Gaussian binomial [top choose bottom] in x = q^(step2/2).
 
-    Zero outside 0 <= bottom <= top.  Computed as the factor product
-    divided term-by-term by (1 - x^i); the divisions are exact, which the
-    trailing-remainder check enforces.
+    Zero outside 0 <= bottom <= top.  Computed as the product of
+    (1 - x^(top-bottom+i)), i = 1..bottom, divided in place by each
+    (1 - x^i); the divisions are exact.  When nothing is cut, the sum of
+    the coefficients must equal comb(top, bottom), the value at q = 1.
+
+    Without order2 the result is the whole polynomial, tagged with the
+    smallest bound that holds it.  A positive order2 is the bound of the
+    result: only the terms below it are built.  Neither step moves a
+    coefficient to a lower degree, so those terms equal the whole
+    polynomial's.  The result is exact exactly when nothing was cut; then
+    the q = 1 check still runs.
     """
+    if order2 < 0:
+        raise ValueError("order2 must be nonnegative")
     if bottom < 0 or bottom > top:
-        return TruncSeries({}, 1)
+        return TruncSeries({}, order2 or 1)
     bottom = min(bottom, top - bottom)  # symmetry keeps the arrays short
     if bottom == 0:
-        return one(1)
+        return one(order2 or 1)
     deg = bottom * (top - bottom)
-    coeffs = [0] * (deg + 1)
+    order2 = order2 or deg * step2 + 1
+    size = min(deg, (order2 - 1) // step2) + 1  # coefficients kept
+    coeffs = [0] * size
     coeffs[0] = 1
     cur = 0
     for i in range(1, bottom + 1):
         d = top - bottom + i
         cur += d
-        for j in range(min(cur, deg), d - 1, -1):
+        for j in range(min(cur, size - 1), d - 1, -1):
             coeffs[j] -= coeffs[j - d]
     for i in range(1, bottom + 1):
         # divide in place by (1 - x^i); ascending order keeps it exact
-        for j in range(i, deg + 1):
+        for j in range(i, size):
             coeffs[j] += coeffs[j - i]
-    if sum(coeffs) != comb(top, bottom):  # q=1 specialization
+    exact = size == deg + 1
+    if exact and sum(coeffs) != comb(top, bottom):  # q=1 specialization
         raise AssertionError(f"q-binomial [{top}, {bottom}] fails its q=1 value")
     terms = {(u * step2, 0, 0): c for u, c in enumerate(coeffs) if c}
-    return TruncSeries(terms, deg * step2 + 1, exact=True)
+    return TruncSeries(terms, order2, exact=exact)
 
 
 def t_warnaar(l: int, m: int, a: int, b: int) -> TruncSeries:
@@ -225,6 +238,10 @@ def rhs_4_15(k: int, l: int, m: int) -> TruncSeries:
 
 
 def identity_4_15(k: int, l: int, m: int):
+    """The doubly bounded identity at (k, l, m), as exact polynomials: the
+    k-fold multisum led by [l+m-N_1, m-N_1] in q^2 against the alternating
+    j-sum over u_tilde(l, m, ., .) in q^2.  None when equal, else the first
+    mismatch."""
     return poly_equal(lhs_4_15(k, l, m), rhs_4_15(k, l, m))
 
 
@@ -238,6 +255,10 @@ def rhs_4_20(k: int, l: int) -> TruncSeries:
 
 
 def identity_4_20(k: int, l: int):
+    """The singly bounded identity at (k, l), the m -> infinity form of
+    identity_4_15: the multisum with N_1 <= l (l - 1 when k = 1) against
+    the alternating j-sum over u_of(l, .) in q^2.  None when equal, else
+    the first mismatch."""
     return poly_equal(lhs_4_20(k, l), rhs_4_20(k, l))
 
 
@@ -262,7 +283,7 @@ def limit_4_9(m: int, order2: int, search: int = 0) -> bool:
     """[n, m] -> 1/(q)_m as n grows."""
     target = inv_poch_finite(FactorSpec(1, 2, 2), m, order2=order2)
     hi = search or m + order2 // 2 + 3
-    vals = (at_order(q_binomial(n, m), order2) for n in range(m, hi))
+    vals = (q_binomial(n, m, order2=order2) for n in range(m, hi))
     return stabilized(vals, target) is not None
 
 
@@ -270,7 +291,7 @@ def limit_4_10(j: int, order2: int, search: int = 0) -> bool:
     """[2n, n+j] -> 1/(q)_infinity as n grows."""
     target = inv_poch_infinite(FactorSpec(1, 2, 2), order2=order2)
     hi = search or abs(j) + order2 // 2 + 3
-    vals = (at_order(q_binomial(2 * n, n + j), order2) for n in range(abs(j), hi))
+    vals = (q_binomial(2 * n, n + j, order2=order2) for n in range(abs(j), hi))
     return stabilized(vals, target) is not None
 
 

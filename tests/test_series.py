@@ -319,3 +319,44 @@ def test_product_shorthand():
     lhs = poch_product([Q, FactorSpec(1, 4, 4)], order2=30)
     rhs = poch_infinite(Q, order2=30) * poch_infinite(FactorSpec(1, 4, 4), order2=30)
     assert lhs == rhs
+
+
+def _operands(marked, min_size, max_size, coeffs, order2s):
+    marks = st.integers(0, 3) if marked else st.just(0)
+    return order2s.flatmap(
+        lambda order2: st.dictionaries(
+            st.tuples(st.integers(0, order2 - 1), marks, marks),
+            coeffs,
+            min_size=min_size,
+            max_size=max_size,
+        ).map(lambda t: TruncSeries(t, order2))
+    )
+
+
+# short operands stay at or below 400 term pairs, long ones (21+ terms
+# each) pass it, so univariate pairs of them take the packed kernel
+_kernel_operands = st.one_of(
+    _operands(False, 0, 8, _coeffs, st.integers(13, 40)),
+    _operands(True, 0, 8, _coeffs, st.integers(13, 40)),
+    _operands(False, 21, 45, _mixed, st.integers(60, 120)),
+    _operands(True, 21, 45, _mixed, st.integers(60, 120)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_operands, _kernel_operands, st.integers(-5, 5), st.data())
+def test_kernel_outputs_pass_validation(a, b, c, data):
+    # the ring operations skip the term-by-term check; every output must
+    # still satisfy it, and none may claim to be univariate with a marker.
+    # Cuts stay at or above 6, the largest marker degree drawn: below it
+    # truncate rejects a marked operand, as it always has.
+    cut = data.draw(st.integers(6, a.order2))
+    outs = [a * b, b * a, a + b, a - b, a - a, -a, a.scale(c), a * c, truncate(a, cut)]
+    if a.is_univariate:
+        tail = {k: v for k, v in a.terms.items() if k[0] > 0}
+        outs.append(reciprocal(TruncSeries({**tail, (0, 0, 0): 1}, a.order2)))
+    for out in outs:
+        rebuilt = TruncSeries(out.terms, out.order2, out.exact)
+        assert rebuilt == out
+        if out.is_univariate:
+            assert not any(dz or dw for _, dz, dw in out.terms)

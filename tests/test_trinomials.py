@@ -4,7 +4,7 @@ from itertools import product
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ggq.series import TruncSeries, at_order, monomial, poly_mul, poly_sum
 from ggq.trinomials import (
@@ -62,6 +62,26 @@ def test_binomial_vanishing_conventions():
     assert q_binomial(4, -1).terms == {}
     assert q_binomial(4, 5).terms == {}
     assert q_binomial(0, 0).terms == {(0, 0, 0): 1}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 16), st.integers(-1, 17), st.sampled_from([2, 4, 8]), st.data())
+def test_truncated_binomial_is_the_full_one_cut(top, bottom, step2, data):
+    bottom = min(bottom, top + 1)
+    full = q_binomial(top, bottom, step2)
+    top_e2 = max(full.max_e2(), 0)  # degree * step2
+    # the two edges: order2 just holds the top term, or just cuts it
+    edges = [o for o in (top_e2 + 1, top_e2) if o > 0]
+    order2 = data.draw(st.sampled_from(edges) | st.integers(1, top_e2 + 2 * step2))
+    cut = q_binomial(top, bottom, step2, order2=order2)
+    assert cut.order2 == order2
+    assert cut.terms == {k: c for k, c in full.terms.items() if k[0] < order2}
+    assert cut.exact is (full.max_e2() < order2)
+
+
+def test_truncated_binomial_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        q_binomial(6, 3, order2=-1)
 
 
 @given(st.integers(1, 12), st.integers(0, 12))
@@ -130,3 +150,15 @@ def test_limits():
     assert limit_4_17(2, 1, 0, ORDER2)
     for b in (-1, 0, 1, 2):
         assert limit_4_18(3, 1, b, ORDER2)
+
+
+def test_limits_fail_when_the_search_stops_short():
+    # [n, m] and [2n, n+j] match their limits through q^(ORDER2 // 2) only
+    # from n = start + ORDER2 // 2 on, and stabilizing needs two such n, so
+    # a search one short of that must not pass
+    for m in range(1, 5):
+        assert not limit_4_9(m, ORDER2, search=m + ORDER2 // 2 + 1)
+        assert limit_4_9(m, ORDER2, search=m + ORDER2 // 2 + 2)
+    for j in (-2, 0, 1, 3):
+        assert not limit_4_10(j, ORDER2, search=abs(j) + ORDER2 // 2 + 1)
+        assert limit_4_10(j, ORDER2, search=abs(j) + ORDER2 // 2 + 2)
