@@ -86,6 +86,8 @@ def report_to_dict(r: VerificationReport) -> dict:
     }
     if r.first_mismatch is not None:
         d["first_mismatch"] = r.first_mismatch
+    if r.failed_facet is not None:
+        d["failed_facet"] = r.failed_facet
     return d
 
 
@@ -97,6 +99,7 @@ def report_from_dict(d: dict) -> VerificationReport:
         status=d["status"],
         first_mismatch=d.get("first_mismatch"),
         elapsed_ms=d["elapsed_ms"],
+        failed_facet=d.get("failed_facet"),
     )
 
 
@@ -145,7 +148,8 @@ def emit_text(reports: Sequence[VerificationReport]) -> str:
             line += " " + params
         line += f"  [{r.elapsed_ms} ms]"
         if r.first_mismatch is not None:
-            line += f"  {r.first_mismatch}"
+            facet = "" if r.failed_facet is None else f"{r.failed_facet}: "
+            line += f"  {facet}{r.first_mismatch}"
         lines.append(line)
     failed = sum(r.status != "pass" for r in reports)
     lines.append(f"{len(reports)} check(s), {failed} failed")

@@ -115,11 +115,12 @@ class TruncSeries:
 
     @classmethod
     def _trusted(cls, terms: dict[Key, int], order2: int, exact: bool, uni: bool) -> "TruncSeries":
-        """A kernel output whose terms are already nonzero, nonnegative and
-        below order2, so they are not checked again one by one.  uni may be
-        False for a univariate result, never True with a marker term.  Only
-        the marker bound is checked, on marked results, because products
-        and smaller bounds can break it."""
+        """A kernel output, or a re-tagged copy of a valid series, whose
+        terms are already nonzero, nonnegative and below order2, so they
+        are not checked again one by one.  uni may be False for a
+        univariate result, never True with a marker term.  Only the marker
+        bound is checked, on marked results, because products and smaller
+        bounds can break it."""
         if not uni and any(dz + dw > order2 for _, dz, dw in terms):
             raise ValueError("marker degree exceeds truncation order")
         s = object.__new__(cls)
@@ -385,16 +386,17 @@ def lift(s: TruncSeries, order2: int) -> TruncSeries:
     """Re-tag an exact polynomial with a larger truncation bound.
 
     Only legal when nothing was ever dropped, otherwise the extra range
-    would claim knowledge we do not have.
+    would claim knowledge we do not have.  The terms are valid already,
+    so only the bound is checked, not each term again.
     """
-    if order2 < s.order2 and s.max_e2() < order2:
-        # shrinking onto an exact polynomial that fits is harmless
-        return TruncSeries(dict(s.terms), order2, s.exact)
-    if order2 < s.order2:
+    if order2 <= 0:
+        raise ValueError("order2 must be positive")
+    if order2 < s.order2 and s.max_e2() >= order2:
         raise ValueError("cannot shrink below stored exponents; use truncate")
     if order2 > s.order2 and not s.exact:
         raise ValueError("cannot lift a series that has dropped terms")
-    return TruncSeries(dict(s.terms), order2, s.exact)
+    # shrinking onto an exact polynomial that fits is harmless
+    return TruncSeries._trusted(dict(s.terms), order2, s.exact, s._uni)
 
 
 def at_order(s: TruncSeries, order2: int) -> TruncSeries:
@@ -409,7 +411,7 @@ def scale_exponents(s: TruncSeries, factor: int) -> TruncSeries:
     if factor <= 0:
         raise ValueError("factor must be positive")
     terms = {(e2 * factor, dz, dw): c for (e2, dz, dw), c in s.terms.items()}
-    return TruncSeries(terms, s.order2 * factor, s.exact)
+    return TruncSeries._trusted(terms, s.order2 * factor, s.exact, s._uni)
 
 
 def shift_exponents(s: TruncSeries, e2: int) -> TruncSeries:
@@ -417,7 +419,7 @@ def shift_exponents(s: TruncSeries, e2: int) -> TruncSeries:
     if e2 < 0:
         raise ValueError("negative shift")
     terms = {(k + e2, dz, dw): c for (k, dz, dw), c in s.terms.items()}
-    return TruncSeries(terms, s.order2 + e2, s.exact)
+    return TruncSeries._trusted(terms, s.order2 + e2, s.exact, s._uni)
 
 
 def poly_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:

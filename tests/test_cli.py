@@ -187,6 +187,23 @@ def test_report_conversion(capsys, tmp_path):
     assert "2 check(s), 1 failed" in out
 
 
+def test_failed_facet_in_json_and_text(capsys):
+    reports = run_all(ids=["thm1", "1.1"], corrupt_id="1.1")
+    text = emit_json(reports)
+    failed, passed = json.loads(text)["checks"]
+    assert failed["failed_facet"] == "sum-vs-product"
+    assert "failed_facet" not in passed  # only on failure; schema stays 1
+    assert parse_json(text) == reports
+    line = emit_text(reports).splitlines()[0]
+    assert line.endswith("  sum-vs-product: " + reports[0].first_mismatch)
+
+
+def test_verify_echoes_compared_count_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "1.1", "--order", "3")
+    assert code == 0
+    assert "counts_max=1" in out
+
+
 def test_report_bad_version(capsys, tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"version": 99, "checks": []}))

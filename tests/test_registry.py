@@ -29,6 +29,7 @@ def test_run_check_is_deterministic():
     assert strip_elapsed(a) == strip_elapsed(b)
     assert a.status == "pass"
     assert a.first_mismatch is None
+    assert a.failed_facet is None
     assert a.order2 == 41
 
 
@@ -38,17 +39,34 @@ def test_reported_parameters_exclude_order():
     assert r.parameters["counts_max"] == 16
 
 
+@pytest.mark.parametrize(
+    "check_id,reported",
+    [
+        ("1.1", {"counts_max": 10}),
+        ("3.2", {"counts_max": 10, "triples_max": 10}),
+    ],
+)
+def test_reported_count_bounds_are_the_compared_ones(check_id, reported):
+    # a series truncated at order2 21 shows counts to n = 10 only; the
+    # quick tier asks for more, and the report says what was compared
+    r = run_check(check_id, order2=21)
+    assert r.status == "pass"
+    assert {k: r.parameters[k] for k in reported} == reported
+
+
 def test_corruption_series_facet():
     r = run_check("1.1", corrupt=Corruption(key=(4, 0, 0)), **SMALL["1.1"])
     assert r.status == "fail"
     assert r.first_mismatch is not None
     assert "e2=4" in r.first_mismatch
+    assert r.failed_facet == "sum-vs-product"
 
 
 def test_corruption_counts_facet():
     r = run_check("thm1", corrupt=Corruption(key=3, delta=-1), n_max=14)
     assert r.status == "fail"
     assert "n=3" in r.first_mismatch
+    assert r.failed_facet == "gap-side-vs-distinct-side i=1"
 
 
 def test_corruption_default_key_hits_first_term():
@@ -121,14 +139,43 @@ def test_run_all_parallel_matches_serial():
     assert serial == par
 
 
-# facets each id builds at its quick parameters; a refactor that drops or
-# adds one shows here
+# facets each id builds at its quick parameters, and the label of its
+# primary facet, the one a Corruption perturbs; a refactor that drops or
+# adds a facet, or reorders them, shows here
 QUICK_FACETS = {
-    "1.1": 2, "1.2": 2, "1.3": 2, "1.4": 2, "2.7": 4,
-    "3.2": 4, "3.3": 1, "3.4": 2, "3.5": 1, "3.7": 4, "3.8": 1, "3.10": 3,
-    "4.3": 6, "4.5": 40, "4.6": 7, "4.7": 21, "4.9": 1, "4.10": 1, "4.11": 4,
-    "4.12": 24, "4.13": 3, "4.14": 4, "4.15": 147, "4.17": 1, "4.18": 1, "4.20": 33,
-    "thm1": 2, "thm2": 2, "thm3": 1, "thm4": 1, "thm5": 2, "lemma1": 1, "lemma2": 2,
+    "1.1": (2, "sum-vs-product"),
+    "1.2": (2, "sum-vs-product"),
+    "1.3": (2, "sum-vs-product"),
+    "1.4": (2, "sum-vs-product"),
+    "2.7": (4, "forward-roundtrip-failures"),
+    "3.2": (4, "sum-vs-product"),
+    "3.3": (1, "sum-vs-product"),
+    "3.4": (2, "sum-vs-product"),
+    "3.5": (1, "sum-vs-product"),
+    "3.7": (4, "double-vs-single"),
+    "3.8": (1, "sum-vs-product"),
+    "3.10": (3, "double-vs-single"),
+    "4.3": (6, "stepped-relation n=0"),
+    "4.5": (40, "alpha k=1 n=0"),
+    "4.6": (7, "defining-relation n=0"),
+    "4.7": (21, "finite-identity n=0 k=1"),
+    "4.9": (1, "stabilizes"),
+    "4.10": (1, "stabilizes"),
+    "4.11": (4, "z=1"),
+    "4.12": (24, "sum-vs-product k=1"),
+    "4.13": (3, "sum-vs-pair-product"),
+    "4.14": (4, "sum-vs-product"),
+    "4.15": (147, "doubly-bounded k=1 l=0 m=0"),
+    "4.17": (1, "stabilizes"),
+    "4.18": (1, "stabilizes"),
+    "4.20": (33, "singly-bounded k=1 l=0"),
+    "thm1": (2, "gap-side-vs-distinct-side i=1"),
+    "thm2": (2, "gap-side-vs-residue-side i=1"),
+    "thm3": (1, "weighted-vs-distinct"),
+    "thm4": (1, "weighted-vs-distinct"),
+    "thm5": (2, "gap-vs-residue"),
+    "lemma1": (1, "pairs-vs-weighted"),
+    "lemma2": (2, "triples-vs-pairs"),
 }
 
 
@@ -137,10 +184,10 @@ def test_every_facet_matches_and_fails_under_corruption():
     built = {}
     for check_id, entry in REGISTRY.items():
         facets = entry.builder(**entry.quick)
-        built[check_id] = len(facets)
+        built[check_id] = (len(facets), facets[0].label)
         for f in facets:
             assert _facet_mismatch(f) is None, (check_id, f.label)
             broken = _corrupted(f, Corruption())
             assert _facet_mismatch(broken) is not None, (check_id, f.label)
     assert built == QUICK_FACETS
-    assert sum(built.values()) == 332
+    assert sum(n for n, _ in built.values()) == 332

@@ -352,6 +352,10 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
     # truncate rejects a marked operand, as it always has.
     cut = data.draw(st.integers(6, a.order2))
     outs = [a * b, b * a, a + b, a - b, a - a, -a, a.scale(c), a * c, truncate(a, cut)]
+    # the re-tagging functions skip it too; the drawn operands are exact,
+    # so lift may both shrink onto the terms and grow
+    outs += [shift_exponents(a, abs(c)), scale_exponents(a, abs(c) + 1),
+             lift(a, max(cut, a.max_e2() + 1)), lift(a, a.order2 + abs(c))]
     if a.is_univariate:
         tail = {k: v for k, v in a.terms.items() if k[0] > 0}
         outs.append(reciprocal(TruncSeries({**tail, (0, 0, 0): 1}, a.order2)))
