@@ -9,24 +9,19 @@ runnable checks tying them together.
 from .series import (
     FactorSpec,
     TruncSeries,
-    at_order,
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
     jacobi_check,
     jacobi_sides,
     jacobi_theta,
-    lift,
     monomial,
     one,
     poch_finite,
     poch_infinite,
     poch_product,
-    poly_mul,
-    poly_sum,
     q_coefficients,
     reciprocal,
-    scale_exponents,
     series_diff,
     shift_exponents,
     truncate,
@@ -85,16 +80,13 @@ from .bailey import (
 from .trinomials import (
     identity_4_15,
     identity_4_20,
-    lhs_4_15,
-    lhs_4_20,
     limit_4_9,
     limit_4_10,
     limit_4_17,
     limit_4_18,
-    poly_equal,
     q_binomial,
-    rhs_4_15,
-    rhs_4_20,
+    sides_4_15,
+    sides_4_20,
     t_ab,
     t_warnaar,
     u_of,

@@ -17,7 +17,6 @@ from typing import Optional
 from .series import (
     FactorSpec,
     TruncSeries,
-    at_order,
     inv_poch_finite,
     monomial,
     one,
@@ -174,9 +173,7 @@ def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
     for j in range(-n, n + 1):
         e2 = (k + 2) * j * j + 2 * j
         sgn = -1 if j % 2 else 1
-        acc = acc + monomial(sgn, e2, order2=order2) * at_order(
-            q_binomial(2 * n, n + j), order2
-        )
+        acc = acc + monomial(sgn, e2, order2=order2) * q_binomial(2 * n, n + j, order2=order2)
     return (
         acc
         * poch_finite(SQ, n, order2=order2)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .partitions import (
     Family,
@@ -375,8 +376,10 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 # -- enumeration of the target objects ----------------------------------
 
 
-def _distinct_odds(n: int, min_part: int) -> list[Partition]:
-    odds = Family(lambda last, p: (p, 1) if p % 2 == 1 and p >= min_part and p > last else None)
+def _distinct_odds(n: int, min_part: int, below: Optional[int] = None) -> list[Partition]:
+    """Partitions of n into distinct odd parts p, min_part <= p < below."""
+    below = n + 1 if below is None else below
+    odds = Family(lambda last, p: (p, 1) if p % 2 and min_part <= p < below and p > last else None)
     return enumerate_partitions(n, odds)
 
 
@@ -414,9 +417,7 @@ def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
         for pi3 in enumerate_partitions(s3, _MULT4):
             nu = pi3.nu
             for s4 in range(n - s3 + 1):
-                for pi4 in _distinct_odds(s4, 1):
-                    if pi4.parts and pi4.parts[-1] >= 2 * nu:
-                        continue
+                for pi4 in _distinct_odds(s4, 1, 2 * nu):
                     for pi1 in _distinct_odds(n - s3 - s4, 2 * nu + 1):
                         out.append(TriplePartition(pi1, pi3, pi4))
     return tuple(out)

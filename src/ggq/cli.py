@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .bijection import _fmt, identify, trace_pipeline, triple_map
@@ -49,6 +49,13 @@ class CliConfig:
     out_path: Optional[str] = None
 
     def __post_init__(self):
+        # a config file is JSON, so a value may have any type; bool is no int here
+        if type(self.parallelism) is not int:
+            raise ValueError(f"parallelism must be an integer, got {self.parallelism!r}")
+        if self.default_order2 is not None and type(self.default_order2) is not int:
+            raise ValueError(f"default_order2 must be an integer, got {self.default_order2!r}")
+        if not (self.out_path is None or isinstance(self.out_path, str)):
+            raise ValueError(f"out_path must be a string, got {self.out_path!r}")
         if self.default_order2 is not None and self.default_order2 <= 0:
             raise ValueError("default_order2 must be positive")
         if self.parallelism < 1:
@@ -66,6 +73,8 @@ def load_config(path: Optional[str]) -> CliConfig:
         return CliConfig()
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     known = {"default_order2", "parallelism", "output_format", "out_path"}
     bad = set(raw) - known
     if bad:
@@ -270,11 +279,9 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
 
 
 def _cmd_verify_all(args, cfg: CliConfig) -> int:
-    reports = run_all(
-        level=args.level,
-        parallelism=args.parallelism or cfg.parallelism,
-        corrupt_id=args.corrupt,
-    )
+    if args.parallelism is not None:
+        cfg = replace(cfg, parallelism=args.parallelism)  # checked like the config
+    reports = run_all(level=args.level, parallelism=cfg.parallelism, corrupt_id=args.corrupt)
     fmt = args.emit or cfg.output_format
     _write_out(_EMITTERS[fmt](reports), args.out or cfg.out_path)
     return 0 if all(r.status == "pass" for r in reports) else 1

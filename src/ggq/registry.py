@@ -56,7 +56,6 @@ from .partitions import (
 from .series import (
     FactorSpec,
     TruncSeries,
-    at_order,
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
@@ -73,15 +72,13 @@ from .series import (
     zw_slice,
 )
 from .trinomials import (
-    lhs_4_15,
-    lhs_4_20,
     limit_4_9,
     limit_4_10,
     limit_4_17,
     limit_4_18,
     n_vectors,
-    rhs_4_15,
-    rhs_4_20,
+    sides_4_15,
+    sides_4_20,
 )
 
 __all__ = [
@@ -266,11 +263,6 @@ def _hier_rewrite(k: int, order2: int) -> Optional[TruncSeries]:
 def _counts_facet(label, series: TruncSeries, cmax: int, oracle) -> Facet:
     """The q^0..q^cmax coefficients of series against oracle(n)."""
     return Facet(label, q_coefficients(series, cmax), [oracle(n) for n in range(cmax + 1)])
-
-
-def _poly_facet(label, a: TruncSeries, b: TruncSeries) -> Facet:
-    target = max(a.max_e2(), b.max_e2()) + 2
-    return Facet(label, at_order(a, target), at_order(b, target))
 
 
 # -- builder factories, one per shape of statement ----------------------
@@ -533,11 +525,7 @@ def _build_4_14(order2, counts_max):
 
 def _build_4_15(k_list, l_max, m_max):
     return [
-        _poly_facet(
-            f"doubly-bounded k={k} l={l} m={m}",
-            lhs_4_15(k, l, m),
-            rhs_4_15(k, l, m),
-        )
+        Facet(f"doubly-bounded k={k} l={l} m={m}", *sides_4_15(k, l, m))
         for k in k_list
         for l in range(l_max + 1)
         for m in range(m_max + 1)
@@ -546,9 +534,7 @@ def _build_4_15(k_list, l_max, m_max):
 
 def _build_4_20(k_list, l_max):
     return [
-        _poly_facet(
-            f"singly-bounded k={k} l={l}", lhs_4_20(k, l), rhs_4_20(k, l)
-        )
+        Facet(f"singly-bounded k={k} l={l}", *sides_4_20(k, l))
         for k in k_list
         for l in range(l_max + 1)
     ]
@@ -821,7 +807,7 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
             terms[key] = v
         else:
             del terms[key]
-        return Facet(f.label, TruncSeries(terms, s.order2, s.exact), f.expected)
+        return Facet(f.label, TruncSeries(terms, s.order2), f.expected)
     idx = 0 if c.key is None else int(c.key)
     if not 0 <= idx < len(f.got):
         raise ValueError("corruption index out of range")

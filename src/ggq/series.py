@@ -12,12 +12,14 @@ powers; specializations that would need q^(-1) are done upstream, on
 closed-form summands, before a series is ever built.
 
 A series carries its truncation bound ``order2``: terms with e2 >=
-order2 are unknown and silently dropped by the ring operations.  The
-``exact`` flag stays True only while no term has ever been dropped, so
-polynomial pipelines can assert that nothing was truncated; it is set at
-construction and never changed.  Products go pair by pair through a dict,
-or for long univariate operands through shift-add or one signed Kronecker
-product; the comment above ``_mul_univariate`` says which and why.
+order2 are unknown and silently dropped by the ring operations, and a
+sum or product keeps the smaller bound of its operands.  Exact
+polynomials (the bounded identities) are built outside this ring, as
+packed integers in ``ggq.trinomials``, and arrive here through
+``_unpack``.  Products go
+pair by pair through a dict, or for long univariate operands through
+shift-add or one signed Kronecker product; the comment above
+``_mul_univariate`` says which and why.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ __all__ = [
     "zero",
     "one",
     "truncate",
-    "lift",
-    "at_order",
-    "scale_exponents",
     "shift_exponents",
-    "poly_mul",
-    "poly_sum",
     "series_diff",
     "q_coefficients",
     "collapse_zw",
@@ -89,9 +86,9 @@ class FactorSpec:
 class TruncSeries:
     """Sparse exact series {(e2, dz, dw): coeff}, truncated at q^(order2/2)."""
 
-    __slots__ = ("terms", "order2", "exact", "_uni")
+    __slots__ = ("terms", "order2", "_uni")
 
-    def __init__(self, terms: dict[Key, int], order2: int, exact: bool = True):
+    def __init__(self, terms: dict[Key, int], order2: int):
         if order2 <= 0:
             raise ValueError("order2 must be positive")
         uni = True
@@ -110,11 +107,10 @@ class TruncSeries:
                 uni = False
         self.terms = terms
         self.order2 = order2
-        self.exact = exact
         self._uni = uni
 
     @classmethod
-    def _trusted(cls, terms: dict[Key, int], order2: int, exact: bool, uni: bool) -> "TruncSeries":
+    def _trusted(cls, terms: dict[Key, int], order2: int, uni: bool) -> "TruncSeries":
         """A kernel output, or a re-tagged copy of a valid series, whose
         terms are already nonzero, nonnegative and below order2, so they
         are not checked again one by one.  uni may be False for a
@@ -126,7 +122,6 @@ class TruncSeries:
         s = object.__new__(cls)
         s.terms = terms
         s.order2 = order2
-        s.exact = exact
         s._uni = uni
         return s
 
@@ -180,15 +175,13 @@ class TruncSeries:
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._trusted(
-            {k: -c for k, c in self.terms.items()}, self.order2, self.exact, self._uni
-        )
+        return TruncSeries._trusted({k: -c for k, c in self.terms.items()}, self.order2, self._uni)
 
     def scale(self, c: int) -> "TruncSeries":
         if c == 0:
-            return TruncSeries._trusted({}, self.order2, self.exact, True)
+            return TruncSeries._trusted({}, self.order2, True)
         terms = {k: c * v for k, v in self.terms.items()}
-        return TruncSeries._trusted(terms, self.order2, self.exact, self._uni)
+        return TruncSeries._trusted(terms, self.order2, self._uni)
 
     def __add__(self, other) -> "TruncSeries":
         if isinstance(other, int):
@@ -197,19 +190,16 @@ class TruncSeries:
             return NotImplemented
         order2 = min(self.order2, other.order2)
         out: dict[Key, int] = {}
-        dropped = False
         for src in (self.terms, other.terms):
             for k, c in src.items():
                 if k[0] >= order2:
-                    dropped = True
                     continue
                 acc = out.get(k, 0) + c
                 if acc:
                     out[k] = acc
                 elif k in out:
                     del out[k]
-        exact = self.exact and other.exact and not dropped
-        return TruncSeries._trusted(out, order2, exact, self._uni and other._uni)
+        return TruncSeries._trusted(out, order2, self._uni and other._uni)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -231,14 +221,13 @@ class TruncSeries:
             return NotImplemented
         order2 = min(self.order2, other.order2)
         if not self.terms or not other.terms:
-            return TruncSeries._trusted({}, order2, self.exact and other.exact, True)
+            return TruncSeries._trusted({}, order2, True)
         uni = self._uni and other._uni
         if uni and len(self.terms) * len(other.terms) > 400:
-            terms, dropped = _mul_univariate(self.terms, other.terms, order2)
+            terms = _mul_univariate(self.terms, other.terms, order2)
         else:
-            terms, dropped = _mul_sparse(self.terms, other.terms, order2)
-        exact = self.exact and other.exact and not dropped
-        return TruncSeries._trusted(terms, order2, exact, uni)
+            terms = _mul_sparse(self.terms, other.terms, order2)
+        return TruncSeries._trusted(terms, order2, uni)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -251,12 +240,10 @@ def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int):
     if len(a) > len(b):
         a, b = b, a
     out: dict[Key, int] = {}
-    dropped = False
     for (ea, za, wa), ca in a.items():
         for (eb, zb, wb), cb in b.items():
             e2 = ea + eb
             if e2 >= order2:
-                dropped = True
                 continue
             k = (e2, za + zb, wa + wb)
             acc = out.get(k, 0) + ca * cb
@@ -264,7 +251,7 @@ def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int):
                 out[k] = acc
             elif k in out:
                 del out[k]
-    return out, dropped
+    return out
 
 
 # Univariate products with more than 400 term pairs.  When the shorter
@@ -326,7 +313,6 @@ def _mul_univariate(a: dict[Key, int], b: dict[Key, int], order2: int):
     if len(a) > len(b):
         a, b = b, a
     top_a, top_b = max(a)[0], max(b)[0]
-    dropped = top_a + top_b >= order2
     res_len = min(top_a + top_b + 1, order2)
     if len(a) <= _SHIFT_ADD_TERMS:
         fb = [0] * (top_b + 1)
@@ -339,13 +325,13 @@ def _mul_univariate(a: dict[Key, int], b: dict[Key, int], order2: int):
             res[e:end] = map(add, seg, fb) if c == 1 else map(sub, seg, fb) if c == -1 else [
                 x + c * y for x, y in zip(seg, fb)
             ]
-        return _uni_terms(res, res_len), dropped
+        return _uni_terms(res, res_len)
     bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
     width = (bound.bit_length() + len(a).bit_length() + 8) // 8
     if width <= 8:
         width = 1 << (width - 1).bit_length()
     prod = _pack(a, top_a + 1, width) * _pack(b, top_b + 1, width)
-    return _unpack(prod, res_len, width), dropped
+    return _unpack(prod, res_len, width)
 
 
 # -- constructors and reshaping -----------------------------------------
@@ -355,11 +341,8 @@ def monomial(c: int, e2: int, dz: int = 0, dw: int = 0, *, order2: int) -> Trunc
     """c * q^(e2/2) z^dz w^dw, or the zero series if e2 falls past order2."""
     if e2 < 0:
         raise ValueError("negative q-exponent")
-    if c == 0:
+    if c == 0 or e2 >= order2:
         return TruncSeries({}, order2)
-    if e2 >= order2:
-        # the term exists but cannot be represented: honest exact=False
-        return TruncSeries({}, order2, exact=False)
     return TruncSeries({(e2, dz, dw): c}, order2)
 
 
@@ -376,42 +359,9 @@ def truncate(s: TruncSeries, order2: int) -> TruncSeries:
     if order2 <= 0:
         raise ValueError("order2 must be positive")
     if order2 > s.order2:
-        raise ValueError("truncate cannot raise order2; use lift")
+        raise ValueError("truncate cannot raise order2")
     kept = {k: c for k, c in s.terms.items() if k[0] < order2}
-    exact = s.exact and len(kept) == len(s.terms)
-    return TruncSeries._trusted(kept, order2, exact, s._uni)
-
-
-def lift(s: TruncSeries, order2: int) -> TruncSeries:
-    """Re-tag an exact polynomial with a larger truncation bound.
-
-    Only legal when nothing was ever dropped, otherwise the extra range
-    would claim knowledge we do not have.  The terms are valid already,
-    so only the bound is checked, not each term again.
-    """
-    if order2 <= 0:
-        raise ValueError("order2 must be positive")
-    if order2 < s.order2 and s.max_e2() >= order2:
-        raise ValueError("cannot shrink below stored exponents; use truncate")
-    if order2 > s.order2 and not s.exact:
-        raise ValueError("cannot lift a series that has dropped terms")
-    # shrinking onto an exact polynomial that fits is harmless
-    return TruncSeries._trusted(dict(s.terms), order2, s.exact, s._uni)
-
-
-def at_order(s: TruncSeries, order2: int) -> TruncSeries:
-    """Truncate or lift so the result has exactly the requested order2."""
-    if order2 <= s.order2:
-        return truncate(s, order2)
-    return lift(s, order2)
-
-
-def scale_exponents(s: TruncSeries, factor: int) -> TruncSeries:
-    """Substitute q -> q^factor by scaling the half-exponent grid."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    terms = {(e2 * factor, dz, dw): c for (e2, dz, dw), c in s.terms.items()}
-    return TruncSeries._trusted(terms, s.order2 * factor, s.exact, s._uni)
+    return TruncSeries._trusted(kept, order2, s._uni)
 
 
 def shift_exponents(s: TruncSeries, e2: int) -> TruncSeries:
@@ -419,35 +369,7 @@ def shift_exponents(s: TruncSeries, e2: int) -> TruncSeries:
     if e2 < 0:
         raise ValueError("negative shift")
     terms = {(k + e2, dz, dw): c for (k, dz, dw), c in s.terms.items()}
-    return TruncSeries._trusted(terms, s.order2 + e2, s.exact, s._uni)
-
-
-def poly_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Exact polynomial product; operands must not have dropped terms."""
-    if not (a.exact and b.exact):
-        raise ValueError("poly_mul needs exact operands")
-    if not a.terms or not b.terms:
-        return TruncSeries({}, 1)
-    target = a.max_e2() + b.max_e2() + 1
-    out = lift(a, max(target, a.order2)) * lift(b, max(target, b.order2))
-    out = at_order(out, target)
-    if not out.exact:
-        raise AssertionError("polynomial product dropped terms")
-    return out
-
-
-def poly_sum(parts: Iterable[TruncSeries]) -> TruncSeries:
-    """Exact sum of polynomials at a shared, sufficient order2."""
-    parts = list(parts)
-    if not parts:
-        return TruncSeries({}, 1)
-    target = max(max(p.max_e2() + 1, 1) for p in parts)
-    acc = TruncSeries({}, target)
-    for p in parts:
-        if not p.exact:
-            raise ValueError("poly_sum needs exact operands")
-        acc = acc + at_order(p, target)
-    return acc
+    return TruncSeries._trusted(terms, s.order2 + e2, s._uni)
 
 
 def series_diff(got: TruncSeries, want: TruncSeries) -> Optional[tuple[Key, int, int]]:
@@ -482,7 +404,7 @@ def collapse_zw(s: TruncSeries) -> TruncSeries:
             out[k] = acc
         elif k in out:
             del out[k]
-    return TruncSeries(out, s.order2, s.exact)
+    return TruncSeries(out, s.order2)
 
 
 def zw_slice(s: TruncSeries, dz: Optional[int] = None, dw: Optional[int] = None) -> TruncSeries:
@@ -492,7 +414,7 @@ def zw_slice(s: TruncSeries, dz: Optional[int] = None, dw: Optional[int] = None)
         for k, c in s.terms.items()
         if (dz is None or k[1] == dz) and (dw is None or k[2] == dw)
     }
-    return TruncSeries(out, s.order2, False)
+    return TruncSeries(out, s.order2)
 
 
 # -- Pochhammer products ------------------------------------------------
@@ -520,7 +442,7 @@ def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
     """
     if f.e2 == 0 and f.dz == 0 and f.dw == 0:
         raise ValueError("infinite product needs a positive exponent or a marker")
-    acc = TruncSeries({(0, 0, 0): 1}, order2, exact=False)
+    acc = one(order2)
     j = 0
     while f.e2 + j * f.step2 < order2:
         acc = acc * _factor(f, j, order2)
@@ -529,7 +451,7 @@ def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
 
 
 def poch_product(specs: Iterable[FactorSpec], *, order2: int) -> TruncSeries:
-    acc = TruncSeries({(0, 0, 0): 1}, order2, exact=False)
+    acc = one(order2)
     for f in specs:
         acc = acc * poch_infinite(f, order2=order2)
     return acc
@@ -565,7 +487,7 @@ def reciprocal(s: TruncSeries) -> TruncSeries:
         return _reciprocal_univariate(s, c0)
     # graded geometric expansion: s = c0 (1 - u), u has min e2 >= 1
     u = one(s.order2) - s.scale(c0)
-    acc = TruncSeries({(0, 0, 0): 1}, s.order2, exact=False)
+    acc = one(s.order2)
     powu = one(s.order2)
     for _ in range(s.order2):
         powu = powu * u
@@ -591,7 +513,7 @@ def _reciprocal_univariate(s: TruncSeries, c0: int) -> TruncSeries:
             acc += sv[i] * rv[j - i]
         if acc:
             rv[j] = -c0 * acc
-    return TruncSeries._trusted(_uni_terms(rv, order2), order2, False, True)
+    return TruncSeries._trusted(_uni_terms(rv, order2), order2, True)
 
 
 # -- bilateral theta and the triple product -----------------------------
@@ -648,7 +570,7 @@ def jacobi_theta(zspec, *, order2: int) -> TruncSeries:
             elif k in terms:
                 del terms[k]
             n += step
-    return TruncSeries(terms, order2, False)
+    return TruncSeries(terms, order2)
 
 
 def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
@@ -699,21 +621,18 @@ def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
                 elif k in lhs_terms:
                     del lhs_terms[k]
             m += step
-    lhs = TruncSeries(lhs_terms, order2, False)
+    lhs = TruncSeries(lhs_terms, order2)
 
     inner = order2 - (n0 - shift)
     if mult == 0 or inner <= 0:
-        rhs = TruncSeries({}, order2, False)
-        return lhs, rhs
+        return lhs, zero(order2)
     prod = poch_infinite(FactorSpec(1, 4, 4), order2=inner)
     prod = prod * poch_infinite(FactorSpec(-sign_z, 2 + e2z, 4), order2=inner)
     for s_x, c in extras:
         prod = prod * (one(inner) - monomial(s_x, c, order2=inner))
     if e2a > 0:
         prod = prod * poch_infinite(FactorSpec(s_a, e2a, 4), order2=inner)
-    # prod starts from an infinite product, so it and rhs are inexact
-    rhs = shift_exponents(prod.scale(mult), n0 - shift)
-    return lhs, at_order(rhs, order2)
+    return lhs, shift_exponents(prod.scale(mult), n0 - shift)
 
 
 def jacobi_check(zspec, *, order2: int) -> bool:

@@ -1,30 +1,37 @@
 """Gaussian binomials, two q-trinomial families, and the bounded identities.
 
-Everything here is exact polynomial arithmetic: operands carry an
-``exact`` flag asserting no truncation ever happened, and comparisons are
-full polynomial equality.  Exponents stay on the half grid, so the
-q^(n^2/2) prefactors are plain integer shifts; substituting q -> q^2 is
-an exponent doubling, never a re-expansion.
+The bounded identities 4.15 and 4.20, and the trinomials behind the
+limits 4.17 and 4.18, are equalities of exact polynomials in x = q^(1/2).
+Such a polynomial p is built as the integer p(2^bits) (Kronecker
+substitution), so products, sums and shifts x^e are one bignum ``*``,
+``+`` and ``<< bits * e``, and q -> q^2 is evaluation at 2^(2 * bits).
+Each value travels with a bound on |coefficient|: a Gaussian binomial has
+nonnegative coefficients that sum to comb(top, bottom), so the bound of a
+sum of products of binomials is the sum over its terms of the products of
+those combs.  ``_unpacked`` picks slots wide enough for every bound and
+reads each value back into a TruncSeries once, by balanced digits.  Only
+this module knows the packed form.
+
+``q_binomial`` builds its coefficients one by one instead: the limit
+checks need only the low terms of binomials whose whole packed value
+would run to hundreds of thousands of bits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, isqrt
+from operator import add
 
 from .series import (
     FactorSpec,
     TruncSeries,
-    at_order,
+    _unpack,
     inv_poch_finite,
     inv_poch_infinite,
     one,
     poch_finite,
-    poly_mul,
-    poly_sum,
-    scale_exponents,
     series_diff,
-    shift_exponents,
 )
 
 __all__ = [
@@ -34,12 +41,9 @@ __all__ = [
     "t_ab",
     "u_tilde",
     "u_of",
-    "poly_equal",
-    "lhs_4_15",
-    "rhs_4_15",
+    "sides_4_15",
     "identity_4_15",
-    "lhs_4_20",
-    "rhs_4_20",
+    "sides_4_20",
     "identity_4_20",
     "limit_4_9",
     "limit_4_10",
@@ -62,8 +66,7 @@ def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> Tru
     smallest bound that holds it.  A positive order2 is the bound of the
     result: only the terms below it are built.  Neither step moves a
     coefficient to a lower degree, so those terms equal the whole
-    polynomial's.  The result is exact exactly when nothing was cut; then
-    the q = 1 check still runs.
+    polynomial's.
     """
     if order2 < 0:
         raise ValueError("order2 must be nonnegative")
@@ -87,60 +90,112 @@ def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> Tru
         # divide in place by (1 - x^i); ascending order keeps it exact
         for j in range(i, size):
             coeffs[j] += coeffs[j - i]
-    exact = size == deg + 1
-    if exact and sum(coeffs) != comb(top, bottom):  # q=1 specialization
+    if size == deg + 1 and sum(coeffs) != comb(top, bottom):  # q=1 specialization
         raise AssertionError(f"q-binomial [{top}, {bottom}] fails its q=1 value")
     terms = {(u * step2, 0, 0): c for u, c in enumerate(coeffs) if c}
-    return TruncSeries(terms, order2, exact=exact)
+    return TruncSeries(terms, order2)
 
 
-def t_warnaar(l: int, m: int, a: int, b: int) -> TruncSeries:
-    """Refined q-trinomial at base q; exponents n^2/2 live on the half grid."""
+# -- exact polynomials packed into integers ------------------------------
+
+
+@lru_cache(maxsize=None)
+def _binomial_at(top: int, bottom: int, bits: int) -> tuple[int, int]:
+    """([top choose bottom] at x = 2^bits, comb(top, bottom)); (0, 0)
+    outside 0 <= bottom <= top.
+
+    The product of (x^(top-bottom+i) - 1) / (x^i - 1), i = 1..bottom:
+    every partial product is a Gaussian binomial itself, so each division
+    is exact, and a remainder means a bug.
+    """
+    if bottom < 0 or bottom > top:
+        return 0, 0
+    bottom = min(bottom, top - bottom)
+    val = 1
+    for i in range(1, bottom + 1):
+        val, rem = divmod(val * ((1 << bits * (top - bottom + i)) - 1), (1 << bits * i) - 1)
+        if rem:
+            raise AssertionError(f"q-binomial [{top}, {bottom}] left a remainder")
+    return val, comb(top, bottom)
+
+
+def _unpacked(*sides, order2: int = 0) -> tuple[TruncSeries, ...]:
+    """Each side(bits) -> (value, bound), read back as a TruncSeries.
+
+    Slots start at 4 bytes and widen until every bound is below half a
+    slot, so each coefficient is one balanced digit, and the top slot of
+    a nonzero value is its bit length // (8 * width).  All sides share one
+    order2: the given one, or else the highest degree of any side plus 2
+    (1 when every side is zero).
+    """
+    width = 4
+    while True:
+        packed = [side(8 * width) for side in sides]
+        top = max(bound for _, bound in packed)
+        if top < 1 << (8 * width - 1):
+            break
+        width = (top.bit_length() + 8) // 8
+    order2 = order2 or 2 + max(v.bit_length() // (8 * width) if v else -1 for v, _ in packed)
+    return tuple(TruncSeries._trusted(_unpack(v, order2, width), order2, True) for v, _ in packed)
+
+
+def _t_warnaar(l: int, m: int, a: int, b: int, bits: int) -> tuple[int, int]:
     if l < 0 or m < 0:
         raise ValueError("l, m must be nonnegative")
-    parts = []
-    for n in range(0, l + 1):
-        if (n + l - a) % 2 != 0:
+    val = bound = 0
+    for n in range(l + 1):
+        if (n + l - a) % 2:
             continue
-        h = (l - a - n) // 2
-        f1 = q_binomial(m, n)
-        f2 = q_binomial(m + b + h, m + b)
-        f3 = q_binomial(m - b + (l + a - n) // 2, m - b)
-        if not (f1.terms and f2.terms and f3.terms):
-            continue
-        parts.append(shift_exponents(poly_mul(poly_mul(f1, f2), f3), n * n))
-    return poly_sum(parts)
+        f1, c1 = _binomial_at(m, n, 2 * bits)
+        f2, c2 = _binomial_at(m + b + (l - a - n) // 2, m + b, 2 * bits)
+        f3, c3 = _binomial_at(m - b + (l + a - n) // 2, m - b, 2 * bits)
+        if c1 and c2 and c3:
+            val += (f1 * f2 * f3) << bits * n * n
+            bound += c1 * c2 * c3
+    return val, bound
 
 
-def t_ab(l: int, a: int) -> TruncSeries:
+def _t_ab(l: int, a: int, bits: int) -> tuple[int, int]:
     if l < 0:
         raise ValueError("l must be nonnegative")
-    parts = []
-    for n in range(0, l + 1):
-        if (n + l - a) % 2 != 0:
+    val = bound = 0
+    for n in range(l + 1):
+        if (n + l - a) % 2:
             continue
-        f1 = q_binomial(l, n)
-        f2 = q_binomial(l - n, (l - a - n) // 2)
-        if not (f1.terms and f2.terms):
-            continue
-        parts.append(shift_exponents(poly_mul(f1, f2), n * n))
-    return poly_sum(parts)
+        f1, c1 = _binomial_at(l, n, 2 * bits)
+        f2, c2 = _binomial_at(l - n, (l - a - n) // 2, 2 * bits)
+        if c1 and c2:
+            val += (f1 * f2) << bits * n * n
+            bound += c1 * c2
+    return val, bound
 
 
-def u_tilde(l: int, m: int, a: int, b: int) -> TruncSeries:
-    return poly_sum([t_warnaar(l, m, a, b), t_warnaar(l, m, a + 1, b)])
+def _u_tilde(l: int, m: int, a: int, b: int, bits: int) -> tuple[int, int]:
+    return tuple(map(add, _t_warnaar(l, m, a, b, bits), _t_warnaar(l, m, a + 1, b, bits)))
 
 
-def u_of(l: int, a: int) -> TruncSeries:
-    return poly_sum([t_ab(l, a), t_ab(l, a + 1)])
+def _u_of(l: int, a: int, bits: int) -> tuple[int, int]:
+    return tuple(map(add, _t_ab(l, a, bits), _t_ab(l, a + 1, bits)))
 
 
-def poly_equal(a: TruncSeries, b: TruncSeries):
-    """None when equal as exact polynomials, else the first mismatch."""
-    if not (a.exact and b.exact):
-        raise ValueError("poly_equal needs exact operands")
-    target = max(a.max_e2(), b.max_e2()) + 2
-    return series_diff(at_order(a, target), at_order(b, target))
+def t_warnaar(l: int, m: int, a: int, b: int, *, order2: int = 0) -> TruncSeries:
+    """Refined q-trinomial at base q; exponents n^2/2 live on the half grid.
+
+    Without order2 the whole polynomial, else its terms below order2.
+    """
+    return _unpacked(partial(_t_warnaar, l, m, a, b), order2=order2)[0]
+
+
+def t_ab(l: int, a: int, *, order2: int = 0) -> TruncSeries:
+    return _unpacked(partial(_t_ab, l, a), order2=order2)[0]
+
+
+def u_tilde(l: int, m: int, a: int, b: int, *, order2: int = 0) -> TruncSeries:
+    return _unpacked(partial(_u_tilde, l, m, a, b), order2=order2)[0]
+
+
+def u_of(l: int, a: int, *, order2: int = 0) -> TruncSeries:
+    return _unpacked(partial(_u_of, l, a), order2=order2)[0]
 
 
 # -- the doubly bounded identity and its m -> infinity form -------------
@@ -167,99 +222,91 @@ def n_vectors(k: int, cap: int, order2: int = 0):
     yield from rec((), cap, 0)
 
 
-def _bounded_lhs(k: int, l: int, cap: int, head) -> TruncSeries:
-    """The multisum side of 4.15 and 4.20 over N_1 <= cap; head(N_1) is
-    the leading factor, a Gaussian binomial in m for 4.15 and 1 for 4.20."""
-    parts = []
+def _bounded_lhs(k: int, l: int, cap: int, head, bits: int) -> tuple[int, int]:
+    """The multisum side of 4.15 and 4.20 over N_1 <= cap; head(N_1, bits)
+    is the leading factor, a Gaussian binomial in m for 4.15 and 1 for 4.20."""
+    val = bound = 0
     for nvec in n_vectors(k, cap):
         small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
         nk = small[-1]
         total = sum(nvec)
-        term = head(nvec[0])
-        if not term.terms:
-            continue
+        term, tb = head(nvec[0], bits)
         run = 0
         for j in range(k - 1):
             run += nvec[j]
-            fj = q_binomial(l - run + small[j], small[j], step2=4)
-            if not fj.terms:
-                break
-            term = poly_mul(term, fj)
-        else:
-            for s in range(0, nk + 1):
-                f4 = q_binomial(nk + (l - 1 - total - s) // 2, nk, step2=8)
-                fs = q_binomial(nk, s, step2=4)
-                if not (f4.terms and fs.terms):
-                    continue
-                e2 = 2 * (sum(v * v for v in nvec) + s * s + 2 * nk)
-                parts.append(shift_exponents(poly_mul(poly_mul(term, f4), fs), e2))
-    return poly_sum(parts)
+            f, c = _binomial_at(l - run + small[j], small[j], 4 * bits)
+            term, tb = term * f, tb * c
+        if not tb:
+            continue
+        squares = sum(v * v for v in nvec)
+        for s in range(0, nk + 1):
+            f4, c4 = _binomial_at(nk + (l - 1 - total - s) // 2, nk, 8 * bits)
+            fs, cs = _binomial_at(nk, s, 4 * bits)
+            if c4 and cs:
+                val += (term * f4 * fs) << bits * 2 * (squares + s * s + 2 * nk)
+                bound += tb * c4 * cs
+    return val, bound
 
 
-def _rhs_hierarchy(k: int, u) -> TruncSeries:
-    """Sum the alternating j-series of 4.15 and 4.20 over u(a, b), which
-    is u_tilde or u_of at the identity's bounds; stop after two all-zero
-    |j| levels.
+def _rhs_hierarchy(k: int, u, bits: int) -> tuple[int, int]:
+    """Sum the alternating j-series of 4.15 and 4.20 over u(a, b, bits),
+    which is _u_tilde or _u_of at the identity's bounds, taken in q^2;
+    stop after two all-zero |j| levels.
 
     The closure rule is enforced, not assumed: both levels beyond the
     last contributing one are checked to vanish identically.
     """
 
-    def piece(j: int) -> TruncSeries:
-        u1 = scale_exponents(u(2 * (k + 2) * j + 1, 2 * j), 2)
-        u2 = scale_exponents(u(2 * (k + 2) * j + k + 1, 2 * j + 1), 2)
+    def piece(j: int) -> tuple[int, int]:
+        u1, b1 = u(2 * (k + 2) * j + 1, 2 * j, 2 * bits)
+        u2, b2 = u(2 * (k + 2) * j + k + 1, 2 * j + 1, 2 * bits)
         e1 = 2 * ((4 * k + 8) * j * j + 4 * j)
         e2 = 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k)
-        return poly_sum([shift_exponents(u1, e1), shift_exponents(u2, e2).scale(-1)])
+        return (u1 << bits * e1) - (u2 << bits * e2), b1 + b2
 
-    parts = []
+    val = bound = 0
     zero_levels = 0
     t = 0
     while zero_levels < 2:
-        js = [0] if t == 0 else [t, -t]
-        level = [piece(j) for j in js]
-        if all(not p.terms for p in level):
-            zero_levels += 1
-        else:
-            zero_levels = 0
-            parts.extend(level)
+        level = [piece(j) for j in ([0] if t == 0 else [t, -t])]
+        zero_levels = 0 if any(v for v, _ in level) else zero_levels + 1
+        for v, b in level:
+            val, bound = val + v, bound + b
         t += 1
         if t >= 200:
             raise AssertionError("j-sum failed to close")
-    return poly_sum(parts)
+    return val, bound
 
 
-def lhs_4_15(k: int, l: int, m: int) -> TruncSeries:
-    return _bounded_lhs(k, l, m, lambda n1: q_binomial(l + m - n1, m - n1, step2=4))
-
-
-def rhs_4_15(k: int, l: int, m: int) -> TruncSeries:
-    return _rhs_hierarchy(k, lambda a, b: u_tilde(l, m, a, b))
+def sides_4_15(k: int, l: int, m: int) -> tuple[TruncSeries, TruncSeries]:
+    """Both sides of the doubly bounded identity at (k, l, m), whole, at
+    one bound: the k-fold multisum led by [l+m-N_1, m-N_1] in q^2, and the
+    alternating j-sum over u_tilde(l, m, ., .) in q^2."""
+    return _unpacked(
+        partial(_bounded_lhs, k, l, m, lambda n1, bits: _binomial_at(l + m - n1, m - n1, 4 * bits)),
+        partial(_rhs_hierarchy, k, lambda a, b, bits: _u_tilde(l, m, a, b, bits)),
+    )
 
 
 def identity_4_15(k: int, l: int, m: int):
-    """The doubly bounded identity at (k, l, m), as exact polynomials: the
-    k-fold multisum led by [l+m-N_1, m-N_1] in q^2 against the alternating
-    j-sum over u_tilde(l, m, ., .) in q^2.  None when equal, else the first
-    mismatch."""
-    return poly_equal(lhs_4_15(k, l, m), rhs_4_15(k, l, m))
+    """None when the sides of 4.15 at (k, l, m) agree, else the first mismatch."""
+    return series_diff(*sides_4_15(k, l, m))
 
 
-def lhs_4_20(k: int, l: int) -> TruncSeries:
+def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
+    """Both sides of the singly bounded identity at (k, l), the m -> infinity
+    form of 4.15, whole, at one bound: the multisum with N_1 <= l (l - 1
+    when k = 1), and the alternating j-sum over u_of(l, .) in q^2."""
     cap = max(l, 0) if k > 1 else max(l - 1, 0)
-    return _bounded_lhs(k, l, cap, lambda n1: one(1))
-
-
-def rhs_4_20(k: int, l: int) -> TruncSeries:
-    return _rhs_hierarchy(k, lambda a, b: u_of(l, a))
+    return _unpacked(
+        partial(_bounded_lhs, k, l, cap, lambda n1, bits: (1, 1)),
+        partial(_rhs_hierarchy, k, lambda a, b, bits: _u_of(l, a, bits)),
+    )
 
 
 def identity_4_20(k: int, l: int):
-    """The singly bounded identity at (k, l), the m -> infinity form of
-    identity_4_15: the multisum with N_1 <= l (l - 1 when k = 1) against
-    the alternating j-sum over u_of(l, .) in q^2.  None when equal, else
-    the first mismatch."""
-    return poly_equal(lhs_4_20(k, l), rhs_4_20(k, l))
+    """None when the sides of 4.20 at (k, l) agree, else the first mismatch."""
+    return series_diff(*sides_4_20(k, l))
 
 
 # -- limit / stabilization checks ---------------------------------------
@@ -299,17 +346,15 @@ def limit_4_17(m: int, a: int, b: int, order2: int, search: int = 0) -> bool:
     """u_tilde(l, m, a, b) -> (-sqrt q)_m / (q)_{2m} * [2m, m+b] as l grows."""
     lead = poch_finite(FactorSpec(-1, 1, 2), m, order2=order2)
     lead = lead * inv_poch_finite(FactorSpec(1, 2, 2), 2 * m, order2=order2)
-    target = lead * at_order(q_binomial(2 * m, m + b), order2)
+    target = lead * q_binomial(2 * m, m + b, order2=order2)
     hi = search or order2 + 4
-    vals = (at_order(u_tilde(l, m, a, b), order2) for l in range(hi))
+    vals = (u_tilde(l, m, a, b, order2=order2) for l in range(hi))
     return stabilized(vals, target) is not None
 
 
 def limit_4_18(l: int, a: int, b: int, order2: int, search: int = 0) -> bool:
     """t_warnaar(l, m, a, b) -> t_ab(l, a) / (q)_l as m grows."""
-    target = at_order(t_ab(l, a), order2) * inv_poch_finite(
-        FactorSpec(1, 2, 2), l, order2=order2
-    )
+    target = t_ab(l, a, order2=order2) * inv_poch_finite(FactorSpec(1, 2, 2), l, order2=order2)
     hi = search or order2 // 2 + l + 4
-    vals = (at_order(t_warnaar(l, m, a, b), order2) for m in range(hi))
+    vals = (t_warnaar(l, m, a, b, order2=order2) for m in range(hi))
     return stabilized(vals, target) is not None

@@ -1,0 +1,109 @@
+"""Schoolbook exact polynomials: the independent oracle for the packed path.
+
+The refined trinomials and both sides of the bounded identities 4.15 and
+4.20 are written here a second time, as dicts {e2: coeff} over
+x = q^(1/2), multiplied pair by pair and summed key by key from the
+coefficients of ``q_binomial``.  Nothing here packs a polynomial into an
+integer or shares the vector walk or the j-sum closure of
+``ggq.trinomials``: vectors come from a filtered product, and the j-sum
+runs over a fixed range past which every term is zero.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from ggq.trinomials import q_binomial
+
+
+def binomial(top: int, bottom: int, step2: int = 2) -> dict[int, int]:
+    return {e2: c for (e2, _, _), c in q_binomial(top, bottom, step2).terms.items()}
+
+
+def add(*polys: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for p in polys:
+        for e2, c in p.items():
+            out[e2] = out.get(e2, 0) + c
+    return {e2: c for e2, c in out.items() if c}
+
+
+def mul(*polys: dict[int, int]) -> dict[int, int]:
+    out = {0: 1}
+    for p in polys:
+        acc: dict[int, int] = {}
+        for ea, ca in out.items():
+            for eb, cb in p.items():
+                acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+        out = {e2: c for e2, c in acc.items() if c}
+    return out
+
+
+def shift(p: dict[int, int], e2: int, sign: int = 1) -> dict[int, int]:
+    return {k + e2: sign * c for k, c in p.items()}
+
+
+def t_warnaar(l: int, m: int, a: int, b: int) -> dict[int, int]:
+    return add(*(
+        shift(mul(
+            binomial(m, n),
+            binomial(m + b + (l - a - n) // 2, m + b),
+            binomial(m - b + (l + a - n) // 2, m - b),
+        ), n * n)
+        for n in range(l + 1) if (n + l - a) % 2 == 0
+    ))
+
+
+def t_ab(l: int, a: int) -> dict[int, int]:
+    return add(*(
+        shift(mul(binomial(l, n), binomial(l - n, (l - a - n) // 2)), n * n)
+        for n in range(l + 1) if (n + l - a) % 2 == 0
+    ))
+
+
+def u_tilde(l: int, m: int, a: int, b: int) -> dict[int, int]:
+    return add(t_warnaar(l, m, a, b), t_warnaar(l, m, a + 1, b))
+
+
+def u_of(l: int, a: int) -> dict[int, int]:
+    return add(t_ab(l, a), t_ab(l, a + 1))
+
+
+def _bounded_lhs(k: int, l: int, cap: int, head) -> dict[int, int]:
+    parts = []
+    for nvec in product(range(cap, -1, -1), repeat=k):
+        if any(x < y for x, y in zip(nvec, nvec[1:])):
+            continue
+        small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
+        nk, total = small[-1], sum(nvec)
+        factors = [head(nvec[0])]
+        for j in range(k - 1):
+            factors.append(binomial(l - sum(nvec[: j + 1]) + small[j], small[j], 4))
+        for s in range(nk + 1):
+            term = mul(*factors, binomial(nk + (l - 1 - total - s) // 2, nk, 8),
+                       binomial(nk, s, 4))
+            parts.append(shift(term, 2 * (sum(v * v for v in nvec) + s * s + 2 * nk)))
+    return add(*parts)
+
+
+def _rhs_hierarchy(k: int, l: int, u) -> dict[int, int]:
+    # u(a, .) is zero once |a| > l, and each a below is at least (k+2)|j|
+    # in size when j != 0, so |j| <= l covers every nonzero term
+    parts = []
+    for j in range(-l, l + 1):
+        u1 = {2 * e2: c for e2, c in u(2 * (k + 2) * j + 1, 2 * j).items()}
+        u2 = {2 * e2: c for e2, c in u(2 * (k + 2) * j + k + 1, 2 * j + 1).items()}
+        parts.append(shift(u1, 2 * ((4 * k + 8) * j * j + 4 * j)))
+        parts.append(shift(u2, 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k), -1))
+    return add(*parts)
+
+
+def sides_4_15(k: int, l: int, m: int) -> tuple[dict[int, int], dict[int, int]]:
+    lhs = _bounded_lhs(k, l, m, lambda n1: binomial(l + m - n1, m - n1, 4))
+    return lhs, _rhs_hierarchy(k, l, lambda a, b: u_tilde(l, m, a, b))
+
+
+def sides_4_20(k: int, l: int) -> tuple[dict[int, int], dict[int, int]]:
+    cap = l if k > 1 else max(l - 1, 0)
+    lhs = _bounded_lhs(k, l, cap, lambda n1: {0: 1})
+    return lhs, _rhs_hierarchy(k, l, lambda a, b: u_of(l, a))

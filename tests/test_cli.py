@@ -244,6 +244,35 @@ def test_config_validation():
     assert load_config(None) == CliConfig()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parallelism_flag_below_one_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "verify-all", "--parallelism", value)
+    assert code == 2
+    assert out == ""
+    assert "parallelism must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"parallelism": "2"},
+        {"parallelism": True},
+        {"parallelism": None},
+        {"default_order2": 3.5},
+        {"default_order2": "41"},
+        {"out_path": 5},
+        [1, 2],
+    ],
+)
+def test_config_of_the_wrong_type_is_usage_error(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["verify", "--id", "thm1", "--n", "3"], ["verify-all", "--level", "quick"]):
+        code, out, err = run(capsys, "--config", str(path), *argv)
+        assert code == 2, (raw, argv)
+        assert out == "" and err.startswith("error:")
+
+
 def test_emitters_align():
     reports = run_all(ids=["thm1"])
     text = emit_text(reports)

@@ -1,6 +1,7 @@
 """Catalog behavior: parameter handling, corruption, ordering, front doors."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -191,3 +192,12 @@ def test_every_facet_matches_and_fails_under_corruption():
             assert _facet_mismatch(broken) is not None, (check_id, f.label)
     assert built == QUICK_FACETS
     assert sum(n for n, _ in built.values()) == 332
+
+
+@pytest.mark.parametrize(
+    "module", ["bailey", "bijection", "partitions", "registry", "series", "trinomials"]
+)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"ggq.{module}")
+    assert mod.__all__
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

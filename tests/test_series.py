@@ -6,23 +6,19 @@ from hypothesis import given, settings, strategies as st
 from ggq.series import (
     FactorSpec,
     TruncSeries,
-    at_order,
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
     jacobi_check,
     jacobi_sides,
     jacobi_theta,
-    lift,
     monomial,
     one,
     poch_finite,
     poch_infinite,
     poch_product,
-    poly_mul,
     q_coefficients,
     reciprocal,
-    scale_exponents,
     series_diff,
     shift_exponents,
     truncate,
@@ -88,10 +84,6 @@ def test_sparse_multiplication_matches_schoolbook(a, b):
     assert (a * b).terms == _naive_mul(a, b, ORD)
 
 
-def _naive_dropped(a, b, order2):
-    return any(ea + eb >= order2 for (ea, _, _) in a.terms for (eb, _, _) in b.terms)
-
-
 def _univariate(coeffs, min_size, max_size, order2):
     keys = st.tuples(st.integers(0, order2 - 1), st.just(0), st.just(0))
     return st.dictionaries(keys, coeffs, min_size=min_size, max_size=max_size).map(
@@ -119,7 +111,6 @@ def test_shift_add_multiplication_matches_schoolbook(short, long):
     # past 400 term pairs, so the product takes the univariate kernel
     prod = short * long
     assert prod.terms == _naive_mul(short, long, 600)
-    assert prod.exact is not _naive_dropped(short, long, 600)
     assert (long * short).terms == prod.terms
 
 
@@ -145,13 +136,11 @@ def test_all_negative_multiplication_matches_schoolbook(a, b, short, long):
 
 @settings(max_examples=40, deadline=None)
 @given(_univariate(_mixed, 5, 20, 200), _univariate(_mixed, 81, 120, 200), st.integers(-2, 60))
-def test_exactness_matches_schoolbook_when_straddling_the_bound(a, b, slack):
+def test_multiplication_matches_schoolbook_when_straddling_the_bound(a, b, slack):
     # slack <= 0 keeps every term, slack 1 drops exactly the top one
     order2 = max(a.max_e2() + b.max_e2() + 1 - slack, 200)
     a, b = TruncSeries(a.terms, order2), TruncSeries(b.terms, order2)
-    prod = a * b
-    assert prod.terms == _naive_mul(a, b, order2)
-    assert prod.exact is not _naive_dropped(a, b, order2)
+    assert (a * b).terms == _naive_mul(a, b, order2)
 
 
 def test_validation():
@@ -167,28 +156,18 @@ def test_validation():
         zero(4).coeff(7)
 
 
-def test_monomial_exactness_edge():
-    # an invisible nonzero term must poison exactness, an actual zero must not
-    assert monomial(1, 5, order2=5).exact is False
-    assert monomial(0, 99, order2=5).exact is True
-    assert monomial(1, 4, order2=5).exact is True
-
-
-def test_lift_and_truncate():
-    s = one(6) + monomial(1, 4, order2=6)
-    up = lift(s, 30)
-    assert up.order2 == 30 and up.terms == s.terms
+def test_truncate():
+    s = one(30) + monomial(1, 4, order2=30) + monomial(2, 12, order2=30)
+    assert truncate(s, 6) == one(6) + monomial(1, 4, order2=6)
+    assert truncate(s, 13).terms == s.terms and truncate(s, 13).order2 == 13
     with pytest.raises(ValueError):
-        lift(truncate(poch_infinite(FactorSpec(1, 2, 2), order2=20), 10), 40)
-    # shrinking onto a fitting polynomial is allowed
-    assert lift(s, 5).order2 == 5
-    assert at_order(up, 6) == s
+        truncate(s, 31)  # a larger bound would claim terms never computed
+    # a term at or past the bound is not representable: the zero series
+    assert monomial(1, 5, order2=5) == zero(5)
 
 
 def test_exponent_reshaping():
     s = one(10) + monomial(-1, 3, order2=10)
-    assert scale_exponents(s, 2).terms == {(0, 0, 0): 1, (6, 0, 0): -1}
-    assert scale_exponents(s, 2).order2 == 20
     assert shift_exponents(s, 5).terms == {(5, 0, 0): 1, (8, 0, 0): -1}
     assert shift_exponents(s, 5).order2 == 15
 
@@ -197,10 +176,7 @@ def test_squaring_drops_past_the_bound():
     s = one(12) + monomial(1, 6, order2=12)
     sq = s * s
     assert sq.terms == {(0, 0, 0): 1, (6, 0, 0): 2}  # q^6 fell off
-    assert sq.exact is False
-    exact_sq = poly_mul(s, s)
-    assert exact_sq.terms == {(0, 0, 0): 1, (6, 0, 0): 2, (12, 0, 0): 1}
-    assert exact_sq.exact is True
+    assert sq.order2 == 12
 
 
 # -- frozen expansions --------------------------------------------------
@@ -286,21 +262,18 @@ def test_theta_rejects_unnormalizable_input():
 
 
 def test_inexact_builders_pass_the_flag_at_construction():
-    # results pinned from the builders that set .exact = False afterwards
+    # terms pinned from the builders of truncated infinite expansions
     half_odd = poch_infinite(FactorSpec(-1, 1, 2), order2=30)
-    assert half_odd.exact is False
     assert [half_odd.coeff(e2) for e2 in range(30)] == [
         1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3,
         4, 5, 5, 5, 6, 7, 8, 8, 9, 11, 12, 12, 14, 16, 17,
     ]
     prod = poch_product([Q, FactorSpec(1, 4, 4, 1)], order2=16)
-    assert prod.exact is False
     assert prod.terms == {
         (0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): -1, (4, 1, 0): -1, (6, 1, 0): 1,
         (10, 0, 0): 1, (10, 1, 0): 1, (12, 2, 0): 1, (14, 0, 0): 1, (14, 2, 0): -1,
     }
     inv = reciprocal(one(12) - monomial(1, 2, 1, 0, order2=12) - monomial(1, 3, 0, 1, order2=12))
-    assert inv.exact is False
     assert inv.terms == {
         (0, 0, 0): 1, (2, 1, 0): 1, (3, 0, 1): 1, (4, 2, 0): 1, (5, 1, 1): 2,
         (6, 0, 2): 1, (6, 3, 0): 1, (7, 2, 1): 3, (8, 1, 2): 3, (8, 4, 0): 1,
@@ -308,11 +281,10 @@ def test_inexact_builders_pass_the_flag_at_construction():
         (11, 4, 1): 5,
     }
     for side in jacobi_sides((1, 6), order2=30):
-        assert side.exact is False
+        assert side.order2 == 30
         assert side.terms == {(0, 0, 0): 2, (4, 0, 0): 2, (12, 0, 0): 2, (24, 0, 0): 2}
-    # the cached inverse stays inexact however often it is handed out
+    # the cached inverse is one object however often it is handed out
     assert inv_poch_infinite(Q, order2=30) is inv_poch_infinite(Q, order2=30)
-    assert inv_poch_infinite(Q, order2=30).exact is False
 
 
 def test_product_shorthand():
@@ -352,15 +324,13 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
     # truncate rejects a marked operand, as it always has.
     cut = data.draw(st.integers(6, a.order2))
     outs = [a * b, b * a, a + b, a - b, a - a, -a, a.scale(c), a * c, truncate(a, cut)]
-    # the re-tagging functions skip it too; the drawn operands are exact,
-    # so lift may both shrink onto the terms and grow
-    outs += [shift_exponents(a, abs(c)), scale_exponents(a, abs(c) + 1),
-             lift(a, max(cut, a.max_e2() + 1)), lift(a, a.order2 + abs(c))]
+    # so does the exponent shift
+    outs.append(shift_exponents(a, abs(c)))
     if a.is_univariate:
         tail = {k: v for k, v in a.terms.items() if k[0] > 0}
         outs.append(reciprocal(TruncSeries({**tail, (0, 0, 0): 1}, a.order2)))
     for out in outs:
-        rebuilt = TruncSeries(out.terms, out.order2, out.exact)
+        rebuilt = TruncSeries(out.terms, out.order2)
         assert rebuilt == out
         if out.is_univariate:
             assert not any(dz or dw for _, dz, dw in out.terms)

@@ -6,7 +6,8 @@ from math import comb, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggq.series import TruncSeries, at_order, monomial, poly_mul, poly_sum
+import schoolbook as sb
+from ggq.series import monomial, series_diff
 from ggq.trinomials import (
     identity_4_15,
     identity_4_20,
@@ -15,8 +16,9 @@ from ggq.trinomials import (
     limit_4_17,
     limit_4_18,
     n_vectors,
-    poly_equal,
     q_binomial,
+    sides_4_15,
+    sides_4_20,
     stabilized,
     t_ab,
     t_warnaar,
@@ -76,7 +78,6 @@ def test_truncated_binomial_is_the_full_one_cut(top, bottom, step2, data):
     cut = q_binomial(top, bottom, step2, order2=order2)
     assert cut.order2 == order2
     assert cut.terms == {k: c for k, c in full.terms.items() if k[0] < order2}
-    assert cut.exact is (full.max_e2() < order2)
 
 
 def test_truncated_binomial_rejects_a_negative_bound():
@@ -86,13 +87,14 @@ def test_truncated_binomial_rejects_a_negative_bound():
 
 @given(st.integers(1, 12), st.integers(0, 12))
 def test_binomial_pascal_and_symmetry(n, k):
-    lhs = q_binomial(n, k)
-    q_pow = monomial(1, 2 * k, order2=2 * k + 1)
-    rhs = poly_sum(
-        [q_binomial(n - 1, k - 1), poly_mul(q_pow, q_binomial(n - 1, k))]
-    )
-    assert poly_equal(lhs, rhs) is None
-    assert poly_equal(lhs, q_binomial(n, n - k)) is None
+    # every term of [n, k] lies below q^(k(n-k)), so a bound past n^2 holds all
+    order2 = 2 * n * n + 1
+    lhs = q_binomial(n, k, order2=order2)
+    rhs = q_binomial(n - 1, k - 1, order2=order2) + monomial(
+        1, 2 * k, order2=order2
+    ) * q_binomial(n - 1, k, order2=order2)
+    assert series_diff(lhs, rhs) is None
+    assert series_diff(lhs, q_binomial(n, n - k, order2=order2)) is None
     assert sum(lhs.terms.values()) == comb(n, k)
 
 
@@ -106,10 +108,11 @@ def test_refined_trinomial_base_cases():
 
 
 def test_u_forms_are_adjacent_sums():
-    a = u_tilde(3, 2, 1, 0)
-    b = poly_sum([t_warnaar(3, 2, 1, 0), t_warnaar(3, 2, 2, 0)])
-    assert poly_equal(a, b) is None
-    assert poly_equal(u_of(3, 1), poly_sum([t_ab(3, 1), t_ab(3, 2)])) is None
+    a = u_tilde(3, 2, 1, 0, order2=40)
+    b = t_warnaar(3, 2, 1, 0, order2=40) + t_warnaar(3, 2, 2, 0, order2=40)
+    assert a.terms and series_diff(a, b) is None
+    b = t_ab(3, 1, order2=40) + t_ab(3, 2, order2=40)
+    assert series_diff(u_of(3, 1, order2=40), b) is None
 
 
 def test_doubly_bounded_identity_grid():
@@ -125,10 +128,50 @@ def test_singly_bounded_identity_grid():
             assert identity_4_20(k, l) is None
 
 
-def test_poly_equal_needs_exact():
-    inexact = at_order(q_binomial(4, 2), 4)
-    with pytest.raises(ValueError):
-        poly_equal(inexact, q_binomial(4, 2))
+def _dict(s):
+    assert s.is_univariate
+    return {e2: c for (e2, _, _), c in s.terms.items()}
+
+
+def _degree(p):
+    return max(p, default=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 5))
+def test_packed_sides_match_schoolbook(k, l, m):
+    for got, want in ((sides_4_15(k, l, m), sb.sides_4_15(k, l, m)),
+                      (sides_4_20(k, l), sb.sides_4_20(k, l))):
+        assert [_dict(s) for s in got] == list(want)
+        # both sides share the bound one past the top degree, plus one
+        assert {s.order2 for s in got} == {max(map(_degree, want)) + 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(-3, 10), st.integers(-3, 6),
+       st.integers(0, 60))
+def test_packed_trinomials_match_schoolbook(l, m, a, b, order2):
+    want = sb.t_warnaar(l, m, a, b)
+    assert _dict(t_warnaar(l, m, a, b)) == want
+    assert t_warnaar(l, m, a, b).order2 == _degree(want) + 2
+    assert _dict(t_ab(l, a)) == sb.t_ab(l, a)
+    if order2:
+        cut = t_warnaar(l, m, a, b, order2=order2)
+        assert cut.order2 == order2
+        assert _dict(cut) == {e2: c for e2, c in want.items() if e2 < order2}
+
+
+def test_packing_widens_past_four_byte_slots():
+    # a 34-bit coefficient does not fit a 4-byte balanced digit
+    want = sb.t_warnaar(16, 12, 1, 0)
+    assert max(map(abs, want.values())) >= 2**31
+    assert _dict(t_warnaar(16, 12, 1, 0)) == want
+    # here the coefficients fit, but their bound (the sum of the q = 1
+    # values) does not, and only the terms below order2 are read back
+    want = sb.u_tilde(90, 3, 1, 0)
+    assert sum(map(abs, want.values())) >= 2**31
+    got = u_tilde(90, 3, 1, 0, order2=101)
+    assert _dict(got) == {e2: c for e2, c in want.items() if e2 < 101}
 
 
 def test_stabilized_index():
