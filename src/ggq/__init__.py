@@ -12,7 +12,6 @@ from .series import (
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
-    jacobi_check,
     jacobi_sides,
     jacobi_theta,
     monomial,
@@ -69,17 +68,13 @@ from .bijection import (
 )
 from .bailey import (
     BaileyPair,
-    finite_identity_4_7,
     iterate_closed,
     lhs_4_7,
     rhs_4_7,
     seed_E4,
     step,
-    verify_pair,
 )
 from .trinomials import (
-    identity_4_15,
-    identity_4_20,
     limit_4_9,
     limit_4_10,
     limit_4_17,

@@ -7,12 +7,16 @@ and (-sqrt q)_n are integer shifts.  The defining relation
 
 is checked termwise; pair equality always means termwise series equality
 up to the shared order.
+
+The multisums of the hierarchy (4.7, and 4.12/4.13 in the registry) are
+k applications of the limiting lemma, the Bailey chain (Andrews, Pacific
+J. Math. 114 (1984)); ``chain_level`` is one application, and ``step``
+and both multisums run it level by level instead of listing vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .series import (
     FactorSpec,
@@ -21,7 +25,6 @@ from .series import (
     monomial,
     one,
     poch_finite,
-    series_diff,
     zero,
 )
 from .trinomials import n_vectors, q_binomial
@@ -30,13 +33,11 @@ __all__ = [
     "BaileyPair",
     "seed_E4",
     "defining_sum",
-    "pair_mismatch",
-    "verify_pair",
+    "chain_level",
     "step",
     "iterate_closed",
     "lhs_4_7",
     "rhs_4_7",
-    "finite_identity_4_7",
 ]
 
 Q = FactorSpec(1, 2, 2)  # (q; q)
@@ -87,36 +88,37 @@ def defining_sum(p: BaileyPair, n: int) -> TruncSeries:
     return acc
 
 
-def pair_mismatch(p: BaileyPair) -> Optional[tuple[int, tuple, int, int]]:
-    """First (n, key, expected, got) where the defining relation breaks."""
-    for n in range(p.n_max + 1):
-        d = series_diff(p.beta[n], defining_sum(p, n))
-        if d is not None:
-            key, want, got = d
-            return n, key, want, got
-    return None
+def chain_level(
+    g: list[TruncSeries], scale2: int, den: FactorSpec, order2: int
+) -> list[TruncSeries]:
+    """One level of the Bailey chain: for n < len(g),
 
+        h_n = sum_{i<=n} q^(scale2 i^2 / 2) g_i / (den)_{n-i}.
 
-def verify_pair(p: BaileyPair) -> bool:
-    return pair_mismatch(p) is None
+    Each g_i is weighted once, then each (n, i) costs one product.
+    """
+    weighted = [monomial(1, scale2 * i * i, order2=order2) * gi for i, gi in enumerate(g)]
+    out = []
+    for n in range(len(g)):
+        acc = zero(order2)
+        for i in range(n + 1):
+            acc = acc + weighted[i] * inv_poch_finite(den, n - i, order2=order2)
+        out.append(acc)
+    return out
 
 
 def step(p: BaileyPair) -> BaileyPair:
-    """One application of the limiting lemma: a new pair from an old one."""
-    alpha = []
-    beta = []
-    for n in range(p.n_max + 1):
-        alpha.append(monomial(1, n * n, order2=p.order2) * p.alpha[n])
-        acc = zero(p.order2)
-        for i in range(n + 1):
-            acc = acc + (
-                poch_finite(SQ, i, order2=p.order2)
-                * monomial(1, i * i, order2=p.order2)
-                * p.beta[i]
-                * inv_poch_finite(Q, n - i, order2=p.order2)
-            )
-        beta.append(acc * inv_poch_finite(SQ, n, order2=p.order2))
-    return BaileyPair(tuple(alpha), tuple(beta), p.order2)
+    """One application of the limiting lemma: a new pair from an old one.
+
+    alpha_n becomes q^(n^2/2) alpha_n, and beta_n becomes h_n / (-sqrt q)_n,
+    where h is the chain level over (q; q) of (-sqrt q)_n beta_n.
+    """
+    order2 = p.order2
+    alpha = [monomial(1, n * n, order2=order2) * a for n, a in enumerate(p.alpha)]
+    gamma = [poch_finite(SQ, n, order2=order2) * b for n, b in enumerate(p.beta)]
+    h = chain_level(gamma, 1, Q, order2)
+    beta = [hn * inv_poch_finite(SQ, n, order2=order2) for n, hn in enumerate(h)]
+    return BaileyPair(tuple(alpha), tuple(beta), order2)
 
 
 def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
@@ -146,20 +148,22 @@ def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
 
 def lhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
     """Multi-sum with the E(4) ingredients folded in; equals
-    (-sqrt q)_n * beta_n^(k)."""
-    acc = zero(order2)
-    for nvec in n_vectors(k, n):
-        small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
-        nk = small[-1]
-        e2 = sum(v * v for v in nvec) + 2 * nvec[-1]
-        term = monomial(1, e2, order2=order2)
-        term = term * poch_finite(SQ, nk, order2=order2)
-        term = term * inv_poch_finite(Q, n - nvec[0], order2=order2)
-        for nj in small[:-1]:
-            term = term * inv_poch_finite(Q, nj, order2=order2)
-        term = term * inv_poch_finite(Q2, nk, order2=order2)
-        acc = acc + term
-    return acc
+    (-sqrt q)_n * beta_n^(k).
+
+    The sum over n >= N_1 >= .. >= N_k of q^((sum N_i^2)/2 + N_k)
+    (-sqrt q)_{N_k} / ((q)_{n-N_1} .. (q)_{N_(k-1)-N_k} (q^2; q^2)_{N_k}),
+    evaluated as k chain levels over (q; q) from the seed
+    g_m = q^m (-sqrt q)_m / (q^2; q^2)_m, m <= n.
+    """
+    g = [
+        monomial(1, 2 * m, order2=order2)
+        * poch_finite(SQ, m, order2=order2)
+        * inv_poch_finite(Q2, m, order2=order2)
+        for m in range(n + 1)
+    ]
+    for _ in range(k):
+        g = chain_level(g, 1, Q, order2)
+    return g[n]
 
 
 def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
@@ -180,7 +184,3 @@ def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
         * inv_poch_finite(Q, 2 * n, order2=order2)
     )
 
-
-def finite_identity_4_7(n: int, k: int, order2: int):
-    """None when the two sides agree, else the first differing key."""
-    return series_diff(lhs_4_7(n, k, order2), rhs_4_7(n, k, order2))

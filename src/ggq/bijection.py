@@ -376,11 +376,13 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 # -- enumeration of the target objects ----------------------------------
 
 
-def _distinct_odds(n: int, min_part: int, below: Optional[int] = None) -> list[Partition]:
-    """Partitions of n into distinct odd parts p, min_part <= p < below."""
+@lru_cache(maxsize=None)
+def _distinct_odds(n: int, min_part: int, below: Optional[int] = None) -> tuple[Partition, ...]:
+    """Partitions of n into distinct odd parts p, min_part <= p < below;
+    cached, so a tuple."""
     below = n + 1 if below is None else below
     odds = Family(lambda last, p: (p, 1) if p % 2 and min_part <= p < below and p > last else None)
-    return enumerate_partitions(n, odds)
+    return tuple(enumerate_partitions(n, odds))
 
 
 def _pi2_step(state: int, p: int):

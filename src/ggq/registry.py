@@ -22,9 +22,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Optional
 
 from .bailey import (
+    chain_level,
     defining_sum,
     iterate_closed,
     lhs_4_7,
@@ -76,7 +78,6 @@ from .trinomials import (
     limit_4_10,
     limit_4_17,
     limit_4_18,
-    n_vectors,
     sides_4_15,
     sides_4_20,
 )
@@ -217,17 +218,26 @@ def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeri
 
 
 def _lhs_hierarchy(k: int, order2: int) -> TruncSeries:
+    """The k-fold multisum of 4.12: over N_1 >= .. >= N_k >= 0, the sum of
+    q^(sum N_i^2 + 2 N_k) (-q; q^2)_{N_k} / ((q^2; q^2)_{N_1-N_2} ..
+    (q^2; q^2)_{N_(k-1)-N_k} (q^4; q^4)_{N_k}).
+
+    The Bailey chain in base q^2: k - 1 chain levels over (q^2; q^2) from
+    the seed g_m = q^(2m) (-q; q^2)_m / (q^4; q^4)_m, then the sum of
+    q^(m^2) g_m.  Every term has e2 >= 2 N_1^2, so m stops where that
+    reaches order2.
+    """
+    g = [
+        monomial(1, 4 * m, order2=order2)
+        * poch_finite(MQ_Q2, m, order2=order2)
+        * inv_poch_finite(Q4F, m, order2=order2)
+        for m in range(isqrt((order2 - 1) // 2) + 1)
+    ]
+    for _ in range(k - 1):
+        g = chain_level(g, 2, Q2F, order2)
     total = zero(order2)
-    for nvec in n_vectors(k, order2, order2):  # the budget binds, not the cap
-        e2 = 2 * (sum(v * v for v in nvec) + 2 * nvec[-1])
-        term = monomial(1, e2, order2=order2)
-        term = term * poch_finite(MQ_Q2, nvec[-1], order2=order2)
-        for i in range(k - 1):
-            term = term * inv_poch_finite(
-                Q2F, nvec[i] - nvec[i + 1], order2=order2
-            )
-        term = term * inv_poch_finite(Q4F, nvec[-1], order2=order2)
-        total = total + term
+    for m, gm in enumerate(g):
+        total = total + monomial(1, 2 * m * m, order2=order2) * gm
     return total
 
 
@@ -446,7 +456,9 @@ def _build_4_5(order2, k_max, n_max):
         cur = step(cur)
         closed = iterate_closed(base, k)
         for n in range(n_max + 1):
-            facets.append(Facet(f"alpha k={k} n={n}", closed.alpha[n], cur.alpha[n]))
+            # alpha_n starts at q^(k n^2 / 2 + n^2 - n); past order2 both sides are 0
+            if k * n * n + 2 * n * (n - 1) < order2:
+                facets.append(Facet(f"alpha k={k} n={n}", closed.alpha[n], cur.alpha[n]))
             facets.append(Facet(f"beta k={k} n={n}", closed.beta[n], cur.beta[n]))
     return facets
 
@@ -523,11 +535,13 @@ def _build_4_14(order2, counts_max):
     ]
 
 
+# at l = 0 both sides of 4.15 and 4.20 are the zero polynomial, so the
+# grids start at l = 1
 def _build_4_15(k_list, l_max, m_max):
     return [
         Facet(f"doubly-bounded k={k} l={l} m={m}", *sides_4_15(k, l, m))
         for k in k_list
-        for l in range(l_max + 1)
+        for l in range(1, l_max + 1)
         for m in range(m_max + 1)
     ]
 
@@ -536,7 +550,7 @@ def _build_4_20(k_list, l_max):
     return [
         Facet(f"singly-bounded k={k} l={l}", *sides_4_20(k, l))
         for k in k_list
-        for l in range(l_max + 1)
+        for l in range(1, l_max + 1)
     ]
 
 
@@ -816,7 +830,7 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
     return Facet(f.label, got, f.expected)
 
 
-_LEAST_BOUNDS = {"order2": 3, "n_max": 1, "sigma_max": 1, "k_max": 1, "l_max": 0,
+_LEAST_BOUNDS = {"order2": 3, "n_max": 1, "sigma_max": 1, "k_max": 1, "l_max": 1,
                  "m_max": 0, "j_max": 0, "triples_max": 0, "counts_max": 0}
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "reciprocal",
     "jacobi_theta",
     "jacobi_sides",
-    "jacobi_check",
 ]
 
 
@@ -634,7 +633,3 @@ def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
         prod = prod * poch_infinite(FactorSpec(s_a, e2a, 4), order2=inner)
     return lhs, shift_exponents(prod.scale(mult), n0 - shift)
 
-
-def jacobi_check(zspec, *, order2: int) -> bool:
-    lhs, rhs = jacobi_sides(zspec, order2=order2)
-    return series_diff(lhs, rhs) is None

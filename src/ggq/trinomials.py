@@ -20,7 +20,7 @@ would run to hundreds of thousands of bits.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import comb, isqrt
+from math import comb
 from operator import add
 
 from .series import (
@@ -31,7 +31,6 @@ from .series import (
     inv_poch_infinite,
     one,
     poch_finite,
-    series_diff,
 )
 
 __all__ = [
@@ -42,9 +41,7 @@ __all__ = [
     "u_tilde",
     "u_of",
     "sides_4_15",
-    "identity_4_15",
     "sides_4_20",
-    "identity_4_20",
     "limit_4_9",
     "limit_4_10",
     "limit_4_17",
@@ -201,25 +198,18 @@ def u_of(l: int, a: int, *, order2: int = 0) -> TruncSeries:
 # -- the doubly bounded identity and its m -> infinity form -------------
 
 
-def n_vectors(k: int, cap: int, order2: int = 0):
+def n_vectors(k: int, cap: int):
     """Weakly decreasing nonnegative (N_1..N_k) with N_1 <= cap, in
-    descending lexicographic order.
+    descending lexicographic order."""
 
-    A positive order2 is a truncation budget: only vectors with
-    2*sum(N_i^2) < order2 are listed, and the walk never enters a
-    subtree past it.
-    """
-
-    def rec(prefix, hi, sq):
+    def rec(prefix, hi):
         if len(prefix) == k:
             yield prefix
             return
-        if order2 > 0:
-            hi = min(hi, isqrt((order2 - 1 - sq) // 2))
         for v in range(hi, -1, -1):
-            yield from rec(prefix + (v,), v, sq + 2 * v * v)
+            yield from rec(prefix + (v,), v)
 
-    yield from rec((), cap, 0)
+    yield from rec((), cap)
 
 
 def _bounded_lhs(k: int, l: int, cap: int, head, bits: int) -> tuple[int, int]:
@@ -288,11 +278,6 @@ def sides_4_15(k: int, l: int, m: int) -> tuple[TruncSeries, TruncSeries]:
     )
 
 
-def identity_4_15(k: int, l: int, m: int):
-    """None when the sides of 4.15 at (k, l, m) agree, else the first mismatch."""
-    return series_diff(*sides_4_15(k, l, m))
-
-
 def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the singly bounded identity at (k, l), the m -> infinity
     form of 4.15, whole, at one bound: the multisum with N_1 <= l (l - 1
@@ -302,11 +287,6 @@ def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
         partial(_bounded_lhs, k, l, cap, lambda n1, bits: (1, 1)),
         partial(_rhs_hierarchy, k, lambda a, b, bits: _u_of(l, a, bits)),
     )
-
-
-def identity_4_20(k: int, l: int):
-    """None when the sides of 4.20 at (k, l) agree, else the first mismatch."""
-    return series_diff(*sides_4_20(k, l))
 
 
 # -- limit / stabilization checks ---------------------------------------

@@ -85,6 +85,8 @@ def test_verify_k_below_one_is_usage_error(capsys):
         (["--id", "4.9", "--order", "1"], "order2"),
         (["--id", "thm1", "--n", "0"], "n_max"),
         (["--id", "2.7", "--n", "0"], "sigma_max"),
+        (["--id", "4.15", "--l", "0"], "l_max"),
+        (["--id", "4.20", "--l", "0"], "l_max"),
     ],
 )
 def test_verify_bound_past_nothing_is_usage_error(capsys, argv, bound):

@@ -75,7 +75,7 @@ def test_listers_match_brute_force():
             n, bf.distinct_where(lambda p: p % 4 == 0)
         )
         for lo in (1, 4):
-            assert _distinct_odds(n, lo) == bf.enumerate_partitions(
+            assert list(_distinct_odds(n, lo)) == bf.enumerate_partitions(
                 n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
             )
 

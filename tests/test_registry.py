@@ -157,7 +157,7 @@ QUICK_FACETS = {
     "3.8": (1, "sum-vs-product"),
     "3.10": (3, "double-vs-single"),
     "4.3": (6, "stepped-relation n=0"),
-    "4.5": (40, "alpha k=1 n=0"),
+    "4.5": (39, "alpha k=1 n=0"),
     "4.6": (7, "defining-relation n=0"),
     "4.7": (21, "finite-identity n=0 k=1"),
     "4.9": (1, "stabilizes"),
@@ -166,10 +166,10 @@ QUICK_FACETS = {
     "4.12": (24, "sum-vs-product k=1"),
     "4.13": (3, "sum-vs-pair-product"),
     "4.14": (4, "sum-vs-product"),
-    "4.15": (147, "doubly-bounded k=1 l=0 m=0"),
+    "4.15": (126, "doubly-bounded k=1 l=1 m=0"),
     "4.17": (1, "stabilizes"),
     "4.18": (1, "stabilizes"),
-    "4.20": (33, "singly-bounded k=1 l=0"),
+    "4.20": (30, "singly-bounded k=1 l=1"),
     "thm1": (2, "gap-side-vs-distinct-side i=1"),
     "thm2": (2, "gap-side-vs-residue-side i=1"),
     "thm3": (1, "weighted-vs-distinct"),
@@ -182,16 +182,21 @@ QUICK_FACETS = {
 
 def test_every_facet_matches_and_fails_under_corruption():
     assert set(QUICK_FACETS) == set(REGISTRY)
-    built = {}
-    for check_id, entry in REGISTRY.items():
-        facets = entry.builder(**entry.quick)
-        built[check_id] = (len(facets), facets[0].label)
-        for f in facets:
-            assert _facet_mismatch(f) is None, (check_id, f.label)
-            broken = _corrupted(f, Corruption())
-            assert _facet_mismatch(broken) is not None, (check_id, f.label)
-    assert built == QUICK_FACETS
-    assert sum(n for n, _ in built.values()) == 332
+    for level, total in (("quick", 307), ("full", 454)):
+        built = {}
+        for check_id, entry in REGISTRY.items():
+            facets = entry.builder(**getattr(entry, level))
+            built[check_id] = (len(facets), facets[0].label)
+            for f in facets:
+                # two zero series compare no coefficient at all
+                if f.kind == "series":
+                    assert f.got.terms or f.expected.terms, (level, check_id, f.label)
+                assert _facet_mismatch(f) is None, (level, check_id, f.label)
+                broken = _corrupted(f, Corruption())
+                assert _facet_mismatch(broken) is not None, (level, check_id, f.label)
+        if level == "quick":
+            assert built == QUICK_FACETS
+        assert sum(n for n, _ in built.values()) == total, level
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from ggq.series import (
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
-    jacobi_check,
     jacobi_sides,
     jacobi_theta,
     monomial,
@@ -253,7 +252,7 @@ def test_theta_expansion():
 
 @pytest.mark.parametrize("zspec", [(1, 0), (-1, 0), (1, 2), (1, 6)])
 def test_triple_product(zspec):
-    assert jacobi_check(zspec, order2=121)
+    assert series_diff(*jacobi_sides(zspec, order2=121)) is None
 
 
 def test_theta_rejects_unnormalizable_input():
