@@ -13,14 +13,12 @@ from .series import (
     inv_poch_finite,
     inv_poch_infinite,
     jacobi_sides,
-    jacobi_theta,
     monomial,
     one,
     poch_finite,
     poch_infinite,
     poch_product,
     q_coefficients,
-    reciprocal,
     series_diff,
     shift_exponents,
     truncate,

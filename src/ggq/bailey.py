@@ -146,24 +146,27 @@ def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
 
-def lhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
-    """Multi-sum with the E(4) ingredients folded in; equals
-    (-sqrt q)_n * beta_n^(k).
+def lhs_4_7(n: int, k: int, order2: int) -> list[list[TruncSeries]]:
+    """Multi-sums with the E(4) ingredients folded in, for every level up
+    to k and every index up to n, from one chain: entry [j][m] equals
+    (-sqrt q)_m * beta_m^(j).
 
-    The sum over n >= N_1 >= .. >= N_k of q^((sum N_i^2)/2 + N_k)
-    (-sqrt q)_{N_k} / ((q)_{n-N_1} .. (q)_{N_(k-1)-N_k} (q^2; q^2)_{N_k}),
-    evaluated as k chain levels over (q; q) from the seed
-    g_m = q^m (-sqrt q)_m / (q^2; q^2)_m, m <= n.
+    The j-fold sum over m >= N_1 >= .. >= N_j of q^((sum N_i^2)/2 + N_j)
+    (-sqrt q)_{N_j} / ((q)_{m-N_1} .. (q)_{N_(j-1)-N_j} (q^2; q^2)_{N_j}),
+    evaluated as j chain levels over (q; q) from the seed (level 0)
+    g_m = q^m (-sqrt q)_m / (q^2; q^2)_m.  Entry m of a level reads only
+    entries up to m of the level below, so one chain over m <= n holds
+    every (m, j).
     """
-    g = [
+    levels = [[
         monomial(1, 2 * m, order2=order2)
         * poch_finite(SQ, m, order2=order2)
         * inv_poch_finite(Q2, m, order2=order2)
         for m in range(n + 1)
-    ]
+    ]]
     for _ in range(k):
-        g = chain_level(g, 1, Q, order2)
-    return g[n]
+        levels.append(chain_level(levels[-1], 1, Q, order2))
+    return levels
 
 
 def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:

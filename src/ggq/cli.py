@@ -122,9 +122,14 @@ def emit_json(reports: Sequence[VerificationReport]) -> str:
 
 def parse_json(text: str) -> list[VerificationReport]:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("report must be a JSON object")
     if payload.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version: {payload.get('version')}")
-    return [report_from_dict(d) for d in payload["checks"]]
+    checks = payload.get("checks")
+    if not isinstance(checks, list) or not all(isinstance(d, dict) for d in checks):
+        raise ValueError("report checks must be a list of objects")
+    return [report_from_dict(d) for d in checks]
 
 
 _CSV_COLUMNS = ["id", "params", "order2", "status", "first_mismatch", "elapsed_ms"]

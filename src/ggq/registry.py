@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable, Optional
 
 from .bailey import (
@@ -68,7 +68,6 @@ from .series import (
     poch_infinite,
     poch_product,
     q_coefficients,
-    reciprocal,
     series_diff,
     zero,
     zw_slice,
@@ -217,15 +216,15 @@ def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeri
     return total
 
 
-def _lhs_hierarchy(k: int, order2: int) -> TruncSeries:
-    """The k-fold multisum of 4.12: over N_1 >= .. >= N_k >= 0, the sum of
-    q^(sum N_i^2 + 2 N_k) (-q; q^2)_{N_k} / ((q^2; q^2)_{N_1-N_2} ..
-    (q^2; q^2)_{N_(k-1)-N_k} (q^4; q^4)_{N_k}).
+def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
+    """The j-fold multisums of 4.12 for j = 1..k, entry j - 1: over
+    N_1 >= .. >= N_j >= 0, the sum of q^(sum N_i^2 + 2 N_j) (-q; q^2)_{N_j}
+    / ((q^2; q^2)_{N_1-N_2} .. (q^2; q^2)_{N_(j-1)-N_j} (q^4; q^4)_{N_j}).
 
-    The Bailey chain in base q^2: k - 1 chain levels over (q^2; q^2) from
-    the seed g_m = q^(2m) (-q; q^2)_m / (q^4; q^4)_m, then the sum of
-    q^(m^2) g_m.  Every term has e2 >= 2 N_1^2, so m stops where that
-    reaches order2.
+    The Bailey chain in base q^2, run once: the j-fold sum is the sum of
+    q^(m^2) g_m over level j - 1 of the chain over (q^2; q^2) from the seed
+    g_m = q^(2m) (-q; q^2)_m / (q^4; q^4)_m.  Every term has
+    e2 >= 2 N_1^2, so m stops where that reaches order2.
     """
     g = [
         monomial(1, 4 * m, order2=order2)
@@ -233,12 +232,13 @@ def _lhs_hierarchy(k: int, order2: int) -> TruncSeries:
         * inv_poch_finite(Q4F, m, order2=order2)
         for m in range(isqrt((order2 - 1) // 2) + 1)
     ]
-    for _ in range(k - 1):
-        g = chain_level(g, 2, Q2F, order2)
-    total = zero(order2)
-    for m, gm in enumerate(g):
-        total = total + monomial(1, 2 * m * m, order2=order2) * gm
-    return total
+    weights = [monomial(1, 2 * m * m, order2=order2) for m in range(len(g))]
+    sums = []
+    for j in range(k):
+        if j:
+            g = chain_level(g, 2, Q2F, order2)
+        sums.append(sum((w * gm for w, gm in zip(weights, g)), zero(order2)))
+    return sums
 
 
 def _hier_rewrite(k: int, order2: int) -> Optional[TruncSeries]:
@@ -300,9 +300,9 @@ def _sum_vs_product(lhs, rhs, counted=None):
 
 
 def _product(*specs, inverse=False):
-    """order2 -> the product of the FactorSpecs, or its reciprocal."""
+    """order2 -> the product of the FactorSpecs, or of their inverses."""
     if inverse:
-        return lambda order2: reciprocal(poch_product(specs, order2=order2))
+        return lambda order2: prod(inv_poch_infinite(f, order2=order2) for f in specs)
     return lambda order2: poch_product(specs, order2=order2)
 
 
@@ -464,12 +464,9 @@ def _build_4_5(order2, k_max, n_max):
 
 
 def _build_4_7(order2, n_max, k_max):
+    levels = lhs_4_7(n_max, k_max, order2)
     return [
-        Facet(
-            f"finite-identity n={n} k={k}",
-            lhs_4_7(n, k, order2),
-            rhs_4_7(n, k, order2),
-        )
+        Facet(f"finite-identity n={n} k={k}", levels[k][n], rhs_4_7(n, k, order2))
         for k in range(1, k_max + 1)
         for n in range(n_max + 1)
     ]
@@ -486,8 +483,9 @@ def _build_4_11(order2):
 
 def _build_4_12(order2, k_list, counts_max):
     facets = []
+    sums = _lhs_hierarchy(max(k_list, default=0), order2)
     for k in k_list:
-        lhs = _lhs_hierarchy(k, order2)
+        lhs = sums[k - 1]
         m = 4 * k + 8
         triple = poch_product([F(1, m, m), F(1, 2 * k, m), F(1, 2 * k + 8, m)], order2=order2)
         form1 = triple * poch_infinite(MQ_Q2, order2=order2)
@@ -509,7 +507,7 @@ def _build_4_12(order2, k_list, counts_max):
 
 
 def _build_4_13(order2, counts_max):
-    a = _lhs_hierarchy(2, order2)
+    a = _lhs_hierarchy(2, order2)[1]
     b = poch_product([F(-1, 2, 4), F(-1, 8, 8)], order2=order2)
     c = poch_product([F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)], order2=order2)
     return [
@@ -524,9 +522,9 @@ def _build_4_14(order2, counts_max):
     form1 = poch_product(
         [F(1, 4, 8), F(1, 12, 12), F(1, 2, 12), F(1, 10, 12)], order2=order2
     ) * inv_poch_infinite(Q1F, order2=order2)
-    form2 = poch_infinite(F(-1, 6, 12), order2=order2) * reciprocal(
-        poch_product([F(1, 8, 24), F(1, 16, 24)], order2=order2)
-    )
+    form2 = poch_infinite(F(-1, 6, 12), order2=order2)
+    for f in (F(1, 8, 24), F(1, 16, 24)):
+        form2 = form2 * inv_poch_infinite(f, order2=order2)
     return [
         Facet("sum-vs-product", lhs, form1),
         Facet("product-forms", form1, form2),

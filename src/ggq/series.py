@@ -16,10 +16,11 @@ order2 are unknown and silently dropped by the ring operations, and a
 sum or product keeps the smaller bound of its operands.  Exact
 polynomials (the bounded identities) are built outside this ring, as
 packed integers in ``ggq.trinomials``, and arrive here through
-``_unpack``.  Products go
-pair by pair through a dict, or for long univariate operands through
-shift-add or one signed Kronecker product; the comment above
-``_mul_univariate`` says which and why.
+``_unpack``.  Products go pair by pair through a dict, or for long
+univariate operands through one signed Kronecker product; the comment
+above ``_mul_univariate`` says why.  Pochhammer products (a; q^k)_n and
+their inverses never go factor by factor through ``*``: their builders
+work on dense coefficient lists, as the comment above them says.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ __all__ = [
     "poch_product",
     "inv_poch_finite",
     "inv_poch_infinite",
-    "reciprocal",
-    "jacobi_theta",
     "jacobi_sides",
 ]
 
@@ -253,21 +252,15 @@ def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int):
     return out
 
 
-# Univariate products with more than 400 term pairs.  When the shorter
-# operand has at most two terms, as a Pochhammer factor (1 - s q^(e/2))
-# does, each term c q^(e/2) adds c times the long operand's dense list,
-# shifted by e, to the result.  Cold runs of check 4.11 at order2 1001
-# (2-core x86-64, Python 3.11) took 0.53-0.65 s this way and 1.54-1.98 s
-# with Kronecker only; cuts of 4, 8 and 16 were within noise of 2 there and
-# on 4.12, so the smallest cut that covers a factor stays.  Otherwise one
-# signed Kronecker product: each operand is P - N, its positive and negated
-# negative coefficients packed into B-bit slots, B holding min(terms) *
-# max|a| * max|b| plus a sign bit.  So each product slot lies in
+# Univariate products with more than 400 term pairs take one signed
+# Kronecker product (Pochhammer factors never reach here: the builders
+# below apply them to dense lists).  Each operand is P - N, its positive
+# and negated negative coefficients packed into B-bit slots, B holding
+# min(terms) * max|a| * max|b| plus a sign bit.  So each product slot lies in
 # [-2^(B-1), 2^(B-1)), and adding 2^(B-1) to every slot makes each a digit
 # in [0, 2^B): no slot borrows from the next.  Only slots below order2 are
 # unpacked, through array for 1, 2, 4 or 8 bytes on little-endian machines.
 
-_SHIFT_ADD_TERMS = 2
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
 
@@ -313,18 +306,6 @@ def _mul_univariate(a: dict[Key, int], b: dict[Key, int], order2: int):
         a, b = b, a
     top_a, top_b = max(a)[0], max(b)[0]
     res_len = min(top_a + top_b + 1, order2)
-    if len(a) <= _SHIFT_ADD_TERMS:
-        fb = [0] * (top_b + 1)
-        for (e2, _, _), c in b.items():
-            fb[e2] = c
-        res = [0] * res_len
-        for (e, _, _), c in a.items():
-            end = min(e + len(fb), res_len)
-            seg = res[e:end]
-            res[e:end] = map(add, seg, fb) if c == 1 else map(sub, seg, fb) if c == -1 else [
-                x + c * y for x, y in zip(seg, fb)
-            ]
-        return _uni_terms(res, res_len)
     bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
     width = (bound.bit_length() + len(a).bit_length() + 8) // 8
     if width <= 8:
@@ -417,20 +398,67 @@ def zw_slice(s: TruncSeries, dz: Optional[int] = None, dw: Optional[int] = None)
 
 
 # -- Pochhammer products ------------------------------------------------
+#
+# A family's product is built on dense lists, one per power k of its
+# marker M = z^dz w^dw (a single list when it has none).  The factor
+# (1 - s q^(e/2) M) maps list k to list k - s * (list k-1 shifted by e);
+# lists are updated from the highest k down, so each list is read before
+# it is written.  Unmarked, the one list is its own source, which is safe
+# because the slices read are copies.  Every list is min(order2,
+# degree + 1) long, and a new top list is opened only while its lowest
+# term, at the degree, is visible.  The inverse divides one list by each factor: v[j] += s v[j-e],
+# a block of e at a time, each block reading the block below it that is
+# already divided.
 
 
-def _factor(f: FactorSpec, j: int, order2: int) -> TruncSeries:
-    return one(order2) - monomial(f.sign, f.e2 + j * f.step2, f.dz, f.dw, order2=order2)
+def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
+    """The visible exponents of the first n factors (all of them for None)."""
+    stop = order2 if n is None else min(order2, f.e2 + n * f.step2)
+    return range(f.e2, stop, f.step2)
+
+
+def _dense_product(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
+    marked = 1 if f.dz or f.dw else 0
+    op = sub if f.sign == 1 else add
+    lists = [[1]]
+    degree = 0
+    for e in exps:
+        degree += e
+        size = min(order2, degree + 1)
+        if marked and degree < order2:
+            lists.append([])
+        for v in lists:
+            v.extend(repeat(0, size - len(v)))
+        for k in range(len(lists) - 1, marked - 1, -1):
+            v, src = lists[k], lists[k - marked]
+            v[e:size] = map(op, v[e:size], src[: size - e])
+    if not marked:
+        return TruncSeries._trusted(_uni_terms(lists[0], len(lists[0])), order2, True)
+    terms = {
+        (e2, k * f.dz, k * f.dw): c for k, v in enumerate(lists) for e2, c in enumerate(v) if c
+    }
+    return TruncSeries._trusted(terms, order2, len(lists) == 1)
+
+
+def _dense_inverse(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
+    if f.dz or f.dw:
+        raise ValueError("inverse of a marked family is not built")
+    if f.e2 == 0:
+        raise ValueError("inverse needs a positive first exponent")
+    op = add if f.sign == 1 else sub
+    v = [0] * order2
+    v[0] = 1
+    for e in exps:
+        for b in range(e, order2, e):
+            v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
+    return TruncSeries._trusted(_uni_terms(v, order2), order2, True)
 
 
 def poch_finite(f: FactorSpec, n: int, *, order2: int) -> TruncSeries:
     """Product of the first n factors of the family."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = one(order2)
-    for j in range(n):
-        acc = acc * _factor(f, j, order2)
-    return acc
+    return _dense_product(f, _exponents(f, n, order2), order2)
 
 
 def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
@@ -441,12 +469,7 @@ def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
     """
     if f.e2 == 0 and f.dz == 0 and f.dw == 0:
         raise ValueError("infinite product needs a positive exponent or a marker")
-    acc = one(order2)
-    j = 0
-    while f.e2 + j * f.step2 < order2:
-        acc = acc * _factor(f, j, order2)
-        j += 1
-    return acc
+    return _dense_product(f, _exponents(f, None, order2), order2)
 
 
 def poch_product(specs: Iterable[FactorSpec], *, order2: int) -> TruncSeries:
@@ -458,61 +481,16 @@ def poch_product(specs: Iterable[FactorSpec], *, order2: int) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def inv_poch_finite(f: FactorSpec, n: int, *, order2: int) -> TruncSeries:
-    """Cached 1 / (first n factors). Constant term of the product is 1."""
-    return reciprocal(poch_finite(f, n, order2=order2))
+    """Cached 1 / (first n factors) of an unmarked family with e2 > 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _dense_inverse(f, _exponents(f, n, order2), order2)
 
 
 @lru_cache(maxsize=None)
 def inv_poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
-    return reciprocal(poch_infinite(f, order2=order2))
-
-
-# -- reciprocal ---------------------------------------------------------
-
-
-def reciprocal(s: TruncSeries) -> TruncSeries:
-    """1/s for unit constant term (+1 or -1); division is otherwise undefined.
-
-    Every non-constant term must carry at least q^(1/2), else the
-    expansion would not terminate degree by degree.
-    """
-    c0 = s.terms.get((0, 0, 0), 0)
-    if c0 not in (1, -1):
-        raise ValueError("reciprocal needs constant term +1 or -1")
-    for (e2, dz, dw) in s.terms:
-        if e2 == 0 and (dz or dw):
-            raise ValueError("reciprocal: marker term with no q power")
-    if s.is_univariate:
-        return _reciprocal_univariate(s, c0)
-    # graded geometric expansion: s = c0 (1 - u), u has min e2 >= 1
-    u = one(s.order2) - s.scale(c0)
-    acc = one(s.order2)
-    powu = one(s.order2)
-    for _ in range(s.order2):
-        powu = powu * u
-        if not powu:
-            break
-        acc = acc + powu
-    return acc.scale(c0)
-
-
-def _reciprocal_univariate(s: TruncSeries, c0: int) -> TruncSeries:
-    order2 = s.order2
-    sv = [0] * order2
-    for (e2, _, _), c in s.terms.items():
-        sv[e2] = c
-    rv = [0] * order2
-    rv[0] = c0
-    support = sorted(e2 for (e2, _, _) in s.terms if e2 > 0)
-    for j in range(1, order2):
-        acc = 0
-        for i in support:
-            if i > j:
-                break
-            acc += sv[i] * rv[j - i]
-        if acc:
-            rv[j] = -c0 * acc
-    return TruncSeries._trusted(_uni_terms(rv, order2), order2, True)
+    """Cached 1 / (infinite product) of an unmarked family with e2 > 0."""
+    return _dense_inverse(f, _exponents(f, None, order2), order2)
 
 
 # -- bilateral theta and the triple product -----------------------------
@@ -539,37 +517,6 @@ def _theta_exponent(n: int, e2z: int) -> int:
 def _theta_min(e2z: int) -> int:
     n0 = -e2z // 4
     return min(_theta_exponent(n, e2z) for n in range(n0 - 2, n0 + 3))
-
-
-def jacobi_theta(zspec, *, order2: int) -> TruncSeries:
-    """Bilateral sum of sign^n q^(n^2 + n*e2z/2) over all integers n.
-
-    The specialization must keep every exponent nonnegative; shifted
-    cases are handled by jacobi_sides, which normalizes both sides.
-    """
-    sign, e2z = _zspec(zspec)
-    if _theta_min(e2z) < 0:
-        raise ValueError("specialization produces negative q-exponents")
-    terms: dict[Key, int] = {}
-    for direction in (0, 1):
-        n = 0 if direction == 0 else -1
-        step = 1 if direction == 0 else -1
-        while True:
-            t = _theta_exponent(n, e2z)
-            if t >= order2:
-                # quadratic growth: once past in this direction, stay past
-                if abs(n) > abs(e2z) + 2:
-                    break
-                n += step
-                continue
-            k = (t, 0, 0)
-            c = terms.get(k, 0) + (sign if n % 2 else 1)
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-            n += step
-    return TruncSeries(terms, order2)
 
 
 def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:

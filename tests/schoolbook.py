@@ -1,4 +1,5 @@
-"""Schoolbook exact polynomials: the independent oracle for the packed path.
+"""Schoolbook oracles: exact polynomials for the packed path, and
+Pochhammer products multiplied in one factor at a time.
 
 The refined trinomials and both sides of the bounded identities 4.15 and
 4.20 are written here a second time, as dicts {e2: coeff} over
@@ -7,13 +8,29 @@ coefficients of ``q_binomial``.  Nothing here packs a polynomial into an
 integer or shares the vector walk or the j-sum closure of
 ``ggq.trinomials``: vectors come from a filtered product, and the j-sum
 runs over a fixed range past which every term is zero.
+
+``poch`` multiplies a Pochhammer product out one two-term factor at a
+time through ``TruncSeries.__mul__``; it shares nothing with the dense
+builders of ``ggq.series``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from ggq.series import FactorSpec, TruncSeries, monomial, one
 from ggq.trinomials import q_binomial
+
+
+def poch(f: FactorSpec, n: int | None, order2: int) -> TruncSeries:
+    """The first n factors of the family (every visible one for None), each
+    built as ``one - monomial`` and multiplied in with ``*``."""
+    acc = one(order2)
+    j = 0
+    while (j < n) if n is not None else (f.e2 + j * f.step2 < order2):
+        acc = acc * (one(order2) - monomial(f.sign, f.e2 + j * f.step2, f.dz, f.dw, order2=order2))
+        j += 1
+    return acc
 
 
 def binomial(top: int, bottom: int, step2: int = 2) -> dict[int, int]:

@@ -54,14 +54,16 @@ def test_pair_length_mismatch_rejected():
 
 
 def test_finite_identity_grid():
+    levels = lhs_4_7(5, 2, ORDER2)
+    assert len(levels) == 3 and all(len(level) == 6 for level in levels)
     for n in range(6):
         for k in range(1, 3):
-            assert series_diff(lhs_4_7(n, k, ORDER2), rhs_4_7(n, k, ORDER2)) is None
+            assert series_diff(levels[k][n], rhs_4_7(n, k, ORDER2)) is None
 
 
 def test_finite_identity_detects_damage():
     # sanity on the checker itself: shrinking n on one side must show up
-    assert series_diff(lhs_4_7(3, 2, 60), rhs_4_7(4, 2, 60)) is not None
+    assert series_diff(lhs_4_7(3, 2, 60)[2][3], rhs_4_7(4, 2, 60)) is not None
 
 
 # The multisums of 4.7 and 4.12 written a second time, straight from their
@@ -112,13 +114,17 @@ def vectors_4_12(k, order2):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_chain_matches_the_vector_sum_4_7(k):
-    for n in range(6):
-        got = lhs_4_7(n, k, 60)
-        assert got.terms and got == vectors_4_7(n, k, 60), (n, k)
+    # one chain holds every level up to k and every n up to its own
+    levels = lhs_4_7(5, k, 60)
+    for j in range(1, k + 1):
+        for n in range(6):
+            got = levels[j][n]
+            assert got.terms and got == vectors_4_7(n, j, 60), (n, j)
 
 
 @pytest.mark.parametrize("order2", [21, 81])
 def test_chain_matches_the_vector_sum_4_12(order2):
-    for k in range(1, 5):
-        got = _lhs_hierarchy(k, order2)
+    sums = _lhs_hierarchy(4, order2)
+    assert len(sums) == 4
+    for k, got in enumerate(sums, 1):
         assert got.terms and got == vectors_4_12(k, order2), k

@@ -214,6 +214,22 @@ def test_report_bad_version(capsys, tmp_path):
     assert "version" in err
 
 
+def test_report_top_level_not_an_object(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[]")
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_report_check_not_an_object(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"version": 1, "checks": [1]}))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "list of objects" in err
+
+
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"default_order2": 41, "output_format": "json"}))

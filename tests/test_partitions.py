@@ -28,7 +28,7 @@ from ggq.partitions import (
     stat_t,
     weighted_count,
 )
-from ggq.series import FactorSpec, inv_poch_finite, q_coefficients, reciprocal, poch_product
+from ggq.series import FactorSpec, inv_poch_infinite, one, poch_product, q_coefficients
 
 
 def test_partition_basics():
@@ -182,12 +182,9 @@ def test_residue_family_machinery():
 def test_mod8_families_match_products():
     # 1/((q^a;q^8)(q^4;q^8)(q^b;q^8)) expands to the residue counts
     for i, (a, b) in ((1, (1, 7)), (3, (3, 5))):
-        prod = reciprocal(
-            poch_product(
-                [FactorSpec(1, 2 * a, 16), FactorSpec(1, 8, 16), FactorSpec(1, 2 * b, 16)],
-                order2=81,
-            )
-        )
+        prod = one(81)
+        for f in (FactorSpec(1, 2 * a, 16), FactorSpec(1, 8, 16), FactorSpec(1, 2 * b, 16)):
+            prod = prod * inv_poch_infinite(f, order2=81)
         want = [count_residue_family(MOD8_CONFIG[i], n) for n in range(41)]
         assert q_coefficients(prod, 40) == want
 

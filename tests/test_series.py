@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schoolbook
+
 from ggq.series import (
     FactorSpec,
     TruncSeries,
@@ -10,14 +12,12 @@ from ggq.series import (
     inv_poch_finite,
     inv_poch_infinite,
     jacobi_sides,
-    jacobi_theta,
     monomial,
     one,
     poch_finite,
     poch_infinite,
     poch_product,
     q_coefficients,
-    reciprocal,
     series_diff,
     shift_exponents,
     truncate,
@@ -107,7 +107,8 @@ def _long(coeffs):
 @settings(max_examples=30, deadline=None)
 @given(_univariate(_mixed, 2, 2, 600), _long(_mixed))
 def test_shift_add_multiplication_matches_schoolbook(short, long):
-    # past 400 term pairs, so the product takes the univariate kernel
+    # one two-term operand, the shape of a Pochhammer factor, past 400 term
+    # pairs: the product takes the Kronecker kernel
     prod = short * long
     assert prod.terms == _naive_mul(short, long, 600)
     assert (long * short).terms == prod.terms
@@ -207,28 +208,56 @@ def test_poch_finite_recurrence():
             assert grown == poch_finite(f, n + 1, order2=40)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(1, 19), st.just(0), st.just(0)), _coeffs, max_size=6))
-def test_reciprocal_inverts(tail):
-    s = TruncSeries({(0, 0, 0): 1, **tail}, 20)
-    assert s * reciprocal(s) == one(20)
+# families of every sign, first exponent and step, unmarked or marked by
+# z, w or zw
+_families = st.builds(
+    lambda sign, e2, step2, mark: FactorSpec(sign, e2, step2, *mark),
+    st.sampled_from([1, -1]),
+    st.integers(0, 9),
+    st.integers(1, 6),
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+)
+_univariate_families = _families.filter(lambda f: f.e2 > 0 and not (f.dz or f.dw))
 
 
-def test_reciprocal_involution():
-    s = poch_finite(FactorSpec(-1, 2, 4), 3, order2=40)
-    assert series_diff(reciprocal(reciprocal(s)), s) is None
+def _outcome(build):
+    # a marked product whose marker degree outgrows order2 is rejected
+    try:
+        return build()
+    except ValueError:
+        return ValueError
 
 
-def test_reciprocal_needs_unit_constant():
+@settings(max_examples=150, deadline=None)
+@given(_families, st.integers(0, 90), st.integers(5, 80))
+def test_dense_products_match_the_factor_by_factor_product(f, n, order2):
+    # n runs past the last factor below order2 (at most 80 of them)
+    got = _outcome(lambda: poch_finite(f, n, order2=order2))
+    assert got == _outcome(lambda: schoolbook.poch(f, n, order2))
+    if f.e2 == 0 and not (f.dz or f.dw):
+        with pytest.raises(ValueError):
+            poch_infinite(f, order2=order2)
+    else:
+        got = _outcome(lambda: poch_infinite(f, order2=order2))
+        assert got == _outcome(lambda: schoolbook.poch(f, None, order2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_univariate_families, st.integers(0, 40), st.integers(5, 80))
+def test_inverse_pochhammer_consistency(f, n, order2):
+    assert poch_finite(f, n, order2=order2) * inv_poch_finite(f, n, order2=order2) == one(order2)
+    assert poch_infinite(f, order2=order2) * inv_poch_infinite(f, order2=order2) == one(order2)
+
+
+@pytest.mark.parametrize("f", [FactorSpec(1, 2, 2, 1), FactorSpec(-1, 4, 4, 0, 1),
+                               FactorSpec(1, 0, 2), FactorSpec(-1, 0, 3, 1, 1)])
+def test_inverse_rejects_marked_and_zero_exponent_families(f):
+    # no catalog id inverts such a family: a marked inverse, or one whose
+    # first factor is (1 -/+ z^dz w^dw) or a constant
     with pytest.raises(ValueError):
-        reciprocal(monomial(2, 0, order2=8))
-
-
-def test_inverse_pochhammer_consistency():
-    for f in (Q, FactorSpec(1, 4, 4), FactorSpec(-1, 2, 4)):
-        for n in (0, 1, 4):
-            assert poch_finite(f, n, order2=50) * inv_poch_finite(f, n, order2=50) == one(50)
-        assert poch_infinite(f, order2=50) * inv_poch_infinite(f, order2=50) == one(50)
+        inv_poch_finite(f, 2, order2=20)
+    with pytest.raises(ValueError):
+        inv_poch_infinite(f, order2=20)
 
 
 def test_marker_tools():
@@ -246,18 +275,13 @@ def test_series_diff_reports_smallest_key():
 
 
 def test_theta_expansion():
-    got = q_coefficients(jacobi_theta((1, 0), order2=21), 10)
+    got = q_coefficients(jacobi_sides((1, 0), order2=21)[0], 10)
     assert got == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
 @pytest.mark.parametrize("zspec", [(1, 0), (-1, 0), (1, 2), (1, 6)])
 def test_triple_product(zspec):
     assert series_diff(*jacobi_sides(zspec, order2=121)) is None
-
-
-def test_theta_rejects_unnormalizable_input():
-    with pytest.raises(ValueError):
-        jacobi_theta((1, 6), order2=40)  # negative exponents before normalization
 
 
 def test_inexact_builders_pass_the_flag_at_construction():
@@ -271,13 +295,6 @@ def test_inexact_builders_pass_the_flag_at_construction():
     assert prod.terms == {
         (0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): -1, (4, 1, 0): -1, (6, 1, 0): 1,
         (10, 0, 0): 1, (10, 1, 0): 1, (12, 2, 0): 1, (14, 0, 0): 1, (14, 2, 0): -1,
-    }
-    inv = reciprocal(one(12) - monomial(1, 2, 1, 0, order2=12) - monomial(1, 3, 0, 1, order2=12))
-    assert inv.terms == {
-        (0, 0, 0): 1, (2, 1, 0): 1, (3, 0, 1): 1, (4, 2, 0): 1, (5, 1, 1): 2,
-        (6, 0, 2): 1, (6, 3, 0): 1, (7, 2, 1): 3, (8, 1, 2): 3, (8, 4, 0): 1,
-        (9, 0, 3): 1, (9, 3, 1): 4, (10, 2, 2): 6, (10, 5, 0): 1, (11, 1, 3): 4,
-        (11, 4, 1): 5,
     }
     for side in jacobi_sides((1, 6), order2=30):
         assert side.order2 == 30
@@ -325,9 +342,16 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
     outs = [a * b, b * a, a + b, a - b, a - a, -a, a.scale(c), a * c, truncate(a, cut)]
     # so does the exponent shift
     outs.append(shift_exponents(a, abs(c)))
-    if a.is_univariate:
-        tail = {k: v for k, v in a.terms.items() if k[0] > 0}
-        outs.append(reciprocal(TruncSeries({**tail, (0, 0, 0): 1}, a.order2)))
+    # and so do the Pochhammer builders
+    f = data.draw(_families)
+    n = data.draw(st.integers(0, 30))
+    for build in (lambda: poch_finite(f, n, order2=a.order2),
+                  lambda: poch_infinite(f, order2=a.order2)):
+        out = _outcome(build)
+        if out is not ValueError:
+            outs.append(out)
+    if f.e2 and not (f.dz or f.dw):
+        outs += [inv_poch_finite(f, n, order2=a.order2), inv_poch_infinite(f, order2=a.order2)]
     for out in outs:
         rebuilt = TruncSeries(out.terms, out.order2)
         assert rebuilt == out
