@@ -193,7 +193,12 @@ def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeri
     """Sum over (n1, n2) of z^n1 w^n2 q^(n1^2 + 2 n1 n2 + 2 n2^2 + a n1 + b n2)
     (num)_{n2} / ((q^2; q^2)_{n1} (den2)_{n2}), where lin = (a, b) with
     a >= 0 and b >= -1; markers dropped when not tracked.  The exponent
-    grows with n1, and with n2 at n1 = 0, which bounds the grid."""
+    grows with n1, and with n2 at n1 = 0, which bounds the grid.
+
+    Summed by rows of n2: the factors that depend on n2 alone come out of
+    the n1 sum, so row n2 is the sum over n1 of z^n1 w^n2 q^(...) /
+    (q^2; q^2)_{n1}, multiplied once by (num)_{n2} and once by
+    1 / (den2)_{n2}."""
     a, b = lin
 
     def exp2(n1, n2):
@@ -202,16 +207,16 @@ def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeri
     total = zero(order2)
     n2 = 0
     while exp2(0, n2) < order2:
+        dw = n2 if w_mark else 0
+        row = zero(order2)
         n1 = 0
         while exp2(n1, n2) < order2:
-            dz, dw = n1 if z_mark else 0, n2 if w_mark else 0
-            term = monomial(1, exp2(n1, n2), dz, dw, order2=order2)
-            if num is not None:
-                term = term * poch_finite(num, n2, order2=order2)
-            term = term * inv_poch_finite(Q2F, n1, order2=order2)
-            term = term * inv_poch_finite(den2, n2, order2=order2)
-            total = total + term
+            head = monomial(1, exp2(n1, n2), n1 if z_mark else 0, dw, order2=order2)
+            row = row + head * inv_poch_finite(Q2F, n1, order2=order2)
             n1 += 1
+        if num is not None:
+            row = row * poch_finite(num, n2, order2=order2)
+        total = total + row * inv_poch_finite(den2, n2, order2=order2)
         n2 += 1
     return total
 

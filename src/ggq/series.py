@@ -16,11 +16,14 @@ order2 are unknown and silently dropped by the ring operations, and a
 sum or product keeps the smaller bound of its operands.  Exact
 polynomials (the bounded identities) are built outside this ring, as
 packed integers in ``ggq.trinomials``, and arrive here through
-``_unpack``.  Products go pair by pair through a dict, or for long
-univariate operands through one signed Kronecker product; the comment
-above ``_mul_univariate`` says why.  Pochhammer products (a; q^k)_n and
-their inverses never go factor by factor through ``*``: their builders
-work on dense coefficient lists, as the comment above them says.
+``_unpack``.  Every product goes through one kernel, ``_mul``: a
+one-term operand shifts the keys of the other; otherwise each operand is
+cut into slices of equal marker degrees (dz, dw), and each pair of slices
+is multiplied as univariate series, pair by pair through a dict or as one
+signed Kronecker product; the comment above the kernel says which and
+why.  Pochhammer products (a; q^k)_n and their inverses never go factor
+by factor through ``*``: their builders work on dense coefficient lists,
+as the comment above them says.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, sub
+from math import gcd
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
 Key = tuple[int, int, int]
@@ -110,13 +114,12 @@ class TruncSeries:
     @classmethod
     def _trusted(cls, terms: dict[Key, int], order2: int, uni: bool) -> "TruncSeries":
         """A kernel output, or a re-tagged copy of a valid series, whose
-        terms are already nonzero, nonnegative and below order2, so they
-        are not checked again one by one.  uni may be False for a
-        univariate result, never True with a marker term.  Only the marker
-        bound is checked, on marked results, because products and smaller
-        bounds can break it."""
-        if not uni and any(dz + dw > order2 for _, dz, dw in terms):
-            raise ValueError("marker degree exceeds truncation order")
+        terms are already nonzero, nonnegative, below order2 and within the
+        marker bound, so they are not checked again.  uni may be False for
+        a univariate result, never True with a marker term.  The marker
+        bound can only break in a product, a sum of unequal bounds, a
+        truncation or a marked Pochhammer builder, and each of those checks
+        it itself."""
         s = object.__new__(cls)
         s.terms = terms
         s.order2 = order2
@@ -187,17 +190,23 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order2 = min(self.order2, other.order2)
-        out: dict[Key, int] = {}
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                if k[0] >= order2:
-                    continue
+        # a running total is the longer operand: copy it whole, add the other
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        if big.order2 == order2:
+            out = dict(big.terms)
+        else:
+            out = {k: c for k, c in big.terms.items() if k[0] < order2}
+        for k, c in small.terms.items():
+            if k[0] < order2:
                 acc = out.get(k, 0) + c
                 if acc:
                     out[k] = acc
-                elif k in out:
+                else:
                     del out[k]
-        return TruncSeries._trusted(out, order2, self._uni and other._uni)
+        uni = self._uni and other._uni
+        if not uni and self.order2 != other.order2:
+            _check_markers(out, order2)
+        return TruncSeries._trusted(out, order2, uni)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -220,48 +229,149 @@ class TruncSeries:
         order2 = min(self.order2, other.order2)
         if not self.terms or not other.terms:
             return TruncSeries._trusted({}, order2, True)
-        uni = self._uni and other._uni
-        if uni and len(self.terms) * len(other.terms) > 400:
-            terms = _mul_univariate(self.terms, other.terms, order2)
-        else:
-            terms = _mul_sparse(self.terms, other.terms, order2)
-        return TruncSeries._trusted(terms, order2, uni)
+        return TruncSeries._trusted(_mul(self, other, order2), order2, self._uni and other._uni)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
 
-# -- multiplication kernels ---------------------------------------------
+# -- multiplication kernel ----------------------------------------------
+#
+# A one-term operand is a key shift of the other one.  Any other product
+# goes slice by slice: each operand's terms are grouped by their marker
+# degrees (dz, dw), a univariate series being one slice, and each pair of
+# slices is multiplied as univariate series and added under (dz_a + dz_b,
+# dw_a + dw_b).  A pair whose lowest exponents already sum past order2 is
+# skipped.  A pair of at most 400 term pairs is multiplied pair by pair
+# through a dict.  A longer one takes a signed Kronecker product
+# (Pochhammer factors never reach here: the builders below apply them to
+# dense lists).
+#
+# Packing.  A slice with lowest exponent l is packed in slots (e2 - l) / g,
+# where g divides the gaps between the exponents of every slice of both
+# operands (most slices here step by 4 or 8).  The slice is P - N, its
+# positive and negated negative coefficients in B-bit slots, B holding
+# min(terms) * max|a| * max|b| over the whole operands plus a sign bit: a
+# coefficient of the product sums at most min(terms) term products, so every
+# slot of a slice product, and of a sum of them, lies in [-2^(B-1),
+# 2^(B-1)).  Adding 2^(B-1) to every slot then makes each a digit in
+# [0, 2^B), and no slot borrows from the next.  A pair's product starts at
+# exponent l_a + l_b; the products under one (dz, dw) and one residue of
+# l_a + l_b mod g are shifted into place and added as integers, and each
+# sum is unpacked once, only below order2, through array for 1, 2, 4 or 8
+# bytes on little-endian machines.  The marker bound is checked once, on
+# the result, and only when some pair landed past it.
+
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+Slice = tuple[dict[Key, int], int]  # a slice's terms, read for e2 only, and its lowest e2
 
 
-def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int):
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[Key, int] = {}
-    for (ea, za, wa), ca in a.items():
-        for (eb, zb, wb), cb in b.items():
-            e2 = ea + eb
-            if e2 >= order2:
-                continue
-            k = (e2, za + zb, wa + wb)
-            acc = out.get(k, 0) + ca * cb
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
+def _check_markers(terms: dict[Key, int], order2: int) -> None:
+    if any(dz + dw > order2 for _, dz, dw in terms):
+        raise ValueError("marker degree exceeds truncation order")
+
+
+def _slices(s: TruncSeries) -> dict[tuple[int, int], Slice]:
+    if s._uni:
+        return {(0, 0): (s.terms, 0)}
+    groups: dict[tuple[int, int], dict[Key, int]] = {}
+    for k, c in s.terms.items():
+        sl = groups.get(k[1:])
+        if sl is None:
+            groups[k[1:]] = sl = {}
+        sl[k] = c
+    return {mark: (sl, min(sl)[0]) for mark, sl in groups.items()}
+
+
+def _packing(x: TruncSeries, y: TruncSeries, slices) -> tuple[int, int]:
+    """The slot step g and the bytes per slot for any slice product of x and y."""
+    step = 0
+    for sl in slices:
+        for terms, low in sl.values():
+            step = gcd(step, *map(sub, map(itemgetter(0), terms), repeat(low)))
+    a, b = x.terms, y.terms
+    bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
+    width = (bound.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+    return step, 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _mul(x: TruncSeries, y: TruncSeries, order2: int) -> dict[Key, int]:
+    if len(x.terms) > 1 < len(y.terms):
+        return _mul_sliced(x, y, order2)
+    # a one-term operand moves every key of the other one
+    if len(x.terms) > 1:
+        x, y = y, x
+    ((e, z, w), c), = x.terms.items()
+    out = {
+        (e + e2, z + dz, w + dw): c * v for (e2, dz, dw), v in y.terms.items() if e + e2 < order2
+    }
+    if not y._uni:
+        _check_markers(out, order2)
+    elif z + w > order2 and out:
+        raise ValueError("marker degree exceeds truncation order")
     return out
 
 
-# Univariate products with more than 400 term pairs take one signed
-# Kronecker product (Pochhammer factors never reach here: the builders
-# below apply them to dense lists).  Each operand is P - N, its positive
-# and negated negative coefficients packed into B-bit slots, B holding
-# min(terms) * max|a| * max|b| plus a sign bit.  So each product slot lies in
-# [-2^(B-1), 2^(B-1)), and adding 2^(B-1) to every slot makes each a digit
-# in [0, 2^B): no slot borrows from the next.  Only slots below order2 are
-# unpacked, through array for 1, 2, 4 or 8 bytes on little-endian machines.
+def _mul_sliced(x: TruncSeries, y: TruncSeries, order2: int) -> dict[Key, int]:
+    a, b = _slices(x), _slices(y)
+    step = width = 0
+    packs_a: dict[tuple[int, int], tuple[int, int]] = {}  # (dz, dw) -> (packed slice, slots)
+    packs_b: dict[tuple[int, int], tuple[int, int]] = {}
+    packed: dict[tuple[int, int, int], list[int]] = {}  # (dz, dw, residue) -> [sum, slots]
+    loose: dict[tuple[int, int], dict[int, int]] = {}  # (dz, dw) -> {e2: c}
+    for (za, wa), (sa, la) in a.items():
+        for (zb, wb), (sb, lb) in b.items():
+            low = la + lb
+            if low >= order2:
+                continue
+            if len(sa) * len(sb) <= 400:
+                _mul_sparse(sa, sb, order2, loose.setdefault((za + zb, wa + wb), {}))
+                continue
+            if not step:
+                step, width = _packing(x, y, (a, b))
+            if (za, wa) not in packs_a:
+                packs_a[za, wa] = _pack(sa, la, step, width)
+            if (zb, wb) not in packs_b:
+                packs_b[zb, wb] = _pack(sb, lb, step, width)
+            (va, na), (vb, nb) = packs_a[za, wa], packs_b[zb, wb]
+            residue, base = low % step, low // step
+            slots = min(base + na + nb - 1, (order2 - residue + step - 1) // step)
+            prod = (va * vb) << (8 * width * base)
+            acc = packed.get((za + zb, wa + wb, residue))
+            if acc is None:
+                packed[za + zb, wa + wb, residue] = [prod, slots]
+            else:
+                acc[0] += prod
+                acc[1] = max(acc[1], slots)
+    out: dict[Key, int] = {}
+    for (dz, dw, residue), (val, slots) in packed.items():
+        digits = _digits(val, slots, width)
+        out.update({(residue + step * i, dz, dw): c for i, c in enumerate(digits) if c})
+    for (dz, dw), extra in loose.items():
+        if not packed:
+            out.update({(e2, dz, dw): c for e2, c in extra.items() if c})
+            continue
+        for e2, c in extra.items():
+            if c:
+                k = (e2, dz, dw)
+                v = out.get(k, 0) + c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    if any(dz + dw > order2 for dz, dw, *_ in (*packed, *loose)):
+        _check_markers(out, order2)
+    return out
 
-_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+def _mul_sparse(a: dict[Key, int], b: dict[Key, int], order2: int, out: dict[int, int]) -> None:
+    """Adds the product of two slices, pair by pair, into out {e2: c}."""
+    for (ea, _, _), ca in a.items():
+        for (eb, _, _), cb in b.items():
+            e2 = ea + eb
+            if e2 < order2:
+                out[e2] = out.get(e2, 0) + ca * cb
 
 
 @lru_cache(maxsize=None)
@@ -274,23 +384,26 @@ def _uni_terms(coeffs: Iterable[int], n: int) -> dict[Key, int]:
     return {k: c for k, c in zip(_uni_keys(1 << (n - 1).bit_length()), coeffs) if c}
 
 
-def _pack(terms: dict[Key, int], nslots: int, width: int) -> int:
+def _pack(terms: dict[Key, int], low: int, step: int, width: int) -> tuple[int, int]:
+    """Terms at e2 = low + step * i packed into slot i, and the slot count."""
+    nslots = (max(terms)[0] - low) // step + 1
     pos = [0] * nslots
     neg = [0] * nslots
     for (e2, _, _), c in terms.items():
         if c > 0:
-            pos[e2] = c
+            pos[(e2 - low) // step] = c
         else:
-            neg[e2] = -c
+            neg[(e2 - low) // step] = -c
     code = _ARRAY_CODES.get(width)
     pos, neg = (
         array(code, xs) if code else b"".join(c.to_bytes(width, "little") for c in xs)
         for xs in (pos, neg)
     )
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), nslots
 
 
-def _unpack(val: int, nslots: int, width: int) -> dict[Key, int]:
+def _digits(val: int, nslots: int, width: int) -> Iterable[int]:
+    """The signed coefficients in the first nslots slots of a packed value."""
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * nslots, "little")
     raw = ((val + bias) & ((1 << (8 * width * nslots)) - 1)).to_bytes(width * nslots, "little")
@@ -298,20 +411,11 @@ def _unpack(val: int, nslots: int, width: int) -> dict[Key, int]:
     digits = array(code, raw) if code else [
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
-    return _uni_terms(map(sub, digits, repeat(half)), nslots)
+    return map(sub, digits, repeat(half))
 
 
-def _mul_univariate(a: dict[Key, int], b: dict[Key, int], order2: int):
-    if len(a) > len(b):
-        a, b = b, a
-    top_a, top_b = max(a)[0], max(b)[0]
-    res_len = min(top_a + top_b + 1, order2)
-    bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
-    width = (bound.bit_length() + len(a).bit_length() + 8) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    prod = _pack(a, top_a + 1, width) * _pack(b, top_b + 1, width)
-    return _unpack(prod, res_len, width)
+def _unpack(val: int, nslots: int, width: int) -> dict[Key, int]:
+    return _uni_terms(_digits(val, nslots, width), nslots)
 
 
 # -- constructors and reshaping -----------------------------------------
@@ -341,6 +445,8 @@ def truncate(s: TruncSeries, order2: int) -> TruncSeries:
     if order2 > s.order2:
         raise ValueError("truncate cannot raise order2")
     kept = {k: c for k, c in s.terms.items() if k[0] < order2}
+    if not s._uni:
+        _check_markers(kept, order2)
     return TruncSeries._trusted(kept, order2, s._uni)
 
 
@@ -434,6 +540,8 @@ def _dense_product(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
             v[e:size] = map(op, v[e:size], src[: size - e])
     if not marked:
         return TruncSeries._trusted(_uni_terms(lists[0], len(lists[0])), order2, True)
+    if any(map(any, lists[order2 // (f.dz + f.dw) + 1 :])):
+        raise ValueError("marker degree exceeds truncation order")
     terms = {
         (e2, k * f.dz, k * f.dw): c for k, v in enumerate(lists) for e2, c in enumerate(v) if c
     }

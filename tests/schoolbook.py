@@ -12,13 +12,26 @@ runs over a fixed range past which every term is zero.
 ``poch`` multiplies a Pochhammer product out one two-term factor at a
 time through ``TruncSeries.__mul__``; it shares nothing with the dense
 builders of ``ggq.series``.
+
+``double_sum`` is the paper's marked double series summed grid point by
+grid point: one monomial times (num)_{n2} times two inverses at every
+(n1, n2), added into the total one term at a time.  It does not pull the
+factors of n2 out of the n1 sum, as ``registry._double_sum`` does.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from ggq.series import FactorSpec, TruncSeries, monomial, one
+from ggq.series import (
+    FactorSpec,
+    TruncSeries,
+    inv_poch_finite,
+    monomial,
+    one,
+    poch_finite,
+    zero,
+)
 from ggq.trinomials import q_binomial
 
 
@@ -31,6 +44,33 @@ def poch(f: FactorSpec, n: int | None, order2: int) -> TruncSeries:
         acc = acc * (one(order2) - monomial(f.sign, f.e2 + j * f.step2, f.dz, f.dw, order2=order2))
         j += 1
     return acc
+
+
+def double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeries:
+    """Sum over (n1, n2) of z^n1 w^n2 q^(n1^2 + 2 n1 n2 + 2 n2^2 + a n1 + b n2)
+    (num)_{n2} / ((q^2; q^2)_{n1} (den2)_{n2}), lin = (a, b), one grid
+    point at a time."""
+    a, b = lin
+    q2 = FactorSpec(1, 4, 4)
+
+    def exp2(n1, n2):
+        return 2 * (n1 * n1 + 2 * n1 * n2 + 2 * n2 * n2 + a * n1 + b * n2)
+
+    total = zero(order2)
+    n2 = 0
+    while exp2(0, n2) < order2:
+        n1 = 0
+        while exp2(n1, n2) < order2:
+            dz, dw = n1 if z_mark else 0, n2 if w_mark else 0
+            term = monomial(1, exp2(n1, n2), dz, dw, order2=order2)
+            if num is not None:
+                term = term * poch_finite(num, n2, order2=order2)
+            term = term * inv_poch_finite(q2, n1, order2=order2)
+            term = term * inv_poch_finite(den2, n2, order2=order2)
+            total = total + term
+            n1 += 1
+        n2 += 1
+    return total
 
 
 def binomial(top: int, bottom: int, step2: int = 2) -> dict[int, int]:

@@ -4,7 +4,10 @@ import dataclasses
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import schoolbook
+from ggq import registry
 from ggq.registry import (
     REGISTRY,
     Corruption,
@@ -206,3 +209,39 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(f"ggq.{module}")
     assert mod.__all__
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+# every (lin, num, den2, z_mark, w_mark) the catalog passes to _double_sum:
+# 3.2, then 3.3, 3.4, 3.5 and 3.8, then the _marked rows 3.7 and 3.10
+_F = registry.F
+DOUBLE_SUMS = [
+    ((0, 2), registry.MQ_Q2, registry.Q4F, False, False),
+    ((0, 2), _F(-1, 2, 4, 1), registry.Q4F, True, True),
+    ((0, 0), _F(-1, 2, 4, 1), registry.Q4F, True, True),
+    ((1, 1), _F(-1, 4, 4, 1), registry.Q4F, True, True),
+    ((1, -1), _F(-1, 4, 4, 1), registry.Q4F, True, True),
+    ((1, 1), None, registry.Q2F, False, True),
+    ((1, -1), None, registry.Q2F, False, True),
+]
+
+
+def test_double_sums_cover_the_catalog(monkeypatch):
+    seen = set()
+    double_sum = registry._double_sum
+
+    def recorded(order2, *args):
+        seen.add(args)
+        return double_sum(order2, *args)
+
+    monkeypatch.setattr(registry, "_double_sum", recorded)
+    for entry in REGISTRY.values():
+        entry.builder(**entry.quick)
+    assert seen == set(DOUBLE_SUMS)
+
+
+@pytest.mark.parametrize("args", DOUBLE_SUMS)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(5, 81))
+def test_row_sums_match_the_grid_point_sum(args, order2):
+    # the rows pull the factors of n2 out of the n1 sum; the oracle does not
+    assert registry._double_sum(order2, *args) == schoolbook.double_sum(order2, *args)

@@ -90,6 +90,18 @@ def _univariate(coeffs, min_size, max_size, order2):
     )
 
 
+def _operands(marked, min_size, max_size, coeffs, order2s):
+    marks = st.integers(0, 3) if marked else st.just(0)
+    return order2s.flatmap(
+        lambda order2: st.dictionaries(
+            st.tuples(st.integers(0, order2 - 1), marks, marks),
+            coeffs,
+            min_size=min_size,
+            max_size=max_size,
+        ).map(lambda t: TruncSeries(t, order2))
+    )
+
+
 _mixed = st.one_of(st.integers(-99, 99), st.integers(-(2**100), 2**100)).filter(bool)
 _wide = st.one_of(st.integers(2**64, 2**100), st.integers(-(2**100), -(2**64)))
 _negative = st.one_of(st.integers(-99, -1), st.integers(-(2**70), -1))
@@ -112,6 +124,66 @@ def test_shift_add_multiplication_matches_schoolbook(short, long):
     prod = short * long
     assert prod.terms == _naive_mul(short, long, 600)
     assert (long * short).terms == prod.terms
+
+
+def _long_marked():
+    # one slice z^dz w^dw of 201-450 consecutive exponents below order2 600
+    return st.builds(
+        lambda cs, low, dz, dw: TruncSeries(
+            {(low + i, dz, dw): c for i, c in enumerate(cs)}, 600
+        ),
+        st.lists(_mixed, min_size=201, max_size=450),
+        st.integers(0, 140),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+
+
+@st.composite
+def _sliced(draw, min_size, max_size, coeffs):
+    """Marked series with z and w degrees 0 or 1, whose slices step by a
+    common stride and start at offsets of their own."""
+    order2 = draw(st.integers(200, 400))
+    stride = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    shift = draw(st.integers(0, 7))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, (order2 - 1) // stride - 1), st.integers(0, 1), st.integers(0, 1)),
+        coeffs, min_size=min_size, max_size=max_size,
+    ))
+    return TruncSeries(
+        {(stride * j + shift * (1 + dz + 2 * dw) % stride, dz, dw): c
+         for (j, dz, dw), c in cells.items()},
+        order2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _sliced(60, 120, _mixed),
+    st.one_of(
+        _sliced(60, 120, _mixed),
+        _operands(True, 1, 2, _mixed, st.integers(200, 400)),
+        _operands(False, 1, 2, _mixed, st.integers(200, 400)),
+        _univariate(_mixed, 21, 45, 400),
+    ),
+)
+def test_sliced_multiplication_matches_schoolbook(a, b):
+    # slice pairs on both sides of 400 term pairs, slices at offsets that
+    # differ modulo their common stride, and 1- and 2-term partners
+    want = _naive_mul(a, b, min(a.order2, b.order2))
+    assert (a * b).terms == want
+    assert (b * a).terms == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(_operands(True, 1, 2, _mixed, st.just(600)), _long_marked())
+def test_marked_short_times_long_matches_schoolbook(short, long):
+    # a one-term operand is a key shift; a two-term one is one or two
+    # slices against 201-450 terms, so its slice pairs fall on both sides
+    # of the 400 split
+    want = _naive_mul(short, long, 600)
+    assert (short * long).terms == want
+    assert (long * short).terms == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,25 +381,18 @@ def test_product_shorthand():
     assert lhs == rhs
 
 
-def _operands(marked, min_size, max_size, coeffs, order2s):
-    marks = st.integers(0, 3) if marked else st.just(0)
-    return order2s.flatmap(
-        lambda order2: st.dictionaries(
-            st.tuples(st.integers(0, order2 - 1), marks, marks),
-            coeffs,
-            min_size=min_size,
-            max_size=max_size,
-        ).map(lambda t: TruncSeries(t, order2))
-    )
-
-
 # short operands stay at or below 400 term pairs, long ones (21+ terms
-# each) pass it, so univariate pairs of them take the packed kernel
+# each) pass it, so univariate pairs of them take the packed kernel, and
+# so do the fuller slices of the sliced ones; marked operands also meet
+# 1- and 2-term partners
 _kernel_operands = st.one_of(
     _operands(False, 0, 8, _coeffs, st.integers(13, 40)),
     _operands(True, 0, 8, _coeffs, st.integers(13, 40)),
+    _operands(True, 1, 2, _coeffs, st.integers(13, 40)),
+    _operands(False, 1, 2, _mixed, st.integers(60, 120)),
     _operands(False, 21, 45, _mixed, st.integers(60, 120)),
     _operands(True, 21, 45, _mixed, st.integers(60, 120)),
+    _sliced(60, 120, _mixed),
 )
 
 
@@ -357,3 +422,37 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
         assert rebuilt == out
         if out.is_univariate:
             assert not any(dz or dw for _, dz, dw in out.terms)
+
+
+def _crowded(max_size):
+    # marker degrees up to the bound itself, so a product can pass it
+    return st.integers(3, 8).flatmap(
+        lambda order2: st.dictionaries(
+            st.tuples(st.integers(0, order2 - 1), st.integers(0, order2), st.integers(0, order2)),
+            st.integers(-2, 2).filter(bool),
+            max_size=max_size,
+        ).map(lambda t: TruncSeries(
+            {k: c for k, c in t.items() if k[1] + k[2] <= order2}, order2
+        ))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_crowded(2), _crowded(6)), st.one_of(_crowded(2), _crowded(6)))
+def test_products_past_the_marker_bound_raise_as_the_constructor_does(a, b):
+    # the kernel raises exactly when the schoolbook product, rebuilt through
+    # the validating constructor, does: a nonzero term with dz + dw > order2
+    order2 = min(a.order2, b.order2)
+    want = _outcome(lambda: TruncSeries(_naive_mul(a, b, order2), order2))
+    assert _outcome(lambda: a * b) == want
+    assert _outcome(lambda: b * a) == want
+
+
+def test_products_that_cancel_past_the_marker_bound_pass():
+    # two slice pairs land at z^4 w (degree 5 > order2 4) and cancel there;
+    # what is left stays within the bound, so the product is valid
+    a = TruncSeries({(0, 2, 1): 1, (1, 4, 0): -1, (3, 0, 2): 1}, 4)
+    b = TruncSeries({(2, 0, 1): -1, (3, 2, 0): -1}, 4)
+    assert (a * b).terms == {(2, 2, 2): -1} == _naive_mul(a, b, 4)
+    with pytest.raises(ValueError):
+        a * TruncSeries({(2, 0, 1): -1}, 4)
