@@ -14,8 +14,10 @@ parity conditions at all, which is what ties the weighted count to the
 distinct-part counting function.
 
 Inverses recompute rather than remember: the choice bits are recovered
-from which pile holds the subtracted value, and every inverse checks
-the forward map reproduces its input.
+from which pile holds the subtracted value.  The public inverses check
+their input against the forward map and raise on anything it does not
+produce; the private ``_invert`` skips that check, for callers that
+compare its result with the forward map's input themselves.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
     return pair
 
 
-def redistribute_inverse(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
-    """Recover the marked member and its routing bits.
+def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
+    """Recover the marked member and its routing bits, unchecked.
 
     The piles are de-staircased and merged; marks are recomputed from the
     reassembled member, and each bit is read off from which pile holds
@@ -257,7 +259,13 @@ def redistribute_inverse(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, 
             bits.append(True)
         else:
             bits.append(False)
-    bits = tuple(bits)
+    return m, tuple(bits)
+
+
+def redistribute_inverse(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
+    """Recover the marked member and its routing bits; raise ValueError
+    when the pair is not an image of ``redistribute``."""
+    m, bits = _invert(pair)
     if redistribute(m, bits) != pair:
         raise ValueError("not in the image of the redistribution map")
     return m, bits

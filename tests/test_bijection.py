@@ -100,6 +100,12 @@ def test_pair_roundtrip_exhaustive():
             assert redistribute(m, choice) == pair
 
 
+def test_unchecked_inverse_agrees_with_the_checked_one():
+    for n in range(SIGMA + 1):
+        for pair in split_pairs(n):
+            assert bijection._invert(pair) == redistribute_inverse(pair)
+
+
 def test_split_pair_validation():
     with pytest.raises(ValueError):
         SplitPair(Partition((2,)), Partition())  # even part in pi1

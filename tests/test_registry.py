@@ -202,6 +202,54 @@ def test_every_facet_matches_and_fails_under_corruption():
         assert sum(n for n, _ in built.values()) == total, level
 
 
+def _facets_2_7(sigma_max):
+    return {f.label: f.got for f in REGISTRY["2.7"].builder(sigma_max=sigma_max)}
+
+
+def test_2_7_facet_labels():
+    assert list(_facets_2_7(12)) == [
+        "forward-roundtrip-failures",
+        "image-vs-split-pairs",
+        "choice-count-vs-weight",
+        "worked-example-split",
+    ]
+
+
+def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
+    # f loses one-to-one: the round trip and the image multiset both show it
+    redistribute = registry.redistribute
+    monkeypatch.setattr(
+        registry, "redistribute", lambda m, choice: redistribute(m, (False,) * len(choice))
+    )
+    r = run_check("2.7", sigma_max=12)
+    assert r.status == "fail"
+    assert r.failed_facet == "forward-roundtrip-failures"
+    facets = _facets_2_7(12)
+    assert sum(facets["forward-roundtrip-failures"]) > 0
+    assert sum(facets["image-vs-split-pairs"]) > 0
+
+
+def test_2_7_fails_when_a_split_pair_is_missing(monkeypatch):
+    split_pairs = registry.split_pairs
+    monkeypatch.setattr(
+        registry, "split_pairs", lambda n: split_pairs(n)[1:] if n == 9 else split_pairs(n)
+    )
+    r = run_check("2.7", sigma_max=12)
+    assert r.status == "fail"
+    assert r.failed_facet == "image-vs-split-pairs"
+    assert "n=9" in r.first_mismatch
+
+
+def test_2_7_inverse_raising_is_a_failure(monkeypatch):
+    def invert(pair):
+        raise ValueError("not invertible")
+
+    monkeypatch.setattr(registry, "_invert", invert)
+    r = run_check("2.7", sigma_max=12)
+    assert r.status == "fail"
+    assert r.failed_facet == "forward-roundtrip-failures"
+
+
 @pytest.mark.parametrize(
     "module", ["bailey", "bijection", "partitions", "registry", "series", "trinomials"]
 )
