@@ -59,6 +59,7 @@ from .partitions import (
 from .series import (
     FactorSpec,
     TruncSeries,
+    _ratio_sum,
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
@@ -154,40 +155,24 @@ class UnknownCheckError(ValueError):
 
 
 def _sum_regular(order2, exp2: Callable[[int], int], num, den) -> TruncSeries:
-    """Sum of q^(exp2(n)/2) (num)_n / prod (den)_n over n >= 0.
-
-    exp2 must be nondecreasing; summation stops at the first invisible
-    term, which is sound because every factor has constant term 1.
-    """
-    total = zero(order2)
-    n = 0
-    while exp2(n) < order2:
-        term = monomial(1, exp2(n), order2=order2)
-        if num is not None:
-            term = term * poch_finite(num, n, order2=order2)
-        for d in den:
-            term = term * inv_poch_finite(d, n, order2=order2)
-        total = total + term
-        n += 1
-    return total
+    """Sum of q^(exp2(n)/2) (num)_n / prod (den)_n over n >= 0, walked by
+    its term ratio; exp2 must be nondecreasing (ValueError otherwise)."""
+    return _ratio_sum(order2, exp2, num, den)
 
 
 def _single_pair_sum(order2, marked: bool) -> TruncSeries:
     """The two-headed single sum: term n >= 1 contributes
     (q^(n^2+n) + [w] q^(n^2+n-1)) (-[w]q; q^2)_{n-1} / (q^2; q^2)_n,
-    where [w] marks the w-degree when marked is True."""
+    where [w] marks the w-degree when marked is True.
+
+    The head is q^(n^2+n-1) (q + [w]), and with m = n - 1 the rest is
+    q^(n^2+n-1) (-[w]q; q^2)_m / ((1 - q^2) (q^4; q^2)_m), so the sum is
+    1 + (q + [w]) / (1 - q^2) times one regular sum over m."""
     dw = 1 if marked else 0
-    shifted = F(-1, 2, 4, 0, dw)
-    total = one(order2)
-    n = 1
-    while 2 * n * n + 2 * n - 2 < order2:
-        head = monomial(1, 2 * n * n + 2 * n, order2=order2) + monomial(
-            1, 2 * n * n + 2 * n - 2, 0, dw, order2=order2
-        )
-        term = head * poch_finite(shifted, n - 1, order2=order2)
-        total = total + term * inv_poch_finite(Q2F, n, order2=order2)
-        n += 1
-    return total
+    head = monomial(1, 2, order2=order2) + monomial(1, 0, 0, dw, order2=order2)
+    head = head * inv_poch_finite(Q2F, 1, order2=order2)
+    walk = _sum_regular(order2, lambda m: 2 * m * m + 6 * m + 2, F(-1, 2, 4, 0, dw), [F(1, 8, 4)])
+    return one(order2) + head * walk
 
 
 def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeries:

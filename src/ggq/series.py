@@ -23,7 +23,10 @@ is multiplied as univariate series, pair by pair through a dict or as one
 signed Kronecker product; the comment above the kernel says which and
 why.  Pochhammer products (a; q^k)_n and their inverses never go factor
 by factor through ``*``: their builders work on dense coefficient lists,
-as the comment above them says.
+through two shared helpers that apply one factor (``_times_factor``) or
+divide by one (``_divide_factor``), as the comment above them says.  The
+same helpers walk the term ratio of the paper's single sums
+(``_ratio_sum``), so no term of such a sum is built on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, sub
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 Key = tuple[int, int, int]
 
@@ -506,15 +509,52 @@ def zw_slice(s: TruncSeries, dz: Optional[int] = None, dw: Optional[int] = None)
 # -- Pochhammer products ------------------------------------------------
 #
 # A family's product is built on dense lists, one per power k of its
-# marker M = z^dz w^dw (a single list when it has none).  The factor
-# (1 - s q^(e/2) M) maps list k to list k - s * (list k-1 shifted by e);
+# marker M = z^dz w^dw (a single list when it has none).  Two helpers do
+# all the work on such lists, and every builder below, the ratio walk
+# included, is a loop over them.  ``_times_factor`` applies one factor
+# (1 - s q^(e/2) M): list k takes s times list k - 1, shifted by e, away;
 # lists are updated from the highest k down, so each list is read before
 # it is written.  Unmarked, the one list is its own source, which is safe
-# because the slices read are copies.  Every list is min(order2,
-# degree + 1) long, and a new top list is opened only while its lowest
-# term, at the degree, is visible.  The inverse divides one list by each factor: v[j] += s v[j-e],
-# a block of e at a time, each block reading the block below it that is
-# already divided.
+# because the slices read are copies.  ``_divide_factor`` divides one
+# list by an unmarked factor (1 - s q^(e/2)): v[j] += s v[j-e], a block of
+# e at a time, each block reading the block below it that is already
+# divided.  In a product every list is min(order2, degree + 1) long, and a
+# new top list is opened only while its lowest term, at the degree, is
+# visible.
+
+
+def _times_factor(lists: list[list[int]], e: int, sign: int, marked: int) -> None:
+    """Multiplies the lists, of equal length, by (1 - sign q^(e/2) M) in
+    place; marked is 1 when list k holds the terms of M^k, 0 for one
+    unmarked list."""
+    op = sub if sign == 1 else add
+    for k in range(len(lists) - 1, marked - 1, -1):
+        v, src = lists[k], lists[k - marked]
+        v[e:] = map(op, v[e:], src[: len(v) - e])
+
+
+def _divide_factor(v: list[int], e: int, sign: int) -> None:
+    """Divides v by (1 - sign q^(e/2)) in place, e > 0."""
+    op = add if sign == 1 else sub
+    for b in range(e, len(v), e):
+        v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
+
+
+def _check_divisor(f: FactorSpec) -> None:
+    if f.dz or f.dw:
+        raise ValueError("inverse of a marked family is not built")
+    if f.e2 == 0:
+        raise ValueError("inverse needs a positive first exponent")
+
+
+def _from_lists(lists: list[list[int]], dz: int, dw: int, order2: int) -> TruncSeries:
+    """The series whose M^k part, M = z^dz w^dw, is lists[k]."""
+    if len(lists) == 1:
+        return TruncSeries._trusted(_uni_terms(lists[0], len(lists[0])), order2, True)
+    if any(map(any, lists[order2 // (dz + dw) + 1 :])):
+        raise ValueError("marker degree exceeds truncation order")
+    terms = {(e2, k * dz, k * dw): c for k, v in enumerate(lists) for e2, c in enumerate(v) if c}
+    return TruncSeries._trusted(terms, order2, False)
 
 
 def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
@@ -525,7 +565,6 @@ def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
 
 def _dense_product(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
     marked = 1 if f.dz or f.dw else 0
-    op = sub if f.sign == 1 else add
     lists = [[1]]
     degree = 0
     for e in exps:
@@ -535,31 +574,70 @@ def _dense_product(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
             lists.append([])
         for v in lists:
             v.extend(repeat(0, size - len(v)))
-        for k in range(len(lists) - 1, marked - 1, -1):
-            v, src = lists[k], lists[k - marked]
-            v[e:size] = map(op, v[e:size], src[: size - e])
-    if not marked:
-        return TruncSeries._trusted(_uni_terms(lists[0], len(lists[0])), order2, True)
-    if any(map(any, lists[order2 // (f.dz + f.dw) + 1 :])):
-        raise ValueError("marker degree exceeds truncation order")
-    terms = {
-        (e2, k * f.dz, k * f.dw): c for k, v in enumerate(lists) for e2, c in enumerate(v) if c
-    }
-    return TruncSeries._trusted(terms, order2, len(lists) == 1)
+        _times_factor(lists, e, f.sign, marked)
+    return _from_lists(lists, f.dz, f.dw, order2)
 
 
 def _dense_inverse(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
-    if f.dz or f.dw:
-        raise ValueError("inverse of a marked family is not built")
-    if f.e2 == 0:
-        raise ValueError("inverse needs a positive first exponent")
-    op = add if f.sign == 1 else sub
+    _check_divisor(f)
     v = [0] * order2
     v[0] = 1
     for e in exps:
-        for b in range(e, order2, e):
-            v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
+        _divide_factor(v, e, f.sign)
     return TruncSeries._trusted(_uni_terms(v, order2), order2, True)
+
+
+def _ratio_sum(
+    order2: int, exp2: Callable[[int], int], num: Optional[FactorSpec], den: list[FactorSpec]
+) -> TruncSeries:
+    """Sum over n >= 0 of q^(exp2(n)/2) (num)_n / prod (den)_n, with no
+    numerator for num None; every family of den unmarked, e2 > 0.
+
+    Walks the term ratio t_n / t_(n-1) = q^((exp2(n) - exp2(n-1))/2) times
+    factor n - 1 of num over factor n - 1 of each den.  The term is kept
+    from its lowest exponent exp2(n) up, one list per power of num's
+    marker, so the shift by the gap is a cut of each list to the part
+    still visible.  Summation stops at the first invisible term, which is
+    sound only because every factor has constant term 1 and exp2 never
+    decreases; a decreasing exp2 raises ValueError.
+    """
+    for d in den:
+        _check_divisor(d)
+    dz, dw = (num.dz, num.dw) if num is not None else (0, 0)
+    marked = 1 if dz or dw else 0
+    low = exp2(0)
+    if low < 0:
+        raise ValueError("negative q-exponent")
+    totals = [[0] * order2]
+    term = [[1] + [0] * (order2 - low - 1)] if low < order2 else []
+    top = 0  # lowest exponent of the top list of term, from low
+    n = 0
+    while term:
+        for k, v in enumerate(term):
+            if k == len(totals):
+                totals.append([0] * order2)
+            t = totals[k]
+            t[low:] = map(add, t[low:], v)
+        n += 1
+        nxt = exp2(n)
+        if nxt < low:
+            raise ValueError(f"exp2 decreases from n={n - 1} to n={n}")
+        if nxt >= order2:
+            break
+        low = nxt
+        for v in term:
+            del v[order2 - low :]
+        if num is not None:
+            e = num.e2 + (n - 1) * num.step2
+            if marked and top + e < order2 - low:
+                term.append([0] * (order2 - low))
+                top += e
+            _times_factor(term, e, num.sign, marked)
+        for d in den:
+            e = d.e2 + (n - 1) * d.step2
+            for v in term:
+                _divide_factor(v, e, d.sign)
+    return _from_lists(totals, dz, dw, order2)
 
 
 def poch_finite(f: FactorSpec, n: int, *, order2: int) -> TruncSeries:
@@ -581,8 +659,12 @@ def poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
 
 
 def poch_product(specs: Iterable[FactorSpec], *, order2: int) -> TruncSeries:
+    # unmarked families first, then the z-marked ones next to each other,
+    # then the w-marked ones: a product of two families with one marker
+    # has few (dz, dw) slices for the next to meet.  Measured on the 3.x
+    # product sides, w-marked first made 3.3 slower, so the key is this one
     acc = one(order2)
-    for f in specs:
+    for f in sorted(specs, key=lambda f: (f.dw > 0, f.dz > 0)):
         acc = acc * poch_infinite(f, order2=order2)
     return acc
 

@@ -13,10 +13,12 @@ runs over a fixed range past which every term is zero.
 time through ``TruncSeries.__mul__``; it shares nothing with the dense
 builders of ``ggq.series``.
 
-``double_sum`` is the paper's marked double series summed grid point by
-grid point: one monomial times (num)_{n2} times two inverses at every
-(n1, n2), added into the total one term at a time.  It does not pull the
-factors of n2 out of the n1 sum, as ``registry._double_sum`` does.
+``single_sum``, ``single_pair_sum`` and ``double_sum`` are the paper's
+series summed term by term: a monomial times (num)_n and the cached
+inverses, one product per factor and term, added into the total one term
+at a time.  They do not walk the term ratio, as ``registry._sum_regular``
+and ``registry._single_pair_sum`` do, nor pull the factors of n2 out of
+the n1 sum, as ``registry._double_sum`` does.
 """
 
 from __future__ import annotations
@@ -44,6 +46,39 @@ def poch(f: FactorSpec, n: int | None, order2: int) -> TruncSeries:
         acc = acc * (one(order2) - monomial(f.sign, f.e2 + j * f.step2, f.dz, f.dw, order2=order2))
         j += 1
     return acc
+
+
+def single_sum(order2, exp2, num, den) -> TruncSeries:
+    """Sum of q^(exp2(n)/2) (num)_n / prod (den)_n over n >= 0, exp2
+    nondecreasing, one term at a time."""
+    total = zero(order2)
+    n = 0
+    while exp2(n) < order2:
+        term = monomial(1, exp2(n), order2=order2)
+        if num is not None:
+            term = term * poch_finite(num, n, order2=order2)
+        for d in den:
+            term = term * inv_poch_finite(d, n, order2=order2)
+        total = total + term
+        n += 1
+    return total
+
+
+def single_pair_sum(order2, marked: bool) -> TruncSeries:
+    """1 plus, over n >= 1, (q^(n^2+n) + [w] q^(n^2+n-1)) (-[w]q; q^2)_{n-1}
+    / (q^2; q^2)_n, one term at a time."""
+    dw = 1 if marked else 0
+    shifted = FactorSpec(-1, 2, 4, 0, dw)
+    total = one(order2)
+    n = 1
+    while 2 * n * n + 2 * n - 2 < order2:
+        head = monomial(1, 2 * n * n + 2 * n, order2=order2) + monomial(
+            1, 2 * n * n + 2 * n - 2, 0, dw, order2=order2
+        )
+        term = head * poch_finite(shifted, n - 1, order2=order2)
+        total = total + term * inv_poch_finite(FactorSpec(1, 4, 4), n, order2=order2)
+        n += 1
+    return total
 
 
 def double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeries:

@@ -4,7 +4,7 @@ import dataclasses
 import importlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ggq import registry
@@ -293,3 +293,63 @@ def test_double_sums_cover_the_catalog(monkeypatch):
 def test_row_sums_match_the_grid_point_sum(args, order2):
     # the rows pull the factors of n2 out of the n1 sum; the oracle does not
     assert registry._double_sum(order2, *args) == schoolbook.double_sum(order2, *args)
+
+
+# every (exp2, num, den) the catalog passes to _sum_regular: 1.1, 1.3, 1.4,
+# the walk of the pair sums of 1.2 and 3.10, 3.7's marked single sum and
+# degree-0 slice, and 4.14 and thm5
+SINGLE_SUMS = [
+    (lambda n: 2 * n * n + 2 * n, registry.MQ_Q2, [registry.Q2F]),
+    (lambda n: 2 * n * n, registry.MQ_Q2, [registry.Q2F]),
+    (lambda n: 2 * n * n + 4 * n, registry.MQ_Q2, [registry.Q2F]),
+    (lambda n: 2 * n * n + 6 * n + 2, registry.MQ_Q2, [_F(1, 8, 4)]),
+    (lambda n: 2 * n * n + 6 * n + 2, _F(-1, 2, 4, 0, 1), [_F(1, 8, 4)]),
+    (lambda n: 2 * n * n + 2 * n, _F(-1, 2, 4, 0, 1), [registry.Q2F]),
+    (lambda n: 2 * n * n + 2 * n, None, [registry.Q2F]),
+    (lambda n: 2 * n * n + 4 * n, registry.MQ_Q2, [registry.Q4F]),
+]
+
+
+def _shape(exp2, num, den):
+    # exp2 is a lambda; its first values stand for it
+    return tuple(map(exp2, range(4))), num, tuple(den)
+
+
+def test_single_sums_cover_the_catalog(monkeypatch):
+    seen = set()
+    sum_regular = registry._sum_regular
+
+    def recorded(order2, exp2, num, den):
+        seen.add(_shape(exp2, num, den))
+        return sum_regular(order2, exp2, num, den)
+
+    monkeypatch.setattr(registry, "_sum_regular", recorded)
+    for entry in REGISTRY.values():
+        entry.builder(**entry.quick)
+    assert seen == {_shape(*args) for args in SINGLE_SUMS}
+
+
+@pytest.mark.parametrize("args", SINGLE_SUMS)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 301))
+@example(3)
+@example(5)
+@example(11)
+def test_ratio_walk_matches_the_term_by_term_sum(args, order2):
+    # at order2 3 only n = 0 is visible, at 5 only n = 0 and 1 of most shapes
+    assert registry._sum_regular(order2, *args) == schoolbook.single_sum(order2, *args)
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 301))
+@example(3)
+@example(11)
+def test_pair_sums_match_the_term_by_term_sum(marked, order2):
+    assert registry._single_pair_sum(order2, marked) == schoolbook.single_pair_sum(order2, marked)
+
+
+@pytest.mark.parametrize("exp2", [lambda n: 8 - 2 * n, lambda n: (0, 8, 4, 60)[min(n, 3)]])
+def test_a_decreasing_exponent_raises(exp2):
+    with pytest.raises(ValueError, match="exp2 decreases"):
+        registry._sum_regular(41, exp2, registry.MQ_Q2, [registry.Q2F])
