@@ -13,11 +13,17 @@ a free routing choice.  The final triples (pi1, pi3, pi4) carry no
 parity conditions at all, which is what ties the weighted count to the
 distinct-part counting function.
 
+Each rule on the stages' partitions is stated once, as a ``Family``
+step: the same families list ``split_pairs`` and ``triple_partitions``
+and, through ``Family.weigh``, validate ``SplitPair`` and
+``TriplePartition``.
+
 Inverses recompute rather than remember: the choice bits are recovered
-from which pile holds the subtracted value.  The public inverses check
-their input against the forward map and raise on anything it does not
-produce; the private ``_invert`` skips that check, for callers that
-compare its result with the forward map's input themselves.
+from which pile holds the subtracted value.  The public inverses,
+``redistribute_inverse`` and ``ferrers_merge``, check their input only
+against the forward map, and raise on anything it does not produce; the
+private ``_invert`` skips that check, for callers that compare its
+result with the forward map's input themselves.
 """
 
 from __future__ import annotations
@@ -26,15 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .partitions import (
-    Family,
-    Partition,
-    chains,
-    enumerate_partitions,
-    is_gollnitz_gordon,
-    membership_and_weight,
-    VARIANTS,
-)
+from .partitions import Family, Partition, _chain_marks, _odd_below, enumerate_partitions
 
 __all__ = [
     "MarkedPartition",
@@ -55,7 +53,37 @@ __all__ = [
     "trace_pipeline",
 ]
 
-_S = VARIANTS["S"]
+
+# -- the stages' families -----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _odds(min_part: int, below: Optional[int] = None) -> Family:
+    """Distinct odd parts p >= min_part, and p < below when below is given."""
+
+    def step(last: int, p: int):
+        if p % 2 and p > last and p >= min_part and (below is None or p < below):
+            return p, 1
+        return None
+
+    return Family(step)
+
+
+def _pi2_step(state: int, p: int):
+    # state: last part, odd parts so far mod 2.  Gaps are >= 4, so the
+    # last odd part is within 6 of p only when it is the last part.
+    last, t = state >> 1, state & 1
+    odd = p % 2
+    if (last and p - last < 4) or (p - 2 * t) % 4 != odd:
+        return None
+    if odd and (p < 5 or (last % 2 == 1 and p - last < 6)):
+        return None
+    return p << 1 | (t ^ odd), 1
+
+
+# pi2: gaps >= 4, odd parts >= 5 and 6 apart, b == 2t(b) + (b mod 2) (mod 4)
+_PI2 = Family(_pi2_step, bits=1)
+_MULT4 = Family(lambda last, p: (p, 1) if p % 4 == 0 and p > last else None)
 
 
 @dataclass(frozen=True)
@@ -77,30 +105,10 @@ class SplitPair:
     pi2: Partition
 
     def __post_init__(self):
-        p2 = self.pi2.parts
-        tmap = _t_within(p2)
-        last_odd = None
-        for a, b in zip(p2, p2[1:]):
-            if b - a < 4:
-                raise ValueError("pi2 parts must differ by >= 4")
-        for p in p2:
-            if p % 2 == 1:
-                if p < 5:
-                    raise ValueError("odd parts of pi2 must be >= 5")
-                if last_odd is not None and p - last_odd < 6:
-                    raise ValueError("odd parts of pi2 must differ by >= 6")
-                last_odd = p
-                if (p - 2 * tmap[p]) % 4 != 1:
-                    raise ValueError("odd part parity condition fails")
-            else:
-                if (p - 2 * tmap[p]) % 4 != 0:
-                    raise ValueError("even part parity condition fails")
-        bound = 2 * self.pi2.nu
-        seen = set()
-        for p in self.pi1.parts:
-            if p % 2 == 0 or p <= bound or p in seen:
-                raise ValueError("pi1 must be distinct odds above 2*nu(pi2)")
-            seen.add(p)
+        if _PI2.weigh(self.pi2.parts) is None:
+            raise ValueError("pi2 breaks a gap or parity condition")
+        if _odds(2 * self.pi2.nu + 1).weigh(self.pi1.parts) is None:
+            raise ValueError("pi1 must be distinct odds above 2*nu(pi2)")
 
     @property
     def sigma(self) -> int:
@@ -114,24 +122,13 @@ class TriplePartition:
     pi4: Partition
 
     def __post_init__(self):
-        prev = 0
-        for p in self.pi3.parts:
-            if p % 4 != 0 or p <= prev:
-                raise ValueError("pi3 must be distinct multiples of 4")
-            prev = p
         bound = 2 * self.pi3.nu
-        prev = 0
-        for p in self.pi4.parts:
-            if p % 2 == 0 or p <= prev:
-                raise ValueError("pi4 must be distinct odd parts")
-            prev = p
-        if self.pi4.parts and self.pi4.parts[-1] >= bound:
-            raise ValueError("largest part of pi4 must be < 2*nu(pi3)")
-        prev = 0
-        for p in self.pi1.parts:
-            if p % 2 == 0 or p <= prev or p <= bound:
-                raise ValueError("pi1 must be distinct odds above 2*nu(pi3)")
-            prev = p
+        if _MULT4.weigh(self.pi3.parts) is None:
+            raise ValueError("pi3 must be distinct multiples of 4")
+        if _odds(1, bound).weigh(self.pi4.parts) is None:
+            raise ValueError("pi4 must be distinct odds below 2*nu(pi3)")
+        if _odds(bound + 1).weigh(self.pi1.parts) is None:
+            raise ValueError("pi1 must be distinct odds above 2*nu(pi3)")
 
     @property
     def sigma(self) -> int:
@@ -142,17 +139,6 @@ def _require(holds: bool, invariant: str) -> None:
     # an explicit raise, so the check survives python -O
     if not holds:
         raise AssertionError(f"invariant broken: {invariant}")
-
-
-def _t_within(parts: tuple[int, ...]) -> dict[int, int]:
-    # number of odd parts strictly below each part, inside this tuple
-    out: dict[int, int] = {}
-    odd = 0
-    for p in parts:
-        out[p] = odd
-        if p % 2 == 1:
-            odd += 1
-    return out
 
 
 # -- staircase ----------------------------------------------------------
@@ -177,21 +163,10 @@ def euler_add(pi_star: Partition) -> Partition:
 
 def identify(pi: Partition) -> MarkedPartition:
     """Mark the least parts of qualifying odd chains of a member."""
-    w = membership_and_weight("S", pi)
-    if w is None:
+    marks = _chain_marks("S", pi)
+    if marks is None:
         raise ValueError("partition fails the even-part parity condition")
-    odd_below = _t_within(pi.parts)
-    marks = set()
-    for ch in chains(pi):
-        lam = ch.lam
-        if (
-            ch.parity == "odd"
-            and lam >= _S.chain_min
-            and (lam - 2 * odd_below[lam]) % 4 == _S.chain_offset
-        ):
-            marks.add(lam)
-    _require(2 ** len(marks) == w, "one mark per factor 2 of the weight")
-    return MarkedPartition(pi, frozenset(marks))
+    return MarkedPartition(pi, marks)
 
 
 def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
@@ -242,8 +217,6 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
         raise ValueError("piles do not de-staircase to positive values")
     merged = sorted(star1 + star2)
     base = euler_add(Partition(tuple(merged)))
-    if not is_gollnitz_gordon(base):
-        raise ValueError("merged partition is not Gollnitz-Gordon")
     m = identify(base)
     star = euler_subtract(base).parts
     star_of = dict(zip(base.parts, star))
@@ -282,7 +255,7 @@ def ferrers_graph(pi2: Partition) -> list[list[int]]:
     larger parts) is weighted 2, the rest 4.  Row sums reproduce parts.
     """
     parts = pi2.parts
-    tmap = _t_within(parts)
+    tmap = _odd_below(parts)
     lengths = []
     for p in parts:
         num = 3 + p + 2 * tmap[p] if p % 2 else p + 2 * tmap[p]
@@ -338,21 +311,11 @@ def ferrers_split(pi2: Partition) -> tuple[Partition, Partition]:
 
 
 def ferrers_merge(pi3: Partition, pi4: Partition) -> Partition:
-    """Reattach the 2-modular columns; inverse of ferrers_split."""
+    """Reattach the 2-modular columns; inverse of ferrers_split on the pi2
+    family.  Raises ValueError on any (pi3, pi4) it does not produce from
+    a member of that family."""
     nu = pi3.nu
-    prev = 0
-    for p in pi3.parts:
-        if p % 4 != 0 or p <= prev:
-            raise ValueError("pi3 must be distinct multiples of 4")
-        prev = p
-    odd_rows = set()
-    for p in pi4.parts:
-        if p % 2 == 0 or p >= 2 * nu:
-            raise ValueError("pi4 parts must be odd and < 2*nu(pi3)")
-        i = nu - 1 - (p - 1) // 2
-        if i in odd_rows:
-            raise ValueError("pi4 parts must be distinct")
-        odd_rows.add(i)
+    odd_rows = {nu - 1 - (p - 1) // 2 for p in pi4.parts}
     parts = []
     t = 0
     for i, g in enumerate(pi3.parts):
@@ -360,7 +323,7 @@ def ferrers_merge(pi3: Partition, pi4: Partition) -> Partition:
         if i in odd_rows:
             t += 1
     pi2 = Partition(tuple(parts))
-    if ferrers_split(pi2) != (pi3, pi4):
+    if _PI2.weigh(parts) is None or ferrers_split(pi2) != (pi3, pi4):
         raise ValueError("not in the image of the split map")
     return pi2
 
@@ -386,27 +349,9 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 
 @lru_cache(maxsize=None)
 def _distinct_odds(n: int, min_part: int, below: Optional[int] = None) -> tuple[Partition, ...]:
-    """Partitions of n into distinct odd parts p, min_part <= p < below;
-    cached, so a tuple."""
-    below = n + 1 if below is None else below
-    odds = Family(lambda last, p: (p, 1) if p % 2 and min_part <= p < below and p > last else None)
-    return tuple(enumerate_partitions(n, odds))
-
-
-def _pi2_step(state: int, p: int):
-    # state: last part, odd parts so far mod 2.  Gaps are >= 4, so the
-    # last odd part is within 6 of p only when it is the last part.
-    last, t = state >> 1, state & 1
-    odd = p % 2
-    if (last and p - last < 4) or (p - 2 * t) % 4 != odd:
-        return None
-    if odd and (p < 5 or (last % 2 == 1 and p - last < 6)):
-        return None
-    return p << 1 | (t ^ odd), 1
-
-
-_PI2 = Family(_pi2_step, bits=1)
-_MULT4 = Family(lambda last, p: (p, 1) if p % 4 == 0 and p > last else None)
+    """Partitions of n into distinct odd parts p >= min_part, and p < below
+    when below is given; cached, so a tuple."""
+    return tuple(enumerate_partitions(n, _odds(min_part, below)))
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,11 @@ written mod 4 explicitly.
 
 Each family is described once, as a ``Family``: a state machine that
 reads the parts smallest first, keeping the last part and a few parity
-bits.  The description drives both ``enumerate_partitions``, which lists
-members for the bijection, and a counter memoized over (remaining, state)
-that builds no member, so the counts stay cheap far past n = 60.
+bits.  The description lists, counts and tests membership: it drives
+``enumerate_partitions``, which lists members for the bijection, a
+counter memoized over (remaining, state) that builds no member, so the
+counts stay cheap far past n = 60, and ``Family.weigh``, which reads one
+given partition and is how the validators state a family's rule.
 """
 
 from __future__ import annotations
@@ -115,6 +117,19 @@ class Family:
     bits: int = 0
     _memo: list = field(default_factory=list, repr=False)  # [remaining][state]
 
+    def weigh(self, parts) -> Optional[int]:
+        """Weight of the ascending parts as a member, or None when a step
+        refuses one of them."""
+        state = 0
+        weight = 1
+        for p in parts:
+            nxt = self.step(state, p)
+            if nxt is None:
+                return None
+            state, w = nxt
+            weight *= w
+        return weight
+
 
 _ANY = Family(lambda last, p: (p, 1))
 
@@ -212,12 +227,7 @@ def stat_s(pi: Partition, b: int) -> int:
 
 def is_gollnitz_gordon(pi: Partition) -> bool:
     """Gaps >= 2, strictly more than 2 above any even part."""
-    parts = pi.parts
-    for a, b in zip(parts, parts[1:]):
-        d = b - a
-        if d < 2 or (d == 2 and b % 2 == 0):
-            return False
-    return True
+    return _gap_family(1, 0).weigh(pi.parts) is not None
 
 
 # -- weighted families (mod-4 parity conditions on even parts) ----------
@@ -241,37 +251,52 @@ VARIANTS = {
 }
 
 
-def membership_and_weight(variant: str, pi: Partition) -> Optional[int]:
-    """Weight of a member partition, or None if the parity test fails.
+def _odd_below(parts: tuple[int, ...]) -> dict[int, int]:
+    """t(b): the number of odd parts below each part b."""
+    out: dict[int, int] = {}
+    odd = 0
+    for p in parts:
+        out[p] = odd
+        odd += p % 2
+    return out
 
-    Input must be Gollnitz-Gordon; anything else is a usage error.
-    """
+
+def _chain_marks(variant: str, pi: Partition) -> Optional[frozenset[int]]:
+    """Least parts of the qualifying odd chains of a member, or None if the
+    even-part parity test fails; anything not Gollnitz-Gordon is a usage
+    error."""
     v = VARIANTS[variant]
     if not is_gollnitz_gordon(pi):
         raise ValueError("not a Gollnitz-Gordon partition")
-    odd_seen = 0
-    tmap: dict[int, int] = {}
-    for p in pi.parts:
-        tmap[p] = odd_seen
-        if p % 2 == 1:
-            odd_seen += 1
-    for p in pi.parts:
-        if p % 2 == 0 and (p - 2 * tmap[p]) % 4 != v.even_offset:
-            return None
-    weight = 1
-    for ch in chains(pi):
-        if (
-            ch.parity == "odd"
-            and ch.lam >= v.chain_min
-            and (ch.lam - 2 * tmap[ch.lam]) % 4 == v.chain_offset
-        ):
-            weight *= 2
-    return weight
+    t = _odd_below(pi.parts)
+    if any(p % 2 == 0 and (p - 2 * t[p]) % 4 != v.even_offset for p in pi.parts):
+        return None
+    return frozenset(
+        ch.lam
+        for ch in chains(pi)
+        if ch.parity == "odd"
+        and ch.lam >= v.chain_min
+        and (ch.lam - 2 * t[ch.lam]) % 4 == v.chain_offset
+    )
+
+
+def membership_and_weight(variant: str, pi: Partition) -> Optional[int]:
+    """Weight of a member partition, 2 per qualifying odd chain, or None if
+    the parity test fails.
+
+    Input must be Gollnitz-Gordon; anything else is a usage error.
+    """
+    marks = _chain_marks(variant, pi)
+    return None if marks is None else 1 << len(marks)
 
 
 def _member_family(variant: str) -> Family:
     """Gollnitz-Gordon gaps, the even-part parity test, and weight 2 at the
-    least part of each qualifying odd chain; state: odd parts so far mod 2."""
+    least part of each qualifying odd chain; state: odd parts so far mod 2.
+
+    This restates the rule of ``_chain_marks`` part by part on purpose:
+    check 2.7 compares the marks with the counts this family gives, so
+    neither may be derived from the other."""
     v = VARIANTS[variant]
 
     def step(state: int, p: int):

@@ -47,11 +47,11 @@ from .partitions import (
     MOD8_CONFIG,
     Partition,
     count_g,
+    count_gg,
     count_p,
     count_q,
     count_residue_family,
     count_thm1_side,
-    count_thm2_sides,
     enumerate_members,
     interp_config,
     weighted_count,
@@ -154,12 +154,6 @@ class UnknownCheckError(ValueError):
 # -- shared series builders ---------------------------------------------
 
 
-def _sum_regular(order2, exp2: Callable[[int], int], num, den) -> TruncSeries:
-    """Sum of q^(exp2(n)/2) (num)_n / prod (den)_n over n >= 0, walked by
-    its term ratio; exp2 must be nondecreasing (ValueError otherwise)."""
-    return _ratio_sum(order2, exp2, num, den)
-
-
 def _single_pair_sum(order2, marked: bool) -> TruncSeries:
     """The two-headed single sum: term n >= 1 contributes
     (q^(n^2+n) + [w] q^(n^2+n-1)) (-[w]q; q^2)_{n-1} / (q^2; q^2)_n,
@@ -171,7 +165,7 @@ def _single_pair_sum(order2, marked: bool) -> TruncSeries:
     dw = 1 if marked else 0
     head = monomial(1, 2, order2=order2) + monomial(1, 0, 0, dw, order2=order2)
     head = head * inv_poch_finite(Q2F, 1, order2=order2)
-    walk = _sum_regular(order2, lambda m: 2 * m * m + 6 * m + 2, F(-1, 2, 4, 0, dw), [F(1, 8, 4)])
+    walk = _ratio_sum(order2, lambda m: 2 * m * m + 6 * m + 2, F(-1, 2, 4, 0, dw), [F(1, 8, 4)])
     return one(order2) + head * walk
 
 
@@ -425,7 +419,7 @@ def _build_3_2(order2, counts_max, triples_max):
 
 _marked_3_7 = _marked(
     (1, 1),
-    lambda o: _sum_regular(o, lambda n: 2 * n * n + 2 * n, F(-1, 2, 4, 0, 1), [Q2F]),
+    lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, F(-1, 2, 4, 0, 1), [Q2F]),
     [F(-1, 4, 8), F(-1, 6, 8, 0, 1), F(-1, 8, 8)],
     [F(-1, 4, 8), F(-1, 6, 8), F(-1, 8, 8)],
 )
@@ -433,7 +427,7 @@ _marked_3_7 = _marked(
 
 def _build_3_7(order2):
     facets = _marked_3_7(order2)
-    j0 = _sum_regular(order2, lambda n: 2 * n * n + 2 * n, None, [Q2F])
+    j0 = _ratio_sum(order2, lambda n: 2 * n * n + 2 * n, None, [Q2F])
     double = facets[0].got
     return facets + [Facet("degree-0-slice", zw_slice(double, dw=0), j0)]
 
@@ -508,7 +502,7 @@ def _build_4_13(order2, counts_max):
 
 
 def _build_4_14(order2, counts_max):
-    lhs = _sum_regular(order2, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F])
+    lhs = _ratio_sum(order2, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F])
     form1 = poch_product(
         [F(1, 4, 8), F(1, 12, 12), F(1, 2, 12), F(1, 10, 12)], order2=order2
     ) * inv_poch_infinite(Q1F, order2=order2)
@@ -542,45 +536,15 @@ def _build_4_20(k_list, l_max):
     ]
 
 
-def _build_thm2(n_max):
-    facets = []
-    for i in (1, 3):
-        pairs = [count_thm2_sides(i, n) for n in range(n_max + 1)]
-        facets.append(
-            Facet(
-                f"gap-side-vs-residue-side i={i}",
-                [p[1] for p in pairs],
-                [p[0] for p in pairs],
-            )
-        )
-    return facets
-
-
 def _build_thm5(n_max):
     g = [count_g(n) for n in range(n_max + 1)]
     p = [count_p(n) for n in range(n_max + 1)]
-    lhs = _sum_regular(
+    lhs = _ratio_sum(
         2 * n_max + 1, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F]
     )
     return [
         Facet("gap-vs-residue", g, p),
         Facet("residue-vs-series", p, q_coefficients(lhs, n_max)),
-    ]
-
-
-def _build_lemma2(n_max):
-    triples = [len(triple_partitions(n)) for n in range(n_max + 1)]
-    return [
-        Facet(
-            "triples-vs-pairs",
-            triples,
-            [len(split_pairs(n)) for n in range(n_max + 1)],
-        ),
-        Facet(
-            "triples-vs-distinct",
-            triples,
-            [count_q(2, n) for n in range(n_max + 1)],
-        ),
     ]
 
 
@@ -597,7 +561,7 @@ class _Entry:
 REGISTRY: dict[str, _Entry] = {
     "1.1": _Entry(
         _sum_vs_product(
-            lambda o: _sum_regular(o, lambda n: 2 * n * n + 2 * n, MQ_Q2, [Q2F]),
+            lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, MQ_Q2, [Q2F]),
             _product(F(-1, 4, 8), F(-1, 6, 8), F(-1, 8, 8)),
             ("product-vs-counts", _the_product, lambda n: count_q(1, n)),
         ),
@@ -613,7 +577,7 @@ REGISTRY: dict[str, _Entry] = {
     ),
     "1.3": _Entry(
         _sum_vs_product(
-            lambda o: _sum_regular(o, lambda n: 2 * n * n, MQ_Q2, [Q2F]),
+            lambda o: _ratio_sum(o, lambda n: 2 * n * n, MQ_Q2, [Q2F]),
             _product(F(1, 2, 16), F(1, 8, 16), F(1, 14, 16), inverse=True),
             ("product-vs-counts", _the_product, lambda n: count_residue_family(MOD8_CONFIG[1], n)),
         ),
@@ -621,7 +585,7 @@ REGISTRY: dict[str, _Entry] = {
     ),
     "1.4": _Entry(
         _sum_vs_product(
-            lambda o: _sum_regular(o, lambda n: 2 * (n * n + 2 * n), MQ_Q2, [Q2F]),
+            lambda o: _ratio_sum(o, lambda n: 2 * (n * n + 2 * n), MQ_Q2, [Q2F]),
             _product(F(1, 6, 16), F(1, 8, 16), F(1, 10, 16), inverse=True),
             ("product-vs-counts", _the_product, lambda n: count_residue_family(MOD8_CONFIG[3], n)),
         ),
@@ -736,7 +700,15 @@ REGISTRY: dict[str, _Entry] = {
         ),
         {"n_max": 40}, {"n_max": 48},
     ),
-    "thm2": _Entry(_build_thm2, {"n_max": 40}, {"n_max": 48}),
+    "thm2": _Entry(
+        _sequences(
+            ("gap-side-vs-residue-side i=1",
+             lambda n: count_gg(n, min_part=1), lambda n: count_residue_family(MOD8_CONFIG[1], n)),
+            ("gap-side-vs-residue-side i=3",
+             lambda n: count_gg(n, min_part=3), lambda n: count_residue_family(MOD8_CONFIG[3], n)),
+        ),
+        {"n_max": 40}, {"n_max": 48},
+    ),
     "thm3": _Entry(
         _sequences(
             ("weighted-vs-distinct", lambda n: weighted_count("S", n), lambda n: count_q(2, n)),
@@ -756,7 +728,14 @@ REGISTRY: dict[str, _Entry] = {
         ),
         {"n_max": 36}, {"n_max": 40},
     ),
-    "lemma2": _Entry(_build_lemma2, {"n_max": 36}, {"n_max": 40}),
+    "lemma2": _Entry(
+        _sequences(
+            ("triples-vs-pairs",
+             lambda n: len(triple_partitions(n)), lambda n: len(split_pairs(n))),
+            ("triples-vs-distinct", lambda n: len(triple_partitions(n)), lambda n: count_q(2, n)),
+        ),
+        {"n_max": 36}, {"n_max": 40},
+    ),
 }
 
 

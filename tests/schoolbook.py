@@ -16,7 +16,7 @@ builders of ``ggq.series``.
 ``single_sum``, ``single_pair_sum`` and ``double_sum`` are the paper's
 series summed term by term: a monomial times (num)_n and the cached
 inverses, one product per factor and term, added into the total one term
-at a time.  They do not walk the term ratio, as ``registry._sum_regular``
+at a time.  They do not walk the term ratio, as ``series._ratio_sum``
 and ``registry._single_pair_sum`` do, nor pull the factors of n2 out of
 the n1 sum, as ``registry._double_sum`` does.
 """

@@ -56,11 +56,11 @@ def test_identify_worked_example():
 
 
 def test_broken_invariant_raises(monkeypatch):
-    # a wrong weight breaks identify's one-mark-per-factor-2 invariant; the
-    # check is an explicit raise, so it fires under python -O as well
-    monkeypatch.setattr(bijection, "membership_and_weight", lambda variant, pi: 4)
+    # a split that loses pi2 breaks triple_map's size invariant; the check
+    # is an explicit raise, so it fires under python -O as well
+    monkeypatch.setattr(bijection, "ferrers_split", lambda pi2: (Partition(), Partition()))
     with pytest.raises(AssertionError, match="invariant broken"):
-        identify(Partition((5,)))
+        triple_map(identify(Partition((5,))), (True,))
 
 
 def test_identify_mark_count_matches_weight():
@@ -107,13 +107,21 @@ def test_unchecked_inverse_agrees_with_the_checked_one():
 
 
 def test_split_pair_validation():
-    with pytest.raises(ValueError):
-        SplitPair(Partition((2,)), Partition())  # even part in pi1
-    with pytest.raises(ValueError):
-        SplitPair(Partition(), Partition((5, 7)))  # pi2 gap < 4
-    with pytest.raises(ValueError):
-        SplitPair(Partition((1,)), Partition((4,)))  # 1 <= 2*nu(pi2)
-    SplitPair(Partition((5,)), Partition())  # fine
+    for pi1, pi2 in [
+        ((), (5, 7)),  # pi2 gap < 4
+        ((), (1,)),  # odd pi2 part < 5
+        ((), (5, 9)),  # odd pi2 parts 4 apart
+        ((), (7,)),  # odd pi2 part: 7 - 2t(7) == 3 (mod 4), not 1
+        ((), (6,)),  # even pi2 part: 6 - 2t(6) == 2 (mod 4), not 0
+        ((), (5, 12)),  # even pi2 part above an odd one: 12 - 2 == 2 (mod 4)
+        ((2,), ()),  # even part in pi1
+        ((5, 5), ()),  # repeated pi1 part
+        ((1,), (4,)),  # 1 <= 2*nu(pi2)
+    ]:
+        with pytest.raises(ValueError):
+            SplitPair(Partition(pi1), Partition(pi2))
+    for pi1, pi2 in [((5,), ()), ((), (5,)), ((3,), (4,)), ((), (5, 11)), ((), (4, 9))]:
+        SplitPair(Partition(pi1), Partition(pi2))
 
 
 def test_ferrers_worked_example():
@@ -156,11 +164,37 @@ def test_ferrers_graph_structure():
 
 
 def test_triple_validation():
-    with pytest.raises(ValueError):
-        TriplePartition(Partition(), Partition((3,)), Partition())  # pi3 not mult of 4
-    with pytest.raises(ValueError):
-        TriplePartition(Partition(), Partition((4,)), Partition((3,)))  # pi4 too big
+    for pi1, pi3, pi4 in [
+        ((), (3,), ()),  # pi3 part not a multiple of 4
+        ((), (4, 4), ()),  # repeated pi3 part
+        ((), (4,), (3,)),  # pi4 part >= 2*nu(pi3)
+        ((), (4, 8), (2,)),  # even pi4 part
+        ((), (4, 8), (1, 1)),  # repeated pi4 part
+        ((6,), (), ()),  # even pi1 part
+        ((5, 5), (), ()),  # repeated pi1 part
+        ((1,), (4,), ()),  # 1 <= 2*nu(pi3)
+    ]:
+        with pytest.raises(ValueError):
+            TriplePartition(Partition(pi1), Partition(pi3), Partition(pi4))
     TriplePartition(Partition(), Partition((4,)), Partition((1,)))
+    TriplePartition(Partition((3, 7)), Partition((4,)), Partition((1,)))
+
+
+@pytest.mark.parametrize(
+    "pi3, pi4",
+    [
+        ((3,), ()),
+        ((4, 4), ()),
+        ((4, 4), (1,)),  # reattaches to (4, 5), which ferrers_split maps back
+        ((4,), (3,)),
+        ((4, 8), (1, 1)),
+        ((4, 8), (2,)),
+        ((), (1,)),
+    ],
+)
+def test_ferrers_merge_rejects_what_the_split_does_not_produce(pi3, pi4):
+    with pytest.raises(ValueError):
+        ferrers_merge(Partition(pi3), Partition(pi4))
 
 
 def test_triple_map_single_mark():

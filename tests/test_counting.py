@@ -6,11 +6,14 @@ import brute_force as bf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggq.bijection import _MULT4, _PI2, _distinct_odds
+from ggq.bijection import _MULT4, _PI2, _distinct_odds, _odds
 from ggq.partitions import (
     MOD8_CONFIG,
     P_CONFIG,
     ResidueFamilyConfig,
+    _MEMBERS,
+    _count,
+    _gap_family,
     count_g,
     count_gg,
     count_p,
@@ -78,6 +81,30 @@ def test_listers_match_brute_force():
             assert list(_distinct_odds(n, lo)) == bf.enumerate_partitions(
                 n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
             )
+
+
+WEIGHED = {
+    "pi2": _PI2,
+    "mult4": _MULT4,
+    "odds": _odds(1),
+    "odds-3-below-12": _odds(3, 12),
+    "members-S": _MEMBERS["S"],
+    "members-Sstar": _MEMBERS["Sstar"],
+    "gollnitz-gordon": _gap_family(1, 0),
+    "thm1-side-1": _gap_family(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHED))
+def test_weigh_admits_exactly_the_listed_members(name):
+    # the validators rest on weigh; it must accept what the family lists,
+    # refuse every other partition, and weigh the members as the counter does
+    family = WEIGHED[name]
+    for n in range(21):
+        members = set(enumerate_partitions(n, family))
+        weights = {pi: family.weigh(pi.parts) for pi in enumerate_partitions(n)}
+        assert {pi for pi, w in weights.items() if w is not None} == members
+        assert sum(w for w in weights.values() if w is not None) == _count(family, n)
 
 
 @st.composite

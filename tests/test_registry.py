@@ -295,7 +295,7 @@ def test_row_sums_match_the_grid_point_sum(args, order2):
     assert registry._double_sum(order2, *args) == schoolbook.double_sum(order2, *args)
 
 
-# every (exp2, num, den) the catalog passes to _sum_regular: 1.1, 1.3, 1.4,
+# every (exp2, num, den) the catalog passes to _ratio_sum: 1.1, 1.3, 1.4,
 # the walk of the pair sums of 1.2 and 3.10, 3.7's marked single sum and
 # degree-0 slice, and 4.14 and thm5
 SINGLE_SUMS = [
@@ -317,13 +317,13 @@ def _shape(exp2, num, den):
 
 def test_single_sums_cover_the_catalog(monkeypatch):
     seen = set()
-    sum_regular = registry._sum_regular
+    ratio_sum = registry._ratio_sum
 
     def recorded(order2, exp2, num, den):
         seen.add(_shape(exp2, num, den))
-        return sum_regular(order2, exp2, num, den)
+        return ratio_sum(order2, exp2, num, den)
 
-    monkeypatch.setattr(registry, "_sum_regular", recorded)
+    monkeypatch.setattr(registry, "_ratio_sum", recorded)
     for entry in REGISTRY.values():
         entry.builder(**entry.quick)
     assert seen == {_shape(*args) for args in SINGLE_SUMS}
@@ -337,7 +337,7 @@ def test_single_sums_cover_the_catalog(monkeypatch):
 @example(11)
 def test_ratio_walk_matches_the_term_by_term_sum(args, order2):
     # at order2 3 only n = 0 is visible, at 5 only n = 0 and 1 of most shapes
-    assert registry._sum_regular(order2, *args) == schoolbook.single_sum(order2, *args)
+    assert registry._ratio_sum(order2, *args) == schoolbook.single_sum(order2, *args)
 
 
 @pytest.mark.parametrize("marked", [False, True])
@@ -352,4 +352,4 @@ def test_pair_sums_match_the_term_by_term_sum(marked, order2):
 @pytest.mark.parametrize("exp2", [lambda n: 8 - 2 * n, lambda n: (0, 8, 4, 60)[min(n, 3)]])
 def test_a_decreasing_exponent_raises(exp2):
     with pytest.raises(ValueError, match="exp2 decreases"):
-        registry._sum_regular(41, exp2, registry.MQ_Q2, [registry.Q2F])
+        registry._ratio_sum(41, exp2, registry.MQ_Q2, [registry.Q2F])
