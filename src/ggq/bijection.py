@@ -18,6 +18,10 @@ step: the same families list ``split_pairs`` and ``triple_partitions``
 and, through ``Family.weigh``, validate ``SplitPair`` and
 ``TriplePartition``.
 
+The split is stated in closed form; ``ferrers_graph`` draws the graph
+it cuts, for the trace.  Both raise ValueError on a pi2 outside the pi2
+family ``_PI2``.
+
 Inverses recompute rather than remember: the choice bits are recovered
 from which pile holds the subtracted value.  The public inverses,
 ``redistribute_inverse`` and ``ferrers_merge``, check their input only
@@ -70,13 +74,11 @@ def _odds(min_part: int, below: Optional[int] = None) -> Family:
 
 
 def _pi2_step(state: int, p: int):
-    # state: last part, odd parts so far mod 2.  Gaps are >= 4, so the
-    # last odd part is within 6 of p only when it is the last part.
+    # state: last part, odd parts so far mod 2.  Odd parts 6 apart need no
+    # test: two odd parts 4 apart differ by one in t, so break parity.
     last, t = state >> 1, state & 1
     odd = p % 2
-    if (last and p - last < 4) or (p - 2 * t) % 4 != odd:
-        return None
-    if odd and (p < 5 or (last % 2 == 1 and p - last < 6)):
+    if (last and p - last < 4) or (p - 2 * t) % 4 != odd or (odd and p < 5):
         return None
     return p << 1 | (t ^ odd), 1
 
@@ -105,8 +107,7 @@ class SplitPair:
     pi2: Partition
 
     def __post_init__(self):
-        if _PI2.weigh(self.pi2.parts) is None:
-            raise ValueError("pi2 breaks a gap or parity condition")
+        _check_pi2(self.pi2.parts)
         if _odds(2 * self.pi2.nu + 1).weigh(self.pi1.parts) is None:
             raise ValueError("pi1 must be distinct odds above 2*nu(pi2)")
 
@@ -133,6 +134,11 @@ class TriplePartition:
     @property
     def sigma(self) -> int:
         return self.pi1.sigma + self.pi3.sigma + self.pi4.sigma
+
+
+def _check_pi2(parts) -> None:
+    if _PI2.weigh(parts) is None:
+        raise ValueError("pi2 breaks a gap or parity condition")
 
 
 def _require(holds: bool, invariant: str) -> None:
@@ -218,8 +224,7 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
     merged = sorted(star1 + star2)
     base = euler_add(Partition(tuple(merged)))
     m = identify(base)
-    star = euler_subtract(base).parts
-    star_of = dict(zip(base.parts, star))
+    star_of = dict(zip(base.parts, merged))
     budget: dict[int, int] = {}
     for v in star2:
         if v % 2 == 1:
@@ -255,59 +260,34 @@ def ferrers_graph(pi2: Partition) -> list[list[int]]:
     larger parts) is weighted 2, the rest 4.  Row sums reproduce parts.
     """
     parts = pi2.parts
+    _check_pi2(parts)
     tmap = _odd_below(parts)
-    lengths = []
-    for p in parts:
-        num = 3 + p + 2 * tmap[p] if p % 2 else p + 2 * tmap[p]
-        if num % 4 != 0:
-            raise ValueError("row length is not integral; parity condition broken")
-        lengths.append(num // 4)
-    for a, b in zip(lengths, lengths[1:]):
-        if b <= a:
-            raise ValueError("row lengths must strictly increase")
+    lengths = [(p + 2 * tmap[p] + 3 * (p % 2)) // 4 for p in parts]
     one_cols = {lengths[i] - 1 for i, p in enumerate(parts) if p % 2 == 1}
     rows = []
-    for i, p in enumerate(parts):
-        row = []
-        for c in range(lengths[i]):
-            if p % 2 == 1 and c == lengths[i] - 1:
-                row.append(1)
-            elif c in one_cols and c < lengths[i] - 1:
-                row.append(2)
-            else:
-                row.append(4)
+    for n, p in zip(lengths, parts):
+        # the columns of smaller odd rows all end before this row's last node
+        row = [2 if c in one_cols else 4 for c in range(n - p % 2)] + [1] * (p % 2)
         _require(sum(row) == p, "graph rows sum to their parts")
         rows.append(row)
     return rows
 
 
 def ferrers_split(pi2: Partition) -> tuple[Partition, Partition]:
-    """Extract the 1-footed columns as pi4; the all-4 remainder is pi3."""
-    if not pi2.parts:
-        return Partition(), Partition()
-    rows = ferrers_graph(pi2)
-    nrows = len(rows)
-    one_cols = []  # (column index, bottom row index)
-    for i, row in enumerate(rows):
-        if row[-1] == 1:
-            one_cols.append((len(row) - 1, i))
-    pi4_parts = []
-    for c, i in one_cols:
-        col = [rows[j][c] for j in range(i, nrows)]
-        _require(col[0] == 1 and all(x == 2 for x in col[1:]), "columns are a 1 over 2s")
-        pi4_parts.append(sum(col))
-    pi3_parts = []
-    drop = {c for c, _ in one_cols}
-    for row in rows:
-        kept = [w for c, w in enumerate(row) if c not in drop]
-        _require(all(w == 4 for w in kept), "the remainder holds only 4s")
-        pi3_parts.append(sum(kept))
-    pi3 = Partition(tuple(pi3_parts))
-    pi4 = Partition(tuple(sorted(pi4_parts)))
-    _require(pi3.sigma + pi4.sigma == pi2.sigma, "the split keeps the size")
-    _require(pi3.nu == pi2.nu, "the split keeps the number of parts")
-    _require(not pi4.parts or pi4.parts[-1] < 2 * pi2.nu, "pi4 parts stay below 2*nu")
-    return pi3, pi4
+    """Cut the 1-footed columns out of pi2's graph: they are pi4, the
+    all-4 remainder is pi3.
+
+    A part b keeps its 4s, b - 2t(b) - (b mod 2), in pi3.  The 1 ending
+    the row of an odd part at index i sits over the 2s of the nu - 1 - i
+    larger rows, so its column is the pi4 part 2(nu - i) - 1.
+    """
+    parts = pi2.parts
+    _check_pi2(parts)
+    t = _odd_below(parts)
+    nu = len(parts)
+    pi3 = tuple(b - 2 * t[b] - b % 2 for b in parts)
+    pi4 = tuple(2 * (nu - i) - 1 for i in reversed(range(nu)) if parts[i] % 2)
+    return Partition(pi3), Partition(pi4)
 
 
 def ferrers_merge(pi3: Partition, pi4: Partition) -> Partition:
@@ -323,7 +303,7 @@ def ferrers_merge(pi3: Partition, pi4: Partition) -> Partition:
         if i in odd_rows:
             t += 1
     pi2 = Partition(tuple(parts))
-    if _PI2.weigh(parts) is None or ferrers_split(pi2) != (pi3, pi4):
+    if ferrers_split(pi2) != (pi3, pi4):
         raise ValueError("not in the image of the split map")
     return pi2
 
@@ -384,7 +364,7 @@ def trace_pipeline(pi: Partition, choice: tuple[bool, ...]) -> list[tuple[str, s
     star = euler_subtract(pi)
     pair = redistribute(m, choice)
     pi3, pi4 = ferrers_split(pair.pi2)
-    rows = ferrers_graph(pair.pi2) if pair.pi2.parts else []
+    rows = ferrers_graph(pair.pi2)
     stages = [
         ("member", _fmt(pi.parts)),
         ("marks", _fmt(sorted(m.marks))),

@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
+from math import gcd, isqrt
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Optional
 
@@ -686,38 +686,20 @@ def inv_poch_infinite(f: FactorSpec, *, order2: int) -> TruncSeries:
 # -- bilateral theta and the triple product -----------------------------
 
 
-def _zspec(zspec) -> tuple[int, int]:
-    if len(zspec) == 2:
-        sign, e2 = zspec
-    elif len(zspec) == 4:
-        sign, e2, dz, dw = zspec
-        if dz or dw:
-            raise ValueError("bilateral sum cannot raise markers to negative powers")
-    else:
-        raise ValueError("zspec must be (sign, e2) or (sign, e2, dz, dw)")
-    if sign not in (1, -1):
-        raise ValueError("zspec sign must be +1 or -1")
-    return sign, e2
-
-
-def _theta_exponent(n: int, e2z: int) -> int:
-    return 2 * n * n + n * e2z
-
-
-def _theta_min(e2z: int) -> int:
-    n0 = -e2z // 4
-    return min(_theta_exponent(n, e2z) for n in range(n0 - 2, n0 + 3))
-
-
 def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
-    """Normalized (theta, product) pair for the triple-product comparison.
+    """Normalized (theta, product) pair for the triple-product comparison
+    sum_n z^n q^(n^2) = (q^2; q^2) (-qz; q^2) (-q/z; q^2), zspec = (sign, e2)
+    standing for z = sign q^(e2/2).
 
-    Both sides are multiplied by the q-power that clears any negative
-    exponents introduced by the z-specialization, so they can be compared
-    on the nonnegative grid.
+    The theta term of n sits at 2n^2 + n*e2.  Peeling the factors of
+    (-q/z; q^2) with a negative exponent pulls q^(-shift/2) out of the
+    product, and shift = -min over n of (2n^2 + n*e2): the first N peeled
+    add up to N*e2 - 2N^2, the exponent of n = -N negated.  Both sides are
+    multiplied by q^(shift/2), which puts each on the nonnegative grid.
     """
-    sign_z, e2z = _zspec(zspec)
-    mu = _theta_min(e2z)
+    sign_z, e2z = zspec
+    if sign_z not in (1, -1):
+        raise ValueError("zspec sign must be +1 or -1")
 
     # product side (q^2; q^2) (-qz; q^2) (-q/z; q^2), peeling nonpositive
     # exponents from the -q/z chain: (1 - s q^(-c/2)) = -s q^(-c/2) (1 - s q^(c/2))
@@ -735,38 +717,23 @@ def jacobi_sides(zspec, *, order2: int) -> tuple[TruncSeries, TruncSeries]:
         else:
             mult *= 1 - s_a
         e2a += 4
-    n0 = max(-mu, shift, 0)
 
+    # no term past |n| = isqrt(order2) + |e2| is kept: there
+    # 2n^2 + n*e2 >= |n| (2|n| - |e2|) > n^2 > order2
     lhs_terms: dict[Key, int] = {}
-    n = -e2z // 4
-    for direction in (0, 1):
-        m = n if direction == 0 else n - 1
-        step = 1 if direction == 0 else -1
-        while True:
-            t = _theta_exponent(m, e2z) + n0
-            if t >= order2:
-                if abs(m - n) > abs(e2z) + order2:
-                    break
-                if _theta_exponent(m, e2z) > order2 + abs(mu):
-                    break
-            else:
-                k = (t, 0, 0)
-                c = lhs_terms.get(k, 0) + (sign_z if m % 2 else 1)
-                if c:
-                    lhs_terms[k] = c
-                elif k in lhs_terms:
-                    del lhs_terms[k]
-            m += step
-    lhs = TruncSeries(lhs_terms, order2)
+    bound = isqrt(order2) + abs(e2z)
+    for n in range(-bound, bound + 1):
+        k = (2 * n * n + n * e2z + shift, 0, 0)
+        if k[0] < order2:
+            lhs_terms[k] = lhs_terms.get(k, 0) + (sign_z if n % 2 else 1)
+    lhs = TruncSeries({k: c for k, c in lhs_terms.items() if c}, order2)
 
-    inner = order2 - (n0 - shift)
-    if mult == 0 or inner <= 0:
+    if mult == 0:
         return lhs, zero(order2)
-    prod = poch_infinite(FactorSpec(1, 4, 4), order2=inner)
-    prod = prod * poch_infinite(FactorSpec(-sign_z, 2 + e2z, 4), order2=inner)
+    prod = poch_infinite(FactorSpec(1, 4, 4), order2=order2)
+    prod = prod * poch_infinite(FactorSpec(-sign_z, 2 + e2z, 4), order2=order2)
     for s_x, c in extras:
-        prod = prod * (one(inner) - monomial(s_x, c, order2=inner))
+        prod = prod * (one(order2) - monomial(s_x, c, order2=order2))
     if e2a > 0:
-        prod = prod * poch_infinite(FactorSpec(s_a, e2a, 4), order2=inner)
-    return lhs, shift_exponents(prod.scale(mult), n0 - shift)
-
+        prod = prod * poch_infinite(FactorSpec(s_a, e2a, 4), order2=order2)
+    return lhs, prod.scale(mult)

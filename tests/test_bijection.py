@@ -4,6 +4,7 @@ import pytest
 
 from ggq import bijection
 from ggq.bijection import (
+    _PI2,
     MarkedPartition,
     SplitPair,
     TriplePartition,
@@ -25,6 +26,7 @@ from ggq.partitions import (
     Partition,
     count_q,
     enumerate_members,
+    enumerate_partitions,
     membership_and_weight,
     weighted_count,
 )
@@ -141,14 +143,23 @@ def test_ferrers_merge_split_roundtrip():
             assert ferrers_split(ferrers_merge(t.pi3, t.pi4)) == (t.pi3, t.pi4)
 
 
+def _split_by_columns(rows):
+    # the paper's cut, read off the graph: each 1-footed column summed is a
+    # pi4 part, and the rows less those columns are the pi3 parts
+    one_cols = {len(row) - 1: i for i, row in enumerate(rows) if row[-1] == 1}
+    pi4 = sorted(sum(rows[j][c] for j in range(i, len(rows))) for c, i in one_cols.items())
+    pi3 = [sum(w for c, w in enumerate(row) if c not in one_cols) for row in rows]
+    return Partition(tuple(pi3)), Partition(tuple(pi4))
+
+
 def test_ferrers_graph_structure():
     # odd rows end in a single 1, the column above each 1 carries 2s,
-    # everything else is a 4; row sums give back the parts
+    # everything else is a 4; row sums give back the parts, and cutting
+    # the graph's columns gives what the closed-form split gives
     for n in range(SIGMA + 1):
         for pair in split_pairs(n):
-            if not pair.pi2.parts:
-                continue
             rows = ferrers_graph(pair.pi2)
+            assert ferrers_split(pair.pi2) == _split_by_columns(rows)
             one_cols = set()
             for row, p in zip(rows, pair.pi2.parts):
                 assert sum(row) == p
@@ -161,6 +172,17 @@ def test_ferrers_graph_structure():
                 assert {c for c, v in enumerate(row) if v == 2} == {
                     c for c in one_cols if c < len(row) - (1 if p % 2 else 0)
                 }
+
+
+def test_ferrers_split_and_graph_reject_non_members():
+    # (4, 5) has integral, increasing row lengths but breaks the gap rule
+    for n in range(25):
+        for pi in enumerate_partitions(n):
+            if _PI2.weigh(pi.parts) is None:
+                with pytest.raises(ValueError):
+                    ferrers_split(pi)
+                with pytest.raises(ValueError):
+                    ferrers_graph(pi)
 
 
 def test_triple_validation():

@@ -73,7 +73,6 @@ def test_listers_match_brute_force():
         for variant in ("S", "Sstar"):
             want = bf.enumerate_partitions(n, bf.member_side(variant))
             assert enumerate_members(variant, n) == want
-        assert enumerate_partitions(n, _PI2) == bf.enumerate_partitions(n, bf.pi2_side)
         assert enumerate_partitions(n, _MULT4) == bf.enumerate_partitions(
             n, bf.distinct_where(lambda p: p % 4 == 0)
         )
@@ -81,6 +80,13 @@ def test_listers_match_brute_force():
             assert list(_distinct_odds(n, lo)) == bf.enumerate_partitions(
                 n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
             )
+
+
+def test_pi2_lister_matches_the_six_apart_rule():
+    # _pi2_step drops the paper's rule that odd parts are 6 apart, which
+    # bf.pi2_side keeps; the parity rule already implies it
+    for n in range(61):
+        assert enumerate_partitions(n, _PI2) == bf.enumerate_partitions(n, bf.pi2_side)
 
 
 WEIGHED = {

@@ -351,9 +351,16 @@ def test_theta_expansion():
     assert got == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
-@pytest.mark.parametrize("zspec", [(1, 0), (-1, 0), (1, 2), (1, 6)])
+@pytest.mark.parametrize("zspec", [(s, e2) for s in (1, -1) for e2 in range(-1, 9)])
 def test_triple_product(zspec):
     assert series_diff(*jacobi_sides(zspec, order2=121)) is None
+
+
+# a sign other than +-1, and z = q^(-1), whose (-qz; q^2) starts at q^0
+@pytest.mark.parametrize("zspec", [(2, 0), (1, -2)])
+def test_triple_product_rejects_out_of_domain_z(zspec):
+    with pytest.raises(ValueError):
+        jacobi_sides(zspec, order2=121)
 
 
 def test_inexact_builders_pass_the_flag_at_construction():
