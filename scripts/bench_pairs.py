@@ -7,8 +7,8 @@ For each pair and each workload, ``perfbench/run.py`` runs once in the
 base checkout and once in the change checkout (the order flips every
 pair), both with the pair's seed.  The record holds, per workload and
 end-to-end metric, every value, the median and quartiles of each side,
-and how many pairs the change won; plus the ``src/`` line count of each
-side and the machine it ran on.
+and how many pairs the change won; plus the line and code-token counts of
+each side's ``src/ggq`` (``scripts/src_size.py``) and the machine it ran on.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from src_size import size
 
 WORKLOADS = ("catalog-full", "series-deep", "marked-series", "counts-deep")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
@@ -40,10 +42,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
-
-
-def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
 
 
 def main() -> int:
@@ -68,6 +66,7 @@ def main() -> int:
                 f"{s} wall {runs[w][s][-1]['wall_s']:.3f}" for s in ("base", "change")),
                 flush=True)
 
+    sizes = {side: size(getattr(args, side)) for side in ("base", "change")}
     workloads = {}
     for w, sides in runs.items():
         workloads[w] = {}
@@ -87,7 +86,8 @@ def main() -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "elapsed_s": round(time.monotonic() - t0),
-        "src_lines": {"base": src_lines(args.base), "change": src_lines(args.change)},
+        "src_lines": {side: sizes[side][0] for side in sizes},
+        "src_tokens": {side: sizes[side][1] for side in sizes},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")

@@ -20,7 +20,6 @@ from .series import (
     poch_product,
     q_coefficients,
     series_diff,
-    shift_exponents,
     truncate,
     zero,
     zw_slice,

@@ -407,10 +407,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except UnknownCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # UnknownCheckError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ would run to hundreds of thousands of bits.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
@@ -201,15 +202,7 @@ def u_of(l: int, a: int, *, order2: int = 0) -> TruncSeries:
 def n_vectors(k: int, cap: int):
     """Weakly decreasing nonnegative (N_1..N_k) with N_1 <= cap, in
     descending lexicographic order."""
-
-    def rec(prefix, hi):
-        if len(prefix) == k:
-            yield prefix
-            return
-        for v in range(hi, -1, -1):
-            yield from rec(prefix + (v,), v)
-
-    yield from rec((), cap)
+    return combinations_with_replacement(range(cap, -1, -1), k)
 
 
 def _bounded_lhs(k: int, l: int, cap: int, head, bits: int) -> tuple[int, int]:
