@@ -358,8 +358,8 @@ def test_triple_product(zspec):
     assert series_diff(*jacobi_sides(zspec, order2=121)) is None
 
 
-# a sign other than +-1
-@pytest.mark.parametrize("zspec", [(2, 0)])
+# a sign other than +-1, and z = 0, where 1/z is undefined
+@pytest.mark.parametrize("zspec", [(2, 0), (0, 2)])
 def test_triple_product_rejects_out_of_domain_z(zspec):
     with pytest.raises(ValueError):
         jacobi_sides(zspec, order2=121)
