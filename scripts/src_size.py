@@ -5,7 +5,8 @@
 
 Lines stay within 100 characters, so a smaller line count means less code
 and not longer lines.  The size is printed as lines, and as code tokens
-the way tokenize reads them, less comments, docstrings and layout tokens.
+the way tokenize reads them, less comments, docstrings and layout tokens,
+and as public names, the entries of every module's ``__all__``.
 Each line over 100 characters is printed as path:line, and then the exit
 status is 1.
 """
@@ -31,23 +32,30 @@ def code_tokens(src: str) -> int:
                if t.type not in LAYOUT and not (t.type == tokenize.STRING and t.start in docs))
 
 
-def size(checkout: Path) -> tuple[int, int, list[str]]:
-    """Lines, code tokens and the path:line of each overlong line of src/ggq."""
-    lines = tokens = 0
+def public_names(src: str) -> int:
+    return sum(len(n.value.elts) for n in ast.parse(src).body if isinstance(n, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets))
+
+
+def size(checkout: Path) -> tuple[int, int, int, list[str]]:
+    """Lines, code tokens, public names and the path:line of each overlong
+    line of src/ggq."""
+    lines = tokens = names = 0
     long = []
     for p in sorted((checkout / "src" / "ggq").rglob("*.py")):
         src = p.read_text()
         rows = src.splitlines()
         lines += len(rows)
         tokens += code_tokens(src)
+        names += public_names(src)
         long += [f"{p}:{i}" for i, row in enumerate(rows, 1) if len(row) > MAX_LINE]
-    return lines, tokens, long
+    return lines, tokens, names, long
 
 
 def main() -> int:
-    lines, tokens, long = size(Path(sys.argv[1] if len(sys.argv) > 1 else "."))
+    lines, tokens, names, long = size(Path(sys.argv[1] if len(sys.argv) > 1 else "."))
     print("\n".join(long))
-    print(f"src/ggq: {lines} lines, {tokens} code tokens")
+    print(f"src/ggq: {lines} lines, {tokens} code tokens, {names} public names")
     return 1 if long else 0
 
 

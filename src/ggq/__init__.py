@@ -40,9 +40,6 @@ from .partitions import (
     enumerate_partitions,
     interp_config,
     is_gollnitz_gordon,
-    membership_and_weight,
-    stat_s,
-    stat_t,
     weighted_count,
 )
 from .bijection import (
@@ -81,7 +78,6 @@ from .trinomials import (
     sides_4_20,
     t_ab,
     t_warnaar,
-    u_of,
     u_tilde,
 )
 from .registry import (

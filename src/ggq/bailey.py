@@ -8,10 +8,11 @@ and (-sqrt q)_n are integer shifts.  The defining relation
 is checked termwise; pair equality always means termwise series equality
 up to the shared order.
 
-The multisums of the hierarchy (4.7, and 4.12/4.13 in the registry) are
-k applications of the limiting lemma, the Bailey chain (Andrews, Pacific
-J. Math. 114 (1984)); ``chain_level`` is one application, and ``step``
-and both multisums run it level by level instead of listing vectors.
+The multisums of the hierarchy are k applications of the limiting lemma,
+the Bailey chain (Andrews, Pacific J. Math. 114 (1984)); ``chain_level``
+is one application, and ``step`` and ``lhs_4_7`` run it level by level
+instead of listing vectors.  The chain is stated once: 4.12/4.13's
+multisums in the registry are ``lhs_4_7``'s levels with q replaced by q^2.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def chain_level(
     return out
 
 
+def _gamma(p: BaileyPair) -> list[TruncSeries]:
+    """(-sqrt q)_n beta_n for every n: what the chain sums over."""
+    return [poch_finite(SQ, n, order2=p.order2) * b for n, b in enumerate(p.beta)]
+
+
 def step(p: BaileyPair) -> BaileyPair:
     """One application of the limiting lemma: a new pair from an old one.
 
@@ -115,8 +121,7 @@ def step(p: BaileyPair) -> BaileyPair:
     """
     order2 = p.order2
     alpha = [monomial(1, n * n, order2=order2) * a for n, a in enumerate(p.alpha)]
-    gamma = [poch_finite(SQ, n, order2=order2) * b for n, b in enumerate(p.beta)]
-    h = chain_level(gamma, 1, Q, order2)
+    h = chain_level(_gamma(p), 1, Q, order2)
     beta = [hn * inv_poch_finite(SQ, n, order2=order2) for n, hn in enumerate(h)]
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
@@ -153,17 +158,12 @@ def lhs_4_7(n: int, k: int, order2: int) -> list[list[TruncSeries]]:
 
     The j-fold sum over m >= N_1 >= .. >= N_j of q^((sum N_i^2)/2 + N_j)
     (-sqrt q)_{N_j} / ((q)_{m-N_1} .. (q)_{N_(j-1)-N_j} (q^2; q^2)_{N_j}),
-    evaluated as j chain levels over (q; q) from the seed (level 0)
-    g_m = q^m (-sqrt q)_m / (q^2; q^2)_m.  Entry m of a level reads only
-    entries up to m of the level below, so one chain over m <= n holds
-    every (m, j).
+    evaluated as j chain levels over (q; q) from level 0, the seed's
+    (-sqrt q)_m beta_m that ``step`` sums over.  Entry m of a level reads
+    only entries up to m of the level below, so one chain over m <= n
+    holds every (m, j).
     """
-    levels = [[
-        monomial(1, 2 * m, order2=order2)
-        * poch_finite(SQ, m, order2=order2)
-        * inv_poch_finite(Q2, m, order2=order2)
-        for m in range(n + 1)
-    ]]
+    levels = [_gamma(seed_E4(n, order2))]
     for _ in range(k):
         levels.append(chain_level(levels[-1], 1, Q, order2))
     return levels

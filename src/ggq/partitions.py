@@ -28,10 +28,7 @@ __all__ = [
     "VARIANTS",
     "enumerate_partitions",
     "chains",
-    "stat_t",
-    "stat_s",
     "is_gollnitz_gordon",
-    "membership_and_weight",
     "weighted_count",
     "count_q",
     "count_thm1_side",
@@ -67,15 +64,6 @@ class Partition:
     def nu(self) -> int:
         return len(self.parts)
 
-    @property
-    def lam(self) -> Optional[int]:
-        """Least part, None for the empty partition."""
-        return self.parts[0] if self.parts else None
-
-    @property
-    def big_lam(self) -> Optional[int]:
-        return self.parts[-1] if self.parts else None
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
@@ -96,9 +84,6 @@ class Chain:
     @property
     def parity(self) -> str:
         return "odd" if self.parts[0] % 2 else "even"
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,19 +197,6 @@ def chains(pi: Partition) -> list[Chain]:
     return out
 
 
-def stat_t(pi: Partition, b: int) -> int:
-    """Number of odd parts below b; b must be a part."""
-    if b not in pi.parts:
-        raise ValueError(f"{b} is not a part")
-    return sum(1 for p in pi.parts if p < b and p % 2 == 1)
-
-
-def stat_s(pi: Partition, b: int) -> int:
-    if b not in pi.parts:
-        raise ValueError(f"{b} is not a part")
-    return sum(1 for p in pi.parts if p < b and p % 2 == 0)
-
-
 def is_gollnitz_gordon(pi: Partition) -> bool:
     """Gaps >= 2, strictly more than 2 above any even part."""
     return _gap_family(1, 0).weigh(pi.parts) is not None
@@ -278,16 +250,6 @@ def _chain_marks(variant: str, pi: Partition) -> Optional[frozenset[int]]:
         and ch.lam >= v.chain_min
         and (ch.lam - 2 * t[ch.lam]) % 4 == v.chain_offset
     )
-
-
-def membership_and_weight(variant: str, pi: Partition) -> Optional[int]:
-    """Weight of a member partition, 2 per qualifying odd chain, or None if
-    the parity test fails.
-
-    Input must be Gollnitz-Gordon; anything else is a usage error.
-    """
-    marks = _chain_marks(variant, pi)
-    return None if marks is None else 1 << len(marks)
 
 
 def _member_family(variant: str) -> Family:

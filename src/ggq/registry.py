@@ -12,9 +12,12 @@ and two parameter sets, "quick" (the acceptance bounds) and "full"
 statement: sum = product (= generating function of a count), count
 sequence = count sequence, a limit stabilizes, a Bailey relation, and a
 marked double sum = single sum = product.  Only the irregular ids have a
-builder of their own.  ``run_check`` clamps the count bounds to what the
-truncation order can show, once for every id, and reports the clamped
-values.
+builder of their own.  The multisums of 4.12 and 4.13 read the Bailey
+chain of ``bailey.lhs_4_7`` with q replaced by q^2, so the chain is not
+stated here a second time.  ``run_check`` clamps the count bounds to what
+the truncation order can show, once for every id, and reports the clamped
+values; a check that compares no facets, or a counts facet of no
+entries, is a usage error, not a pass.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from math import isqrt, prod
 from typing import Callable, Optional
 
 from .bailey import (
-    chain_level,
     defining_sum,
     iterate_closed,
     lhs_4_7,
@@ -206,23 +208,20 @@ def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
     N_1 >= .. >= N_j >= 0, the sum of q^(sum N_i^2 + 2 N_j) (-q; q^2)_{N_j}
     / ((q^2; q^2)_{N_1-N_2} .. (q^2; q^2)_{N_(j-1)-N_j} (q^4; q^4)_{N_j}).
 
-    The Bailey chain in base q^2, run once: the j-fold sum is the sum of
-    q^(m^2) g_m over level j - 1 of the chain over (q^2; q^2) from the seed
-    g_m = q^(2m) (-q; q^2)_m / (q^4; q^4)_m.  Every term has
+    This is 4.7's multisum at level j - 1 with q replaced by q^2, summed
+    over m = N_1 with weight q^(m^2), so it reads the chain of ``lhs_4_7``
+    and maps each entry's exponents e2 -> 2 e2; the terms below order2
+    come from those below (order2 + 1) // 2.  Every term has
     e2 >= 2 N_1^2, so m stops where that reaches order2.
     """
-    g = [
-        monomial(1, 4 * m, order2=order2)
-        * poch_finite(MQ_Q2, m, order2=order2)
-        * inv_poch_finite(Q4F, m, order2=order2)
-        for m in range(isqrt((order2 - 1) // 2) + 1)
-    ]
-    weights = [monomial(1, 2 * m * m, order2=order2) for m in range(len(g))]
+    top = isqrt((order2 - 1) // 2)
     sums = []
-    for j in range(k):
-        if j:
-            g = chain_level(g, 2, Q2F, order2)
-        sums.append(sum((w * gm for w, gm in zip(weights, g)), zero(order2)))
+    for level in lhs_4_7(top, k - 1, (order2 + 1) // 2):
+        acc = zero(order2)
+        for m, g in enumerate(level):
+            terms = {(2 * e2, dz, dw): c for (e2, dz, dw), c in g.terms.items() if 2 * e2 < order2}
+            acc = acc + monomial(1, 2 * m * m, order2=order2) * TruncSeries(terms, order2)
+        sums.append(acc)
     return sums
 
 
@@ -778,8 +777,10 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
         s = f.got
         if c.key is None:
             key = min(s.terms) if s.terms else (0, 0, 0)
+        elif isinstance(c.key, tuple) and len(c.key) == 3:
+            key = c.key
         else:
-            key = tuple(c.key)
+            raise ValueError(f"series facet {f.label!r} takes a corruption key e2,dz,dw")
         if key[0] >= s.order2:
             raise ValueError("corruption key beyond truncation order")
         terms = dict(s.terms)
@@ -789,7 +790,9 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
         else:
             del terms[key]
         return Facet(f.label, TruncSeries(terms, s.order2), f.expected)
-    idx = 0 if c.key is None else int(c.key)
+    if c.key is not None and not isinstance(c.key, int):
+        raise ValueError(f"counts facet {f.label!r} takes a corruption index")
+    idx = c.key or 0
     if not 0 <= idx < len(f.got):
         raise ValueError("corruption index out of range")
     got = list(f.got)
@@ -841,6 +844,9 @@ def run_check(
     facets = entry.builder(**params)
     if not facets:
         raise ValueError(f"check {check_id} compares no facets with {params}")
+    for f in facets:
+        if f.kind == "counts" and not (f.got or f.expected):
+            raise ValueError(f"check {check_id}: {f.label} compares no counts with {params}")
     if corrupt is not None:
         facets[0] = _corrupted(facets[0], corrupt)
     first = failed_facet = None

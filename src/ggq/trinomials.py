@@ -40,7 +40,6 @@ __all__ = [
     "t_warnaar",
     "t_ab",
     "u_tilde",
-    "u_of",
     "sides_4_15",
     "sides_4_20",
     "limit_4_9",
@@ -52,12 +51,12 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> TruncSeries:
-    """Gaussian binomial [top choose bottom] in x = q^(step2/2).
+def q_binomial(top: int, bottom: int, *, order2: int = 0) -> TruncSeries:
+    """Gaussian binomial [top choose bottom] in q.
 
     Zero outside 0 <= bottom <= top.  Computed as the product of
-    (1 - x^(top-bottom+i)), i = 1..bottom, divided in place by each
-    (1 - x^i); the divisions are exact.  When nothing is cut, the sum of
+    (1 - q^(top-bottom+i)), i = 1..bottom, divided in place by each
+    (1 - q^i); the divisions are exact.  When nothing is cut, the sum of
     the coefficients must equal comb(top, bottom), the value at q = 1.
 
     Without order2 the result is the whole polynomial, tagged with the
@@ -74,8 +73,8 @@ def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> Tru
     if bottom == 0:
         return one(order2 or 1)
     deg = bottom * (top - bottom)
-    order2 = order2 or deg * step2 + 1
-    size = min(deg, (order2 - 1) // step2) + 1  # coefficients kept
+    order2 = order2 or 2 * deg + 1
+    size = min(deg, (order2 - 1) // 2) + 1  # coefficients kept
     coeffs = [0] * size
     coeffs[0] = 1
     cur = 0
@@ -85,12 +84,12 @@ def q_binomial(top: int, bottom: int, step2: int = 2, *, order2: int = 0) -> Tru
         for j in range(min(cur, size - 1), d - 1, -1):
             coeffs[j] -= coeffs[j - d]
     for i in range(1, bottom + 1):
-        # divide in place by (1 - x^i); ascending order keeps it exact
+        # divide in place by (1 - q^i); ascending order keeps it exact
         for j in range(i, size):
             coeffs[j] += coeffs[j - i]
     if size == deg + 1 and sum(coeffs) != comb(top, bottom):  # q=1 specialization
         raise AssertionError(f"q-binomial [{top}, {bottom}] fails its q=1 value")
-    terms = {(u * step2, 0, 0): c for u, c in enumerate(coeffs) if c}
+    terms = {(2 * u, 0, 0): c for u, c in enumerate(coeffs) if c}
     return TruncSeries(terms, order2)
 
 
@@ -192,10 +191,6 @@ def u_tilde(l: int, m: int, a: int, b: int, *, order2: int = 0) -> TruncSeries:
     return _unpacked(partial(_u_tilde, l, m, a, b), order2=order2)[0]
 
 
-def u_of(l: int, a: int, *, order2: int = 0) -> TruncSeries:
-    return _unpacked(partial(_u_of, l, a), order2=order2)[0]
-
-
 # -- the doubly bounded identity and its m -> infinity form -------------
 
 
@@ -274,7 +269,8 @@ def sides_4_15(k: int, l: int, m: int) -> tuple[TruncSeries, TruncSeries]:
 def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the singly bounded identity at (k, l), the m -> infinity
     form of 4.15, whole, at one bound: the multisum with N_1 <= l (l - 1
-    when k = 1), and the alternating j-sum over u_of(l, .) in q^2."""
+    when k = 1), and the alternating j-sum over t_ab(l, a) + t_ab(l, a + 1)
+    in q^2."""
     cap = max(l, 0) if k > 1 else max(l - 1, 0)
     return _unpacked(
         partial(_bounded_lhs, k, l, cap, lambda n1, bits: (1, 1)),

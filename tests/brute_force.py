@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ggq.partitions import VARIANTS, Partition, ResidueFamilyConfig, membership_and_weight
+from ggq.partitions import VARIANTS, Partition, ResidueFamilyConfig
 
 ExtendFn = Callable[[tuple[int, ...], int], bool]
 AcceptFn = Callable[[tuple[int, ...]], bool]
@@ -106,9 +106,24 @@ def member_side(variant: str) -> ExtendFn:
     return ext
 
 
+def chain_weight(variant: str, parts: tuple[int, ...]) -> int:
+    """2 for each odd chain, a maximal run of odd parts two apart, whose
+    least part b is at least chain_min and has b - 2 t(b) == chain_offset
+    (mod 4), where t(b) counts the odd parts below b."""
+    v = VARIANTS[variant]
+    weight = 1
+    for i, b in enumerate(parts):
+        if b % 2 == 0 or (i and parts[i - 1] == b - 2):
+            continue
+        t = sum(x % 2 for x in parts[:i])
+        if b >= v.chain_min and (b - 2 * t) % 4 == v.chain_offset:
+            weight *= 2
+    return weight
+
+
 def weighted(variant: str, n: int) -> int:
     return sum(
-        membership_and_weight(variant, pi)
+        chain_weight(variant, pi.parts)
         for pi in enumerate_partitions(n, extend=member_side(variant))
     )
 

@@ -109,7 +109,8 @@ def double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSerie
 
 
 def binomial(top: int, bottom: int, step2: int = 2) -> dict[int, int]:
-    return {e2: c for (e2, _, _), c in q_binomial(top, bottom, step2).terms.items()}
+    """[top, bottom] in x = q^(step2/2): the binomial in q, exponents dilated."""
+    return {e2 * step2 // 2: c for (e2, _, _), c in q_binomial(top, bottom).terms.items()}
 
 
 def add(*polys: dict[int, int]) -> dict[int, int]:

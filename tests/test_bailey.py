@@ -122,7 +122,9 @@ def test_chain_matches_the_vector_sum_4_7(k):
             assert got.terms and got == vectors_4_7(n, j, 60), (n, j)
 
 
-@pytest.mark.parametrize("order2", [21, 81])
+# the smallest and the even orders are where lhs_4_7's bound
+# (order2 + 1) // 2 decides which terms survive q -> q^2
+@pytest.mark.parametrize("order2", [3, 4, 21, 22, 81])
 def test_chain_matches_the_vector_sum_4_12(order2):
     sums = _lhs_hierarchy(4, order2)
     assert len(sums) == 4

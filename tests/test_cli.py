@@ -112,6 +112,19 @@ def test_corrupt_flag_parse_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--id", "1.1", "--order", "41", "--corrupt", "3:1"],  # an index on a series
+        ["--id", "thm1", "--n", "10", "--corrupt", "1,0,0:1"],  # a series key on counts
+    ],
+)
+def test_corrupt_key_of_the_wrong_kind_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and "takes a corruption" in err
+
+
 def test_count_text_and_csv(capsys):
     code, out, _ = run(capsys, "count", "--family", "Q2", "--max", "6")
     assert code == 0

@@ -4,7 +4,9 @@ import brute_force
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ggq.bijection import identify
 from ggq.partitions import (
+    _chain_marks,
     MOD8_CONFIG,
     P_CONFIG,
     Chain,
@@ -23,9 +25,6 @@ from ggq.partitions import (
     enumerate_partitions,
     interp_config,
     is_gollnitz_gordon,
-    membership_and_weight,
-    stat_s,
-    stat_t,
     weighted_count,
 )
 from ggq.series import FactorSpec, inv_poch_infinite, one, poch_product, q_coefficients
@@ -33,10 +32,9 @@ from ggq.series import FactorSpec, inv_poch_infinite, one, poch_product, q_coeff
 
 def test_partition_basics():
     p = Partition((2, 5, 8))
-    assert p.sigma == 15 and p.nu == 3 and p.lam == 2 and p.big_lam == 8
+    assert p.sigma == 15 and p.nu == 3
     empty = Partition()
     assert empty.sigma == 0 and empty.nu == 0
-    assert empty.lam is None and empty.big_lam is None
     with pytest.raises(ValueError):
         Partition((3, 1))
     with pytest.raises(ValueError):
@@ -73,7 +71,7 @@ def test_chains_decomposition():
     ]
     assert chains(Partition()) == []
     c = Chain((6, 8))
-    assert c.parity == "even" and c.lam == 6 and len(c) == 2
+    assert c.parity == "even" and c.lam == 6
     with pytest.raises(ValueError):
         chains(Partition((1, 2)))
 
@@ -90,14 +88,6 @@ def test_chain_runs_are_parity_homogeneous():
                 assert diffs <= {2}
 
 
-def test_statistics():
-    pi = Partition((2, 5, 8))
-    assert stat_t(pi, 8) == 1 and stat_s(pi, 8) == 1
-    assert stat_t(pi, 2) == 0
-    with pytest.raises(ValueError):
-        stat_t(pi, 4)
-
-
 def test_gollnitz_gordon_predicate():
     assert is_gollnitz_gordon(Partition((1, 5, 7)))
     assert not is_gollnitz_gordon(Partition((1, 2)))
@@ -107,24 +97,30 @@ def test_gollnitz_gordon_predicate():
 
 
 def test_membership_weight_is_power_of_two():
-    for n in range(30):
-        for pi in enumerate_members("S", n):
-            w = membership_and_weight("S", pi)
-            assert w is not None and w & (w - 1) == 0
+    # each member passes the parity test, and its marks, one factor 2
+    # each, give the weight stated from the definition
+    for variant in VARIANTS:
+        for n in range(30):
+            for pi in enumerate_members(variant, n):
+                marks = _chain_marks(variant, pi)
+                assert marks is not None
+                assert 1 << len(marks) == brute_force.chain_weight(variant, pi.parts)
 
 
 def test_membership_rejects_non_gg_input():
     with pytest.raises(ValueError):
-        membership_and_weight("S", Partition((1, 2)))
+        _chain_marks("S", Partition((1, 2)))
+    with pytest.raises(ValueError):
+        identify(Partition((1, 2)))
 
 
 def test_weight_counts_qualifying_chains():
-    # (5,) is a single odd chain with least part 5 == 2*0+1 (mod 4): weight 2
-    assert membership_and_weight("S", Partition((5,))) == 2
-    # (1,) fails the chain_min bound: weight 1
-    assert membership_and_weight("S", Partition((1,))) == 1
-    # an even part matching the parity rule contributes no factor
-    assert membership_and_weight("S", Partition((4,))) == 1
+    # (5,) is a single odd chain with least part 5 == 2*0+1 (mod 4): one mark
+    assert identify(Partition((5,))).marks == {5}
+    # (1,) fails the chain_min bound: no mark
+    assert identify(Partition((1,))).marks == frozenset()
+    # an even part matching the parity rule is never marked
+    assert identify(Partition((4,))).marks == frozenset()
 
 
 def test_variant_table():

@@ -112,6 +112,13 @@ def test_check_without_facets_rejected():
         run_check("4.15", k_list=[])
 
 
+def test_counts_facet_without_entries_rejected():
+    # an empty grid leaves a "stabilizes" facet of zero entries, which
+    # would pass without comparing anything
+    with pytest.raises(ValueError, match="stabilizes compares no counts"):
+        run_check("4.18", b_list=[])
+
+
 def test_none_override_means_default():
     a = run_check("thm1", n_max=None)
     assert a.parameters["n_max"] == REGISTRY["thm1"].quick["n_max"]
