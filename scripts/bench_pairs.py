@@ -7,8 +7,9 @@ For each pair and each workload, ``perfbench/run.py`` runs once in the
 base checkout and once in the change checkout (the order flips every
 pair), both with the pair's seed.  The record holds, per workload and
 end-to-end metric, every value, the median and quartiles of each side,
-and how many pairs the change won; plus the line and code-token counts of
-each side's ``src/ggq`` (``scripts/src_size.py``) and the machine it ran on.
+and how many pairs the change won; plus the line, code-token and
+public-name counts of each side's ``src/ggq`` (``scripts/src_size.py``)
+and the machine it ran on.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def main() -> int:
         "elapsed_s": round(time.monotonic() - t0),
         "src_lines": {side: sizes[side][0] for side in sizes},
         "src_tokens": {side: sizes[side][1] for side in sizes},
+        "src_public_names": {side: sizes[side][2] for side in sizes},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")

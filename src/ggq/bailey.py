@@ -9,8 +9,8 @@ is checked termwise; pair equality always means termwise series equality
 up to the shared order.
 
 The multisums of the hierarchy are k applications of the limiting lemma,
-the Bailey chain (Andrews, Pacific J. Math. 114 (1984)); ``chain_level``
-is one application, and ``step`` and ``lhs_4_7`` run it level by level
+the Bailey chain (Andrews, Pacific J. Math. 114 (1984)).  ``step`` and
+``lhs_4_7`` run it one level at a time, each level one application,
 instead of listing vectors.  The chain is stated once: 4.12/4.13's
 multisums in the registry are ``lhs_4_7``'s levels with q replaced by q^2.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "BaileyPair",
     "seed_E4",
     "defining_sum",
-    "chain_level",
     "step",
     "iterate_closed",
     "lhs_4_7",
@@ -89,21 +88,19 @@ def defining_sum(p: BaileyPair, n: int) -> TruncSeries:
     return acc
 
 
-def chain_level(
-    g: list[TruncSeries], scale2: int, den: FactorSpec, order2: int
-) -> list[TruncSeries]:
+def _chain_level(g: list[TruncSeries], order2: int) -> list[TruncSeries]:
     """One level of the Bailey chain: for n < len(g),
 
-        h_n = sum_{i<=n} q^(scale2 i^2 / 2) g_i / (den)_{n-i}.
+        h_n = sum_{i<=n} q^(i^2 / 2) g_i / (q; q)_{n-i}.
 
     Each g_i is weighted once, then each (n, i) costs one product.
     """
-    weighted = [monomial(1, scale2 * i * i, order2=order2) * gi for i, gi in enumerate(g)]
+    weighted = [monomial(1, i * i, order2=order2) * gi for i, gi in enumerate(g)]
     out = []
     for n in range(len(g)):
         acc = zero(order2)
         for i in range(n + 1):
-            acc = acc + weighted[i] * inv_poch_finite(den, n - i, order2=order2)
+            acc = acc + weighted[i] * inv_poch_finite(Q, n - i, order2=order2)
         out.append(acc)
     return out
 
@@ -121,7 +118,7 @@ def step(p: BaileyPair) -> BaileyPair:
     """
     order2 = p.order2
     alpha = [monomial(1, n * n, order2=order2) * a for n, a in enumerate(p.alpha)]
-    h = chain_level(_gamma(p), 1, Q, order2)
+    h = _chain_level(_gamma(p), order2)
     beta = [hn * inv_poch_finite(SQ, n, order2=order2) for n, hn in enumerate(h)]
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
@@ -165,7 +162,7 @@ def lhs_4_7(n: int, k: int, order2: int) -> list[list[TruncSeries]]:
     """
     levels = [_gamma(seed_E4(n, order2))]
     for _ in range(k):
-        levels.append(chain_level(levels[-1], 1, Q, order2))
+        levels.append(_chain_level(levels[-1], order2))
     return levels
 
 

@@ -181,6 +181,13 @@ def _write_out(text: str, out_path: Optional[str]):
             fh.write(text)
 
 
+def _emit_reports(reports: Sequence[VerificationReport], args, cfg: CliConfig) -> int:
+    """Write the reports in the chosen format; exit 0 when every one passed."""
+    fmt = args.emit or cfg.output_format
+    _write_out(_EMITTERS[fmt](reports), args.out or cfg.out_path)
+    return 0 if all(r.status == "pass" for r in reports) else 1
+
+
 # -- flag plumbing ------------------------------------------------------
 
 
@@ -201,28 +208,23 @@ def _parse_corruption(raw: str) -> Corruption:
     return Corruption(int(key_part), delta)
 
 
+# each generic flag and the parameters it sets, the first a check takes
+_GRID_FLAGS = {"k": ("k_list", "k_max"), "l": ("l_max",), "m": ("m_max",),
+               "n": ("n_max", "sigma_max")}
+
+
 def _grid_params(check_id: str, args) -> dict:
     """Map the generic -k/-l/-m/-n flags onto the check's parameter names."""
-    entry = REGISTRY[check_id]
-    known = set(entry.quick)
+    known = REGISTRY[check_id].quick
     out = {}
-    for flag, value in (("k", args.k), ("l", args.l), ("m", args.m), ("n", args.n)):
+    for flag, names in _GRID_FLAGS.items():
+        value = getattr(args, flag)
         if value is None:
             continue
-        if flag == "k" and "k_list" in known:
-            out["k_list"] = [value]
-        elif flag == "k" and "k_max" in known:
-            out["k_max"] = value
-        elif flag == "l" and "l_max" in known:
-            out["l_max"] = value
-        elif flag == "m" and "m_max" in known:
-            out["m_max"] = value
-        elif flag == "n" and "n_max" in known:
-            out["n_max"] = value
-        elif flag == "n" and "sigma_max" in known:
-            out["sigma_max"] = value
-        else:
+        name = next((p for p in names if p in known), None)
+        if name is None:
             raise ValueError(f"check {check_id} takes no --{flag} parameter")
+        out[name] = [value] if name == "k_list" else value
     if args.order is not None and "order2" not in known:
         raise ValueError(f"check {check_id} takes no --order parameter")
     return out
@@ -278,18 +280,14 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
         order2 = cfg.default_order2  # may still be None: registry default
     corrupt = _parse_corruption(args.corrupt) if args.corrupt else None
     report = run_check(args.id, order2=order2, corrupt=corrupt, **params)
-    fmt = args.emit or cfg.output_format
-    _write_out(_EMITTERS[fmt]([report]), args.out or cfg.out_path)
-    return 0 if report.status == "pass" else 1
+    return _emit_reports([report], args, cfg)
 
 
 def _cmd_verify_all(args, cfg: CliConfig) -> int:
     if args.parallelism is not None:
         cfg = replace(cfg, parallelism=args.parallelism)  # checked like the config
     reports = run_all(level=args.level, parallelism=cfg.parallelism, corrupt_id=args.corrupt)
-    fmt = args.emit or cfg.output_format
-    _write_out(_EMITTERS[fmt](reports), args.out or cfg.out_path)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return _emit_reports(reports, args, cfg)
 
 
 def _cmd_count(args, cfg: CliConfig) -> int:
@@ -344,9 +342,7 @@ def _cmd_bijection(args, cfg: CliConfig) -> int:
 def _cmd_report(args, cfg: CliConfig) -> int:
     with open(args.input, encoding="utf-8") as fh:
         reports = parse_json(fh.read())
-    fmt = args.emit or cfg.output_format
-    _write_out(_EMITTERS[fmt](reports), args.out or cfg.out_path)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return _emit_reports(reports, args, cfg)
 
 
 # -- argument parsing ---------------------------------------------------

@@ -22,9 +22,7 @@ from typing import Callable, Iterator, Optional
 __all__ = [
     "Partition",
     "Family",
-    "Chain",
     "ResidueFamilyConfig",
-    "WeightVariant",
     "VARIANTS",
     "enumerate_partitions",
     "chains",
@@ -69,21 +67,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Maximal run of parts differing by exactly 2; parity-homogeneous."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def lam(self) -> int:
-        return self.parts[0]
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.parts[0] % 2 else "even"
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,23 +160,24 @@ def _count(family: Family, n: int) -> int:
     return memo[n][0]
 
 
-def chains(pi: Partition) -> list[Chain]:
-    """Chain decomposition; defined only for gap >= 2 partitions."""
+def chains(pi: Partition) -> list[tuple[int, ...]]:
+    """Chain decomposition: the maximal runs of parts differing by exactly
+    2, each of one parity; defined only for gap >= 2 partitions."""
     parts = pi.parts
     for a, b in zip(parts, parts[1:]):
         if b - a < 2:
             raise ValueError("chain decomposition needs gaps >= 2")
-    out: list[Chain] = []
+    out: list[tuple[int, ...]] = []
     run: list[int] = []
     for p in parts:
         if run and p - run[-1] == 2:
             run.append(p)
         else:
             if run:
-                out.append(Chain(tuple(run)))
+                out.append(tuple(run))
             run = [p]
     if run:
-        out.append(Chain(tuple(run)))
+        out.append(tuple(run))
     return out
 
 
@@ -244,11 +228,11 @@ def _chain_marks(variant: str, pi: Partition) -> Optional[frozenset[int]]:
     if any(p % 2 == 0 and (p - 2 * t[p]) % 4 != v.even_offset for p in pi.parts):
         return None
     return frozenset(
-        ch.lam
-        for ch in chains(pi)
-        if ch.parity == "odd"
-        and ch.lam >= v.chain_min
-        and (ch.lam - 2 * t[ch.lam]) % 4 == v.chain_offset
+        run[0]
+        for run in chains(pi)
+        if run[0] % 2
+        and run[0] >= v.chain_min
+        and (run[0] - 2 * t[run[0]]) % 4 == v.chain_offset
     )
 
 

@@ -87,7 +87,6 @@ from .trinomials import (
 
 __all__ = [
     "Corruption",
-    "Facet",
     "UnknownCheckError",
     "VerificationReport",
     "natural_key",
@@ -508,10 +507,12 @@ def _build_4_14(order2, counts_max):
     form2 = poch_infinite(F(-1, 6, 12), order2=order2)
     for f in (F(1, 8, 24), F(1, 16, 24)):
         form2 = form2 * inv_poch_infinite(f, order2=order2)
+    # q^0..q^9, or as many as order2 shows
+    head = [1, 0, 0, 1, 1, 0, 0, 1, 2, 1][: (order2 + 1) // 2]
     return [
         Facet("sum-vs-product", lhs, form1),
         Facet("product-forms", form1, form2),
-        Facet("head-coefficients", q_coefficients(lhs, 9), [1, 0, 0, 1, 1, 0, 0, 1, 2, 1]),
+        Facet("head-coefficients", q_coefficients(lhs, len(head) - 1), head),
         _counts_facet("sum-vs-counts", lhs, counts_max, count_p),
     ]
 
@@ -811,6 +812,8 @@ def run_check(
     corrupt: Optional[Corruption] = None,
     **overrides,
 ) -> VerificationReport:
+    if level not in ("quick", "full"):
+        raise ValueError("level must be quick or full")
     entry = REGISTRY.get(check_id)
     if entry is None:
         raise UnknownCheckError(check_id, registry_ids())

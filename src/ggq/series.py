@@ -161,12 +161,6 @@ class TruncSeries:
 
     # -- inspection -----------------------------------------------------
 
-    def coeff(self, e2: int, dz: int = 0, dw: int = 0) -> int:
-        """Coefficient at q^(e2/2) z^dz w^dw; asking beyond order2 is a bug."""
-        if e2 >= self.order2:
-            raise ValueError(f"coefficient e2={e2} beyond truncation order2={self.order2}")
-        return self.terms.get((e2, dz, dw), 0)
-
     def max_e2(self) -> int:
         """Largest stored exponent, -1 for the zero series."""
         return max((k[0] for k in self.terms), default=-1)
@@ -463,14 +457,9 @@ def collapse_zw(s: TruncSeries) -> TruncSeries:
     return TruncSeries(out, s.order2)
 
 
-def zw_slice(s: TruncSeries, dz: Optional[int] = None, dw: Optional[int] = None) -> TruncSeries:
-    """Sub-series with the given marker degree(s), degrees kept in place."""
-    out = {
-        k: c
-        for k, c in s.terms.items()
-        if (dz is None or k[1] == dz) and (dw is None or k[2] == dw)
-    }
-    return TruncSeries(out, s.order2)
+def zw_slice(s: TruncSeries, dw: int) -> TruncSeries:
+    """Sub-series of w-degree dw, degrees kept in place."""
+    return TruncSeries({k: c for k, c in s.terms.items() if k[2] == dw}, s.order2)
 
 
 # -- Pochhammer products ------------------------------------------------

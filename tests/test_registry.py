@@ -107,6 +107,19 @@ def test_out_of_domain_parameters_rejected(check_id, bad):
         run_check(check_id, **bad)
 
 
+def test_unknown_level_rejected():
+    with pytest.raises(ValueError, match="level must be quick or full"):
+        run_check("1.1", level="fulll")
+
+
+# order2 3 is the least run_check accepts; every id that takes an order2
+# still compares what that order shows, and passes
+@pytest.mark.parametrize("order2", [3, 4])
+@pytest.mark.parametrize("check_id", [c for c in registry_ids() if "order2" in REGISTRY[c].quick])
+def test_every_id_passes_at_the_least_orders(check_id, order2):
+    assert run_check(check_id, order2=order2).status == "pass"
+
+
 def test_check_without_facets_rejected():
     with pytest.raises(ValueError, match="no facets"):
         run_check("4.15", k_list=[])
