@@ -17,6 +17,7 @@ multisums in the registry are ``lhs_4_7``'s levels with q replaced by q^2.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .series import (
@@ -148,22 +149,23 @@ def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
 
-def lhs_4_7(n: int, k: int, order2: int) -> list[list[TruncSeries]]:
+def lhs_4_7(n: int, k: int, order2: int) -> Iterator[list[TruncSeries]]:
     """Multi-sums with the E(4) ingredients folded in, for every level up
-    to k and every index up to n, from one chain: entry [j][m] equals
-    (-sqrt q)_m * beta_m^(j).
+    to k and every index up to n, from one chain: level j, yielded j-th,
+    holds (-sqrt q)_m * beta_m^(j) at entry m.
 
     The j-fold sum over m >= N_1 >= .. >= N_j of q^((sum N_i^2)/2 + N_j)
     (-sqrt q)_{N_j} / ((q)_{m-N_1} .. (q)_{N_(j-1)-N_j} (q^2; q^2)_{N_j}),
     evaluated as j chain levels over (q; q) from level 0, the seed's
     (-sqrt q)_m beta_m that ``step`` sums over.  Entry m of a level reads
     only entries up to m of the level below, so one chain over m <= n
-    holds every (m, j).
+    holds every (m, j).  Only the level the next is built from is kept.
     """
-    levels = [_gamma(seed_E4(n, order2))]
+    level = _gamma(seed_E4(n, order2))
+    yield level
     for _ in range(k):
-        levels.append(_chain_level(levels[-1], order2))
-    return levels
+        level = _chain_level(level, order2)
+        yield level
 
 
 def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:

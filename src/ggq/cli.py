@@ -2,7 +2,7 @@
 bijection, convert saved reports.
 
 Exit codes: 0 all requested checks pass, 1 at least one fails, 2 usage
-error (unknown id, bad family, malformed flags or config).
+error (unknown id, no checks, bad family, malformed flags or config).
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ def parse_json(text: str) -> list[VerificationReport]:
     if payload.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version: {payload.get('version')}")
     checks = payload.get("checks")
-    if not isinstance(checks, list) or not all(isinstance(d, dict) for d in checks):
-        raise ValueError("report checks must be a list of objects")
+    # a report of no checks passes nothing, so it is a usage error
+    if not checks or not isinstance(checks, list) or not all(isinstance(d, dict) for d in checks):
+        raise ValueError("report checks must be a nonempty list of objects")
     return [report_from_dict(d) for d in checks]
 
 

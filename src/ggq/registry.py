@@ -170,17 +170,19 @@ def _single_pair_sum(order2, marked: bool) -> TruncSeries:
     return one(order2) + head * walk
 
 
-def _double_sum(order2, lin, num, den2, z_mark: bool, w_mark: bool) -> TruncSeries:
+def _double_sum(order2, lin, num, den2, w_mark: bool) -> TruncSeries:
     """Sum over (n1, n2) of z^n1 w^n2 q^(n1^2 + 2 n1 n2 + 2 n2^2 + a n1 + b n2)
     (num)_{n2} / ((q^2; q^2)_{n1} (den2)_{n2}), where lin = (a, b) with
-    a >= 0 and b >= -1; markers dropped when not tracked.  The exponent
-    grows with n1, and with n2 at n1 = 0, which bounds the grid.
+    a >= 0 and b >= -1; z^n1 is tracked exactly when num carries z, and
+    w^n2 when w_mark.  The exponent grows with n1, and with n2 at n1 = 0,
+    which bounds the grid.
 
     Summed by rows of n2: the factors that depend on n2 alone come out of
     the n1 sum, so row n2 is the sum over n1 of z^n1 w^n2 q^(...) /
     (q^2; q^2)_{n1}, multiplied once by (num)_{n2} and once by
     1 / (den2)_{n2}."""
     a, b = lin
+    z_mark = num is not None and num.dz > 0
 
     def exp2(n1, n2):
         return 2 * (n1 * n1 + 2 * n1 * n2 + 2 * n2 * n2 + a * n1 + b * n2)
@@ -311,7 +313,8 @@ def _stabilizes(limit):
     """Builder of "a limit stabilizes by order2": limit(x, order2) is
     truthy at each grid point x, where the grid is the one parameter
     besides order2: a list of points, or an integer bound b meaning
-    0..b."""
+    0..b.  Each limit compares its sequence with the limit at two
+    indices where the terms below order2 must already have settled."""
 
     def build(order2, **grid):
         (points,) = grid.values()
@@ -348,7 +351,7 @@ def _marked(lin, single, product, base):
     and base are lists of FactorSpecs."""
 
     def build(order2):
-        double = _double_sum(order2, lin, None, Q2F, False, True)
+        double = _double_sum(order2, lin, None, Q2F, True)
         single_sum = single(order2)
         marked = poch_product(product, order2=order2)
         unmarked = poch_product(base, order2=order2)
@@ -402,7 +405,7 @@ def _build_2_7(sigma_max):
 
 
 def _build_3_2(order2, counts_max, triples_max):
-    lhs = _double_sum(order2, (0, 2), MQ_Q2, Q4F, False, False)
+    lhs = _double_sum(order2, (0, 2), MQ_Q2, Q4F, False)
     rhs_a = poch_product([F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)], order2=order2)
     rhs_b = poch_product([F(-1, 2, 4), F(-1, 8, 8)], order2=order2)
     return [
@@ -446,11 +449,11 @@ def _build_4_5(order2, k_max, n_max):
 
 
 def _build_4_7(order2, n_max, k_max):
-    levels = lhs_4_7(n_max, k_max, order2)
     return [
-        Facet(f"finite-identity n={n} k={k}", levels[k][n], rhs_4_7(n, k, order2))
-        for k in range(1, k_max + 1)
-        for n in range(n_max + 1)
+        Facet(f"finite-identity n={n} k={k}", lhs, rhs_4_7(n, k, order2))
+        for k, level in enumerate(lhs_4_7(n_max, k_max, order2))
+        if k
+        for n, lhs in enumerate(level)
     ]
 
 
@@ -599,14 +602,14 @@ REGISTRY: dict[str, _Entry] = {
     ),
     "3.3": _Entry(
         _sum_vs_product(
-            lambda o: _double_sum(o, (0, 2), F(-1, 2, 4, 1), Q4F, True, True),
+            lambda o: _double_sum(o, (0, 2), F(-1, 2, 4, 1), Q4F, True),
             _product(F(-1, 2, 8, 1), F(-1, 6, 8, 1), F(-1, 8, 8, 0, 1)),
         ),
         {"order2": 81}, {"order2": 121},
     ),
     "3.4": _Entry(
         _sum_vs_product(
-            lambda o: _double_sum(o, (0, 0), F(-1, 2, 4, 1), Q4F, True, True),
+            lambda o: _double_sum(o, (0, 0), F(-1, 2, 4, 1), Q4F, True),
             _product(F(-1, 2, 8, 1), F(-1, 6, 8, 1), F(-1, 4, 8, 0, 1)),
             ("collapsed-vs-counts", lambda s, _: collapse_zw(s), lambda n: count_q(0, n)),
         ),
@@ -614,7 +617,7 @@ REGISTRY: dict[str, _Entry] = {
     ),
     "3.5": _Entry(
         _sum_vs_product(
-            lambda o: _double_sum(o, (1, 1), F(-1, 4, 4, 1), Q4F, True, True),
+            lambda o: _double_sum(o, (1, 1), F(-1, 4, 4, 1), Q4F, True),
             _product(F(-1, 4, 8, 1), F(-1, 6, 8, 0, 1), F(-1, 8, 8, 1)),
         ),
         {"order2": 81}, {"order2": 121},
@@ -622,7 +625,7 @@ REGISTRY: dict[str, _Entry] = {
     "3.7": _Entry(_build_3_7, {"order2": 121}, {"order2": 161}),
     "3.8": _Entry(
         _sum_vs_product(
-            lambda o: _double_sum(o, (1, -1), F(-1, 4, 4, 1), Q4F, True, True),
+            lambda o: _double_sum(o, (1, -1), F(-1, 4, 4, 1), Q4F, True),
             _product(F(-1, 4, 8, 1), F(-1, 2, 8, 0, 1), F(-1, 8, 8, 1)),
         ),
         {"order2": 81}, {"order2": 121},
@@ -892,6 +895,8 @@ def run_all(
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
     chosen = list(ids) if ids is not None else list(REGISTRY)
+    if not chosen:
+        raise ValueError("no check ids chosen")
     for cid in chosen:
         if cid not in REGISTRY:
             raise UnknownCheckError(cid, registry_ids())

@@ -14,7 +14,9 @@ this module knows the packed form.
 
 ``q_binomial`` builds its coefficients one by one instead: the limit
 checks need only the low terms of binomials whose whole packed value
-would run to hundreds of thousands of bits.
+would run to hundreds of thousands of bits.  Each limit check evaluates
+its sequence at the two indices one and two past where the terms below
+order2 must have settled, and compares both with the limit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "limit_4_10",
     "limit_4_17",
     "limit_4_18",
-    "stabilized",
 ]
 
 
@@ -278,52 +279,42 @@ def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
     )
 
 
-# -- limit / stabilization checks ---------------------------------------
+# -- limits, each checked where it must already hold -------------------
 
 
-def stabilized(values, target: TruncSeries):
-    """Index where two consecutive values equal each other and the target.
-
-    values is an iterable of series already truncated to a common order2;
-    returns the first such index or None.
-    """
-    prev = None
-    for idx, v in enumerate(values):
-        if prev is not None and prev == v and v == target:
-            return idx - 1
-        prev = v
-    return None
-
-
-def limit_4_9(m: int, order2: int, search: int = 0) -> bool:
-    """[n, m] -> 1/(q)_m as n grows."""
+def limit_4_9(m: int, order2: int) -> bool:
+    """[n, m] -> 1/(q)_m as n grows: they agree through q^(n-m), so below
+    order2 from n = m + order2 // 2 on; checked at the next two n."""
     target = inv_poch_finite(FactorSpec(1, 2, 2), m, order2=order2)
-    hi = search or m + order2 // 2 + 3
-    vals = (q_binomial(n, m, order2=order2) for n in range(m, hi))
-    return stabilized(vals, target) is not None
+    n = m + order2 // 2 + 1
+    return q_binomial(n, m, order2=order2) == q_binomial(n + 1, m, order2=order2) == target
 
 
-def limit_4_10(j: int, order2: int, search: int = 0) -> bool:
-    """[2n, n+j] -> 1/(q)_infinity as n grows."""
+def limit_4_10(j: int, order2: int) -> bool:
+    """[2n, n+j] -> 1/(q)_infinity as n grows: they agree through q^(n-|j|),
+    so below order2 from n = |j| + order2 // 2 on; checked at the next two n."""
     target = inv_poch_infinite(FactorSpec(1, 2, 2), order2=order2)
-    hi = search or abs(j) + order2 // 2 + 3
-    vals = (q_binomial(2 * n, n + j, order2=order2) for n in range(abs(j), hi))
-    return stabilized(vals, target) is not None
+    n = abs(j) + order2 // 2 + 1
+    return q_binomial(2 * n, n + j, order2=order2) == q_binomial(
+        2 * n + 2, n + 1 + j, order2=order2
+    ) == target
 
 
-def limit_4_17(m: int, a: int, b: int, order2: int, search: int = 0) -> bool:
-    """u_tilde(l, m, a, b) -> (-sqrt q)_m / (q)_{2m} * [2m, m+b] as l grows."""
+def limit_4_17(m: int, a: int, b: int, order2: int) -> bool:
+    """u_tilde(l, m, a, b) -> (-sqrt q)_m / (q)_{2m} * [2m, m+b] as l grows,
+    checked at l = order2 + 2 and + 3, past where the terms below order2 settle."""
     lead = poch_finite(FactorSpec(-1, 1, 2), m, order2=order2)
     lead = lead * inv_poch_finite(FactorSpec(1, 2, 2), 2 * m, order2=order2)
     target = lead * q_binomial(2 * m, m + b, order2=order2)
-    hi = search or order2 + 4
-    vals = (u_tilde(l, m, a, b, order2=order2) for l in range(hi))
-    return stabilized(vals, target) is not None
+    l = order2 + 2
+    return u_tilde(l, m, a, b, order2=order2) == u_tilde(l + 1, m, a, b, order2=order2) == target
 
 
-def limit_4_18(l: int, a: int, b: int, order2: int, search: int = 0) -> bool:
-    """t_warnaar(l, m, a, b) -> t_ab(l, a) / (q)_l as m grows."""
+def limit_4_18(l: int, a: int, b: int, order2: int) -> bool:
+    """t_warnaar(l, m, a, b) -> t_ab(l, a) / (q)_l as m grows, checked at
+    m = order2 // 2 + l + 2 and + 3, past where the terms below order2 settle."""
     target = t_ab(l, a, order2=order2) * inv_poch_finite(FactorSpec(1, 2, 2), l, order2=order2)
-    hi = search or order2 // 2 + l + 4
-    vals = (t_warnaar(l, m, a, b, order2=order2) for m in range(hi))
-    return stabilized(vals, target) is not None
+    m = order2 // 2 + l + 2
+    return t_warnaar(l, m, a, b, order2=order2) == t_warnaar(
+        l, m + 1, a, b, order2=order2
+    ) == target

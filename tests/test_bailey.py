@@ -54,7 +54,7 @@ def test_pair_length_mismatch_rejected():
 
 
 def test_finite_identity_grid():
-    levels = lhs_4_7(5, 2, ORDER2)
+    levels = list(lhs_4_7(5, 2, ORDER2))
     assert len(levels) == 3 and all(len(level) == 6 for level in levels)
     for n in range(6):
         for k in range(1, 3):
@@ -63,7 +63,7 @@ def test_finite_identity_grid():
 
 def test_finite_identity_detects_damage():
     # sanity on the checker itself: shrinking n on one side must show up
-    assert series_diff(lhs_4_7(3, 2, 60)[2][3], rhs_4_7(4, 2, 60)) is not None
+    assert series_diff(list(lhs_4_7(3, 2, 60))[2][3], rhs_4_7(4, 2, 60)) is not None
 
 
 # The multisums of 4.7 and 4.12 written a second time, straight from their
@@ -115,7 +115,7 @@ def vectors_4_12(k, order2):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_chain_matches_the_vector_sum_4_7(k):
     # one chain holds every level up to k and every n up to its own
-    levels = lhs_4_7(5, k, 60)
+    levels = list(lhs_4_7(5, k, 60))
     for j in range(1, k + 1):
         for n in range(6):
             got = levels[j][n]

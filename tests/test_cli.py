@@ -227,6 +227,15 @@ def test_report_bad_version(capsys, tmp_path):
     assert "version" in err
 
 
+def test_report_of_no_checks_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"version": 1, "checks": []}))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert "nonempty" in err
+
+
 def test_report_top_level_not_an_object(capsys, tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[]")

@@ -156,6 +156,12 @@ def test_run_all_subset_sorted_and_injected():
         run_all(level="fast")
 
 
+def test_run_all_of_no_ids_is_a_usage_error():
+    # no report would pass nothing
+    with pytest.raises(ValueError, match="no check ids"):
+        run_all(ids=[])
+
+
 def test_run_all_parallel_matches_serial():
     ids = ["1.1", "thm1", "lemma1"]
     serial = [strip_elapsed(r) for r in run_all(ids=ids)]
@@ -279,8 +285,9 @@ def test_every_exported_name_exists(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-# every (lin, num, den2, z_mark, w_mark) the catalog passes to _double_sum:
-# 3.2, then 3.3, 3.4, 3.5 and 3.8, then the _marked rows 3.7 and 3.10
+# every (lin, num, den2, z_mark, w_mark) the catalog sums over: 3.2, then
+# 3.3, 3.4, 3.5 and 3.8, then the _marked rows 3.7 and 3.10; _double_sum
+# tracks z^n1 exactly when num carries z, the oracle is told z_mark
 _F = registry.F
 DOUBLE_SUMS = [
     ((0, 2), registry.MQ_Q2, registry.Q4F, False, False),
@@ -304,7 +311,7 @@ def test_double_sums_cover_the_catalog(monkeypatch):
     monkeypatch.setattr(registry, "_double_sum", recorded)
     for entry in REGISTRY.values():
         entry.builder(**entry.quick)
-    assert seen == set(DOUBLE_SUMS)
+    assert seen == {(lin, num, den2, w_mark) for lin, num, den2, _, w_mark in DOUBLE_SUMS}
 
 
 @pytest.mark.parametrize("args", DOUBLE_SUMS)
@@ -312,7 +319,10 @@ def test_double_sums_cover_the_catalog(monkeypatch):
 @given(st.integers(5, 81))
 def test_row_sums_match_the_grid_point_sum(args, order2):
     # the rows pull the factors of n2 out of the n1 sum; the oracle does not
-    assert registry._double_sum(order2, *args) == schoolbook.double_sum(order2, *args)
+    lin, num, den2, _, w_mark = args
+    assert registry._double_sum(order2, lin, num, den2, w_mark) == schoolbook.double_sum(
+        order2, *args
+    )
 
 
 # every (exp2, num, den) the catalog passes to _ratio_sum: 1.1, 1.3, 1.4,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook as sb
-from ggq.series import monomial, series_diff
+from ggq import trinomials
+from ggq.series import FactorSpec, inv_poch_finite, inv_poch_infinite, monomial, series_diff
 from ggq.trinomials import (
     limit_4_9,
     limit_4_10,
@@ -17,7 +18,6 @@ from ggq.trinomials import (
     q_binomial,
     sides_4_15,
     sides_4_20,
-    stabilized,
     t_ab,
     t_warnaar,
     u_tilde,
@@ -157,13 +157,6 @@ def test_packing_widens_past_four_byte_slots():
     assert _dict(got) == {e2: c for e2, c in want.items() if e2 < 101}
 
 
-def test_stabilized_index():
-    t = q_binomial(2, 1)
-    assert stabilized([q_binomial(3, 1), t, t, t], t) == 1
-    assert stabilized([q_binomial(3, 1), t], t) is None
-    assert stabilized([], t) is None
-
-
 ORDER2 = 81
 
 
@@ -178,13 +171,55 @@ def test_limits():
         assert limit_4_18(3, 1, b, ORDER2)
 
 
-def test_limits_fail_when_the_search_stops_short():
-    # [n, m] and [2n, n+j] match their limits through q^(ORDER2 // 2) only
-    # from n = start + ORDER2 // 2 on, and stabilizing needs two such n, so
-    # a search one short of that must not pass
+def test_binomial_limits_hold_from_the_stated_index():
+    # [n, m] agrees with 1/(q)_m through q^(n-m), and [2n, n+j] with
+    # 1/(q)_infinity through q^(n-|j|); at odd ORDER2 the last coefficient
+    # kept is q^(ORDER2 // 2), so n0 = m + ORDER2 // 2, or |j| + ORDER2 // 2,
+    # is the first n whose value equals the limit
     for m in range(1, 5):
-        assert not limit_4_9(m, ORDER2, search=m + ORDER2 // 2 + 1)
-        assert limit_4_9(m, ORDER2, search=m + ORDER2 // 2 + 2)
+        target = inv_poch_finite(FactorSpec(1, 2, 2), m, order2=ORDER2)
+        n0 = m + ORDER2 // 2
+        assert q_binomial(n0 - 1, m, order2=ORDER2) != target
+        assert q_binomial(n0, m, order2=ORDER2) == target
+    target = inv_poch_infinite(FactorSpec(1, 2, 2), order2=ORDER2)
     for j in (-2, 0, 1, 3):
-        assert not limit_4_10(j, ORDER2, search=abs(j) + ORDER2 // 2 + 1)
-        assert limit_4_10(j, ORDER2, search=abs(j) + ORDER2 // 2 + 2)
+        n0 = abs(j) + ORDER2 // 2
+        assert q_binomial(2 * n0 - 2, n0 - 1 + j, order2=ORDER2) != target
+        assert q_binomial(2 * n0, n0 + j, order2=ORDER2) == target
+
+
+# each limit, the function that builds its sequence, the sequence index of
+# a call to it, and the two indices the limit must read: one and two past
+# where the terms below ORDER2 must have settled
+LIMIT_READS = {
+    "4.9": (lambda: limit_4_9(3, ORDER2), "q_binomial", lambda top, bottom: top,
+            [3 + ORDER2 // 2 + 1, 3 + ORDER2 // 2 + 2]),
+    "4.10": (lambda: limit_4_10(-2, ORDER2), "q_binomial", lambda top, bottom: top // 2,
+             [2 + ORDER2 // 2 + 1, 2 + ORDER2 // 2 + 2]),
+    "4.17": (lambda: limit_4_17(2, 1, 0, ORDER2), "u_tilde", lambda l, m, a, b: l,
+             [ORDER2 + 2, ORDER2 + 3]),
+    "4.18": (lambda: limit_4_18(3, 1, 1, ORDER2), "t_warnaar", lambda l, m, a, b: m,
+             [ORDER2 // 2 + 3 + 2, ORDER2 // 2 + 3 + 3]),
+}
+
+
+@pytest.mark.parametrize("check_id", LIMIT_READS)
+def test_limit_fails_when_a_read_value_is_changed(monkeypatch, check_id):
+    limit, name, index_of, indices = LIMIT_READS[check_id]
+    build = getattr(trinomials, name)
+    for changed in indices:
+        seen = []
+
+        def perturbed(*args, order2):
+            value = build(*args, order2=order2)
+            seen.append(index_of(*args))
+            if seen[-1] != changed:
+                return value
+            # one coefficient, the last one kept below order2
+            return value + monomial(1, order2 - 1, order2=order2)
+
+        monkeypatch.setattr(trinomials, name, perturbed)
+        assert not limit()
+        assert seen == indices
+    monkeypatch.undo()
+    assert limit()
