@@ -101,15 +101,18 @@ def report_to_dict(r: VerificationReport) -> dict:
 
 
 def report_from_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        id=d["id"],
-        parameters=d["params"],
-        order2=d["order2"],
-        status=d["status"],
-        first_mismatch=d.get("first_mismatch"),
-        elapsed_ms=d["elapsed_ms"],
-        failed_facet=d.get("failed_facet"),
-    )
+    """A saved check; a field of the wrong type raises ValueError."""
+    r = VerificationReport(d["id"], d["params"], d["order2"], d["status"],
+                           d.get("first_mismatch"), d["elapsed_ms"], d.get("failed_facet"))
+    if not (
+        isinstance(r.id, str)
+        and isinstance(r.parameters, dict)
+        and r.status in ("pass", "fail")
+        and type(r.order2) is type(r.elapsed_ms) is int
+        and all(isinstance(d.get(k, ""), str) for k in ("first_mismatch", "failed_facet"))
+    ):
+        raise ValueError(f"malformed report check: {d}")
+    return r
 
 
 def emit_json(reports: Sequence[VerificationReport]) -> str:

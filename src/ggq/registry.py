@@ -369,10 +369,11 @@ def _marked(lin, single, product, base):
 
 def _build_2_7(sigma_max):
     # g(f(a)) == a on every a makes f one-to-one; its images, as a
-    # multiset, equal to the independently listed pairs make it onto
-    fwd_bad = []
-    image_bad = []
-    fwd_total = []
+    # multiset, equal to the independently listed pairs make it onto.
+    # Their splits, as a multiset equal to the triples, each listed once,
+    # make the split a bijection from the pairs onto the triples
+    rows = []
+    split = {}
     for n in range(sigma_max + 1):
         bad = 0
         images = Counter()
@@ -385,16 +386,22 @@ def _build_2_7(sigma_max):
                     bad += _invert(pair) != (m, choice)
                 except ValueError:
                     bad += 1
-        fwd_bad.append(bad)
-        fwd_total.append(images.total())
+        triples = Counter()
+        for (pi1, pi2), count in images.items():
+            split[pi2] = split.get(pi2) or [p.parts for p in ferrers_split(Partition(pi2))]
+            triples[(pi1, *split[pi2])] += count
+        total = images.total()
         images.subtract((p.pi1.parts, p.pi2.parts) for p in split_pairs(n))
-        image_bad.append(sum(map(abs, images.values())))
+        triples.subtract((t.pi1.parts, t.pi3.parts, t.pi4.parts) for t in triple_partitions(n))
+        rows.append((bad, sum(map(abs, images.values())), sum(map(abs, triples.values())), total))
+    fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows))
     zeros = [0] * (sigma_max + 1)
     p3, p4 = ferrers_split(Partition((5, 15, 24, 29)))
     worked = list(p3.parts) + list(p4.parts)
     return [
         Facet("forward-roundtrip-failures", fwd_bad, zeros),
         Facet("image-vs-split-pairs", image_bad, zeros),
+        Facet("split-image-vs-triples", triple_bad, zeros),
         Facet(
             "choice-count-vs-weight",
             fwd_total,

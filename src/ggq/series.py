@@ -134,8 +134,6 @@ class TruncSeries:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = monomial(other, 0, order2=self.order2)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.order2 == other.order2 and self.terms == other.terms
@@ -181,8 +179,6 @@ class TruncSeries:
         return TruncSeries._trusted(terms, self.order2, self._uni)
 
     def __add__(self, other) -> "TruncSeries":
-        if isinstance(other, int):
-            other = monomial(other, 0, order2=self.order2)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order2 = min(self.order2, other.order2)
@@ -204,18 +200,10 @@ class TruncSeries:
             _check_markers(out, order2)
         return TruncSeries._trusted(out, order2, uni)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = monomial(other, 0, order2=self.order2)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, int):

@@ -10,7 +10,9 @@ nonnegative coefficients that sum to comb(top, bottom), so the bound of a
 sum of products of binomials is the sum over its terms of the products of
 those combs.  ``_unpacked`` picks slots wide enough for every bound and
 reads each value back into a TruncSeries once, by balanced digits.  Only
-this module knows the packed form.
+this module knows the packed form.  The alternating j-sums of 4.15 and
+4.20 run over a range stated in closed form: a trinomial at l vanishes
+once |a| > l, so only finitely many j can contribute.
 
 ``q_binomial`` builds its coefficients one by one instead: the limit
 checks need only the low terms of binomials whose whole packed value
@@ -141,9 +143,7 @@ def _t_warnaar(l: int, m: int, a: int, b: int, bits: int) -> tuple[int, int]:
     if l < 0 or m < 0:
         raise ValueError("l, m must be nonnegative")
     val = bound = 0
-    for n in range(l + 1):
-        if (n + l - a) % 2:
-            continue
+    for n in range((l - a) % 2, l + 1, 2):
         f1, c1 = _binomial_at(m, n, 2 * bits)
         f2, c2 = _binomial_at(m + b + (l - a - n) // 2, m + b, 2 * bits)
         f3, c3 = _binomial_at(m - b + (l + a - n) // 2, m - b, 2 * bits)
@@ -157,9 +157,7 @@ def _t_ab(l: int, a: int, bits: int) -> tuple[int, int]:
     if l < 0:
         raise ValueError("l must be nonnegative")
     val = bound = 0
-    for n in range(l + 1):
-        if (n + l - a) % 2:
-            continue
+    for n in range((l - a) % 2, l + 1, 2):
         f1, c1 = _binomial_at(l, n, 2 * bits)
         f2, c2 = _binomial_at(l - n, (l - a - n) // 2, 2 * bits)
         if c1 and c2:
@@ -227,33 +225,25 @@ def _bounded_lhs(k: int, l: int, cap: int, head, bits: int) -> tuple[int, int]:
     return val, bound
 
 
-def _rhs_hierarchy(k: int, u, bits: int) -> tuple[int, int]:
+def _rhs_hierarchy(k: int, l: int, u, bits: int) -> tuple[int, int]:
     """Sum the alternating j-series of 4.15 and 4.20 over u(a, b, bits),
-    which is _u_tilde or _u_of at the identity's bounds, taken in q^2;
-    stop after two all-zero |j| levels.
+    which is _u_tilde or _u_of at the identity's bounds, taken in q^2.
 
-    The closure rule is enforced, not assumed: both levels beyond the
-    last contributing one are checked to vanish identically.
+    Each trinomial at l has a Gaussian binomial whose bottom exceeds its
+    top once |a| > l, so u(a) = T(a) + T(a + 1) vanishes outside
+    -l - 1 <= a <= l.  Piece j reads u at a = (2k + 4)j + 1 and
+    (2k + 4)j + k + 1, so only j = -((l + k + 2) // (2k + 4)) ..
+    (l - 1) // (2k + 4) can contribute, and the sum runs over exactly those.
     """
-
-    def piece(j: int) -> tuple[int, int]:
-        u1, b1 = u(2 * (k + 2) * j + 1, 2 * j, 2 * bits)
-        u2, b2 = u(2 * (k + 2) * j + k + 1, 2 * j + 1, 2 * bits)
-        e1 = 2 * ((4 * k + 8) * j * j + 4 * j)
-        e2 = 2 * ((4 * k + 8) * j * j + 4 * (k + 1) * j + k)
-        return (u1 << bits * e1) - (u2 << bits * e2), b1 + b2
-
+    period = 2 * k + 4
     val = bound = 0
-    zero_levels = 0
-    t = 0
-    while zero_levels < 2:
-        level = [piece(j) for j in ([0] if t == 0 else [t, -t])]
-        zero_levels = 0 if any(v for v, _ in level) else zero_levels + 1
-        for v, b in level:
-            val, bound = val + v, bound + b
-        t += 1
-        if t >= 200:
-            raise AssertionError("j-sum failed to close")
+    for j in range(-((l + k + 2) // period), (l - 1) // period + 1):
+        u1, b1 = u(period * j + 1, 2 * j, 2 * bits)
+        u2, b2 = u(period * j + k + 1, 2 * j + 1, 2 * bits)
+        # x-exponents of q^((4k+8)j^2 + 4j) and q^((4k+8)j^2 + 4(k+1)j + k)
+        e = 4 * period * j * j
+        val += (u1 << bits * (e + 8 * j)) - (u2 << bits * (e + 8 * (k + 1) * j + 2 * k))
+        bound += b1 + b2
     return val, bound
 
 
@@ -261,21 +251,25 @@ def sides_4_15(k: int, l: int, m: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the doubly bounded identity at (k, l, m), whole, at
     one bound: the k-fold multisum led by [l+m-N_1, m-N_1] in q^2, and the
     alternating j-sum over u_tilde(l, m, ., .) in q^2."""
+    if l < 0 or m < 0:
+        raise ValueError("l, m must be nonnegative")
     return _unpacked(
         partial(_bounded_lhs, k, l, m, lambda n1, bits: _binomial_at(l + m - n1, m - n1, 4 * bits)),
-        partial(_rhs_hierarchy, k, lambda a, b, bits: _u_tilde(l, m, a, b, bits)),
+        partial(_rhs_hierarchy, k, l, partial(_u_tilde, l, m)),
     )
 
 
 def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the singly bounded identity at (k, l), the m -> infinity
-    form of 4.15, whole, at one bound: the multisum with N_1 <= l (l - 1
-    when k = 1), and the alternating j-sum over t_ab(l, a) + t_ab(l, a + 1)
-    in q^2."""
-    cap = max(l, 0) if k > 1 else max(l - 1, 0)
+    form of 4.15, whole, at one bound: the multisum with N_1 <= l, and the
+    alternating j-sum over t_ab(l, a) + t_ab(l, a + 1) in q^2.  For k = 1
+    the vector N_1 = l adds nothing: its last binomial has top below
+    bottom for every s."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     return _unpacked(
-        partial(_bounded_lhs, k, l, cap, lambda n1, bits: (1, 1)),
-        partial(_rhs_hierarchy, k, lambda a, b, bits: _u_of(l, a, bits)),
+        partial(_bounded_lhs, k, l, l, lambda n1, bits: (1, 1)),
+        partial(_rhs_hierarchy, k, l, lambda a, b, bits: _u_of(l, a, bits)),
     )
 
 

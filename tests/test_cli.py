@@ -252,6 +252,27 @@ def test_report_check_not_an_object(capsys, tmp_path):
     assert "list of objects" in err
 
 
+_SAVED = {"id": "1.1", "params": {"counts_max": 2}, "order2": 5, "status": "pass",
+          "elapsed_ms": 0}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("params", []), ("status", "bogus"), ("id", 11), ("order2", "5"), ("order2", True),
+     ("elapsed_ms", 0.5), ("elapsed_ms", False), ("first_mismatch", 3),
+     ("failed_facet", ["sum-vs-product"])],
+)
+def test_report_of_a_malformed_check_is_a_usage_error(capsys, tmp_path, field, value):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"version": 1, "checks": [_SAVED]}))
+    assert run(capsys, "report", str(path))[0] == 0  # the well-formed check reads
+    path.write_text(json.dumps({"version": 1, "checks": [{**_SAVED, field: value}]}))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
+
+
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"default_order2": 41, "output_format": "json"}))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ggq import registry
+from ggq.partitions import Partition
 from ggq.registry import (
     REGISTRY,
     Corruption,
@@ -177,7 +178,7 @@ QUICK_FACETS = {
     "1.2": (2, "sum-vs-product"),
     "1.3": (2, "sum-vs-product"),
     "1.4": (2, "sum-vs-product"),
-    "2.7": (4, "forward-roundtrip-failures"),
+    "2.7": (5, "forward-roundtrip-failures"),
     "3.2": (4, "sum-vs-product"),
     "3.3": (1, "sum-vs-product"),
     "3.4": (2, "sum-vs-product"),
@@ -211,7 +212,7 @@ QUICK_FACETS = {
 
 def test_every_facet_matches_and_fails_under_corruption():
     assert set(QUICK_FACETS) == set(REGISTRY)
-    for level, total in (("quick", 307), ("full", 454)):
+    for level, total in (("quick", 308), ("full", 455)):
         built = {}
         for check_id, entry in REGISTRY.items():
             facets = entry.builder(**getattr(entry, level))
@@ -236,6 +237,7 @@ def test_2_7_facet_labels():
     assert list(_facets_2_7(12)) == [
         "forward-roundtrip-failures",
         "image-vs-split-pairs",
+        "split-image-vs-triples",
         "choice-count-vs-weight",
         "worked-example-split",
     ]
@@ -264,6 +266,26 @@ def test_2_7_fails_when_a_split_pair_is_missing(monkeypatch):
     assert r.status == "fail"
     assert r.failed_facet == "image-vs-split-pairs"
     assert "n=9" in r.first_mismatch
+
+
+def test_2_7_fails_when_the_split_moves_a_part(monkeypatch):
+    # the split keeps the size and keeps pi3 distinct multiples of 4, but
+    # moves 4 from the least to the largest part of pi3 once it has three
+    # parts and the least is at least 8; it first changes a pi2 at n = 36
+    ferrers_split = registry.ferrers_split
+
+    def moved(pi2):
+        pi3, pi4 = ferrers_split(pi2)
+        p = pi3.parts
+        if len(p) >= 3 and p[0] >= 8:
+            pi3 = Partition((p[0] - 4,) + p[1:-1] + (p[-1] + 4,))
+        return pi3, pi4
+
+    monkeypatch.setattr(registry, "ferrers_split", moved)
+    r = run_check("2.7", sigma_max=36)
+    assert r.status == "fail"
+    assert r.failed_facet == "split-image-vs-triples"
+    assert r.first_mismatch == "n=36,expected=0,got=2"
 
 
 def test_2_7_inverse_raising_is_a_failure(monkeypatch):

@@ -1,5 +1,6 @@
 """Gaussian binomials, refined trinomials, and their limiting behavior."""
 
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -109,6 +110,43 @@ def test_singly_bounded_identity_grid():
     for k in (1, 2):
         for l in range(7):
             assert series_diff(*sides_4_20(k, l)) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_j_sum_reads_its_stated_range_and_nothing_past_it_is_nonzero(k):
+    # the j-sum reads u exactly at the pieces of its closed-form range, and
+    # both u forms vanish at the piece one past each end of that range
+    period = 2 * k + 4
+    for l in range(16):
+        lo, hi = -((l + k + 2) // period), (l - 1) // period
+        forms = [lambda a, b, bits: trinomials._u_of(l, a, bits)]
+        forms += [partial(trinomials._u_tilde, l, m) for m in range(7)]
+        for u in forms:
+            read = []
+
+            def recorded(a, b, bits):
+                read.append((a, b))
+                return u(a, b, bits)
+
+            trinomials._rhs_hierarchy(k, l, recorded, 8)
+            assert read == [
+                ab
+                for j in range(lo, hi + 1)
+                for ab in ((period * j + 1, 2 * j), (period * j + k + 1, 2 * j + 1))
+            ]
+            for j in (lo - 1, hi + 1):
+                for a, own_b in ((period * j + 1, 2 * j), (period * j + k + 1, 2 * j + 1)):
+                    for b in (own_b, -1, 0, 1):
+                        assert u(a, b, 8) == (0, 0), (k, l, j, a, b)
+
+
+@pytest.mark.parametrize(
+    "sides, args", [(sides_4_15, (1, -1, 0)), (sides_4_15, (2, 0, -1)),
+                    (sides_4_20, (1, -1)), (sides_4_20, (3, -2))]
+)
+def test_bounded_sides_reject_negative_bounds(sides, args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        sides(*args)
 
 
 def _dict(s):
