@@ -6,17 +6,20 @@ Stages, each invertible:
             --redistribute (one bit per mark)-->  (pi1, pi2)
             --ferrers_split on pi2-->  (pi3, pi4)
 
-A member is a Gollnitz-Gordon partition whose even parts b satisfy
-b == 2t(b) (mod 4).  Marks sit on the least parts of qualifying odd
-chains; each mark contributes a factor 2 to the weight, realized here as
-a free routing choice.  The final triples (pi1, pi3, pi4) carry no
+Every partition is the ascending tuple of its parts.  A member is a
+Gollnitz-Gordon partition whose even parts b satisfy b == 2t(b) (mod 4).
+Marks sit on the least parts of qualifying odd chains; each mark
+contributes a factor 2 to the weight, realized here as a free routing
+choice.  The final triples (pi1, pi3, pi4) carry no
 parity conditions at all, which is what ties the weighted count to the
 distinct-part counting function.
 
 Each rule on the stages' partitions is stated once, as a ``Family``
 step: the same families list ``split_pairs`` and ``triple_partitions``
 and, through ``Family.weigh``, validate ``SplitPair`` and
-``TriplePartition``.
+``TriplePartition``.  The staircase maps read their input through the
+partition families of ``ggq.partitions``: ``euler_subtract`` needs
+positive parts with gaps >= 2, ``euler_add`` positive ascending parts.
 
 The split is stated in closed form; ``ferrers_graph`` draws the graph
 it cuts, for the trace.  Both raise ValueError on a pi2 outside the pi2
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .partitions import Family, Partition, _chain_marks, _odd_below, enumerate_partitions
+from .partitions import _ANY, Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
 
 __all__ = [
     "MarkedPartition",
@@ -78,19 +81,19 @@ def _pi2_step(state: int, p: int):
     # test: two odd parts 4 apart differ by one in t, so break parity.
     last, t = state >> 1, state & 1
     odd = p % 2
-    if (last and p - last < 4) or (p - 2 * t) % 4 != odd or (odd and p < 5):
+    if (p - last < 4 if last else p < 1) or (p - 2 * t) % 4 != odd or (odd and p < 5):
         return None
     return p << 1 | (t ^ odd), 1
 
 
-# pi2: gaps >= 4, odd parts >= 5 and 6 apart, b == 2t(b) + (b mod 2) (mod 4)
+# pi2: positive parts, gaps >= 4, odd parts >= 5 and 6 apart, b == 2t(b) + (b mod 2) (mod 4)
 _PI2 = Family(_pi2_step, bits=1)
 _MULT4 = Family(lambda last, p: (p, 1) if p % 4 == 0 and p > last else None)
 
 
 @dataclass(frozen=True)
 class MarkedPartition:
-    base: Partition
+    base: tuple[int, ...]
     marks: frozenset[int]  # part values carrying a tilde
 
     def choices(self):
@@ -103,37 +106,37 @@ class MarkedPartition:
 
 @dataclass(frozen=True)
 class SplitPair:
-    pi1: Partition
-    pi2: Partition
+    pi1: tuple[int, ...]
+    pi2: tuple[int, ...]
 
     def __post_init__(self):
-        _check_pi2(self.pi2.parts)
-        if _odds(2 * self.pi2.nu + 1).weigh(self.pi1.parts) is None:
+        _check_pi2(self.pi2)
+        if _odds(2 * len(self.pi2) + 1).weigh(self.pi1) is None:
             raise ValueError("pi1 must be distinct odds above 2*nu(pi2)")
 
     @property
     def sigma(self) -> int:
-        return self.pi1.sigma + self.pi2.sigma
+        return sum(self.pi1) + sum(self.pi2)
 
 
 @dataclass(frozen=True)
 class TriplePartition:
-    pi1: Partition
-    pi3: Partition
-    pi4: Partition
+    pi1: tuple[int, ...]
+    pi3: tuple[int, ...]
+    pi4: tuple[int, ...]
 
     def __post_init__(self):
-        bound = 2 * self.pi3.nu
-        if _MULT4.weigh(self.pi3.parts) is None:
+        bound = 2 * len(self.pi3)
+        if _MULT4.weigh(self.pi3) is None:
             raise ValueError("pi3 must be distinct multiples of 4")
-        if _odds(1, bound).weigh(self.pi4.parts) is None:
+        if _odds(1, bound).weigh(self.pi4) is None:
             raise ValueError("pi4 must be distinct odds below 2*nu(pi3)")
-        if _odds(bound + 1).weigh(self.pi1.parts) is None:
+        if _odds(bound + 1).weigh(self.pi1) is None:
             raise ValueError("pi1 must be distinct odds above 2*nu(pi3)")
 
     @property
     def sigma(self) -> int:
-        return self.pi1.sigma + self.pi3.sigma + self.pi4.sigma
+        return sum(self.pi1) + sum(self.pi3) + sum(self.pi4)
 
 
 def _check_pi2(parts) -> None:
@@ -150,24 +153,25 @@ def _require(holds: bool, invariant: str) -> None:
 # -- staircase ----------------------------------------------------------
 
 
-def euler_subtract(pi: Partition) -> Partition:
-    """b_k -> b_k - 2(k-1); needs gaps >= 2 so the result stays sorted."""
-    parts = pi.parts
-    for a, b in zip(parts, parts[1:]):
-        if b - a < 2:
-            raise ValueError("needs gaps >= 2")
-    return Partition(tuple(p - 2 * k for k, p in enumerate(parts)))
+def euler_subtract(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """b_k -> b_k - 2(k-1); needs positive parts with gaps >= 2, so the
+    result stays a partition."""
+    if _gap_family(1).weigh(pi) is None:
+        raise ValueError("needs positive parts and gaps >= 2")
+    return tuple(p - 2 * k for k, p in enumerate(pi))
 
 
-def euler_add(pi_star: Partition) -> Partition:
-    """Inverse staircase; accepts any non-decreasing input."""
-    return Partition(tuple(p + 2 * k for k, p in enumerate(pi_star.parts)))
+def euler_add(pi_star: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse staircase; needs positive ascending parts."""
+    if _ANY.weigh(pi_star) is None:
+        raise ValueError("needs positive ascending parts")
+    return tuple(p + 2 * k for k, p in enumerate(pi_star))
 
 
 # -- identification and redistribution ----------------------------------
 
 
-def identify(pi: Partition) -> MarkedPartition:
+def identify(pi: tuple[int, ...]) -> MarkedPartition:
     """Mark the least parts of qualifying odd chains of a member."""
     marks = _chain_marks("S", pi)
     if marks is None:
@@ -186,10 +190,10 @@ def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
     if len(choice) != len(marks):
         raise ValueError("one choice bit per mark required")
     to_pile2 = {v for v, bit in zip(marks, choice) if bit}
-    star = euler_subtract(m.base).parts
+    star = euler_subtract(m.base)
     pile1: list[int] = []
     pile2: list[int] = []
-    for k, b in enumerate(m.base.parts):
+    for k, b in enumerate(m.base):
         v = star[k]
         if b % 2 == 0:
             pile2.append(v)
@@ -200,10 +204,10 @@ def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
     pile1.sort()
     pile2.sort()
     n2 = len(pile2)
-    pi2 = Partition(tuple(v + 2 * k for k, v in enumerate(pile2)))
-    pi1 = Partition(tuple(v + 2 * (n2 + k) for k, v in enumerate(pile1)))
+    pi2 = tuple(v + 2 * k for k, v in enumerate(pile2))
+    pi1 = tuple(v + 2 * (n2 + k) for k, v in enumerate(pile1))
     pair = SplitPair(pi1, pi2)
-    _require(pair.sigma == m.base.sigma, "redistribution keeps the size")
+    _require(pair.sigma == sum(m.base), "redistribution keeps the size")
     return pair
 
 
@@ -216,15 +220,13 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
     one chain, and only a chain's least part can be marked, so the
     multiset lookup is unambiguous.
     """
-    n2 = pair.pi2.nu
-    star2 = [p - 2 * k for k, p in enumerate(pair.pi2.parts)]
-    star1 = [p - 2 * (n2 + k) for k, p in enumerate(pair.pi1.parts)]
-    if any(v <= 0 for v in star1) or any(v <= 0 for v in star2):
-        raise ValueError("piles do not de-staircase to positive values")
+    n2 = len(pair.pi2)
+    star2 = [p - 2 * k for k, p in enumerate(pair.pi2)]
+    star1 = [p - 2 * (n2 + k) for k, p in enumerate(pair.pi1)]
     merged = sorted(star1 + star2)
-    base = euler_add(Partition(tuple(merged)))
+    base = euler_add(tuple(merged))
     m = identify(base)
-    star_of = dict(zip(base.parts, merged))
+    star_of = dict(zip(base, merged))
     budget: dict[int, int] = {}
     for v in star2:
         if v % 2 == 1:
@@ -252,20 +254,19 @@ def redistribute_inverse(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, 
 # -- weighted Ferrers graph ---------------------------------------------
 
 
-def ferrers_graph(pi2: Partition) -> list[list[int]]:
+def ferrers_graph(pi2: tuple[int, ...]) -> list[list[int]]:
     """Node-weight rows (ascending part order) with entries 4, 2, or 1.
 
     Row for odd part f has (3+f+2t(f))/4 nodes ending in a 1; row for
     even part e has (e+2t(e))/4 nodes.  The column over each 1 (rows of
     larger parts) is weighted 2, the rest 4.  Row sums reproduce parts.
     """
-    parts = pi2.parts
-    _check_pi2(parts)
-    tmap = _odd_below(parts)
-    lengths = [(p + 2 * tmap[p] + 3 * (p % 2)) // 4 for p in parts]
-    one_cols = {lengths[i] - 1 for i, p in enumerate(parts) if p % 2 == 1}
+    _check_pi2(pi2)
+    tmap = _odd_below(pi2)
+    lengths = [(p + 2 * tmap[p] + 3 * (p % 2)) // 4 for p in pi2]
+    one_cols = {lengths[i] - 1 for i, p in enumerate(pi2) if p % 2 == 1}
     rows = []
-    for n, p in zip(lengths, parts):
+    for n, p in zip(lengths, pi2):
         # the columns of smaller odd rows all end before this row's last node
         row = [2 if c in one_cols else 4 for c in range(n - p % 2)] + [1] * (p % 2)
         _require(sum(row) == p, "graph rows sum to their parts")
@@ -273,7 +274,7 @@ def ferrers_graph(pi2: Partition) -> list[list[int]]:
     return rows
 
 
-def ferrers_split(pi2: Partition) -> tuple[Partition, Partition]:
+def ferrers_split(pi2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Cut the 1-footed columns out of pi2's graph: they are pi4, the
     all-4 remainder is pi3.
 
@@ -281,28 +282,27 @@ def ferrers_split(pi2: Partition) -> tuple[Partition, Partition]:
     the row of an odd part at index i sits over the 2s of the nu - 1 - i
     larger rows, so its column is the pi4 part 2(nu - i) - 1.
     """
-    parts = pi2.parts
-    _check_pi2(parts)
-    t = _odd_below(parts)
-    nu = len(parts)
-    pi3 = tuple(b - 2 * t[b] - b % 2 for b in parts)
-    pi4 = tuple(2 * (nu - i) - 1 for i in reversed(range(nu)) if parts[i] % 2)
-    return Partition(pi3), Partition(pi4)
+    _check_pi2(pi2)
+    t = _odd_below(pi2)
+    nu = len(pi2)
+    pi3 = tuple(b - 2 * t[b] - b % 2 for b in pi2)
+    pi4 = tuple(2 * (nu - i) - 1 for i in reversed(range(nu)) if pi2[i] % 2)
+    return pi3, pi4
 
 
-def ferrers_merge(pi3: Partition, pi4: Partition) -> Partition:
+def ferrers_merge(pi3: tuple[int, ...], pi4: tuple[int, ...]) -> tuple[int, ...]:
     """Reattach the 2-modular columns; inverse of ferrers_split on the pi2
     family.  Raises ValueError on any (pi3, pi4) it does not produce from
     a member of that family."""
-    nu = pi3.nu
-    odd_rows = {nu - 1 - (p - 1) // 2 for p in pi4.parts}
+    nu = len(pi3)
+    odd_rows = {nu - 1 - (p - 1) // 2 for p in pi4}
     parts = []
     t = 0
-    for i, g in enumerate(pi3.parts):
+    for i, g in enumerate(pi3):
         parts.append(g + 2 * t + (1 if i in odd_rows else 0))
         if i in odd_rows:
             t += 1
-    pi2 = Partition(tuple(parts))
+    pi2 = tuple(parts)
     if ferrers_split(pi2) != (pi3, pi4):
         raise ValueError("not in the image of the split map")
     return pi2
@@ -315,7 +315,7 @@ def triple_map(m: MarkedPartition, choice: tuple[bool, ...]) -> TriplePartition:
     pair = redistribute(m, choice)
     pi3, pi4 = ferrers_split(pair.pi2)
     t = TriplePartition(pair.pi1, pi3, pi4)
-    _require(t.sigma == m.base.sigma, "the pipeline keeps the size")
+    _require(t.sigma == sum(m.base), "the pipeline keeps the size")
     return t
 
 
@@ -328,7 +328,9 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 
 
 @lru_cache(maxsize=None)
-def _distinct_odds(n: int, min_part: int, below: Optional[int] = None) -> tuple[Partition, ...]:
+def _distinct_odds(
+    n: int, min_part: int, below: Optional[int] = None
+) -> tuple[tuple[int, ...], ...]:
     """Partitions of n into distinct odd parts p >= min_part, and p < below
     when below is given; cached, so a tuple."""
     return tuple(enumerate_partitions(n, _odds(min_part, below)))
@@ -339,7 +341,7 @@ def split_pairs(n: int) -> tuple[SplitPair, ...]:
     out = []
     for s2 in range(n + 1):
         for pi2 in enumerate_partitions(s2, _PI2):
-            bound = 2 * pi2.nu
+            bound = 2 * len(pi2)
             for pi1 in _distinct_odds(n - s2, bound + 1):
                 out.append(SplitPair(pi1, pi2))
     return tuple(out)
@@ -350,7 +352,7 @@ def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
     out = []
     for s3 in range(n + 1):
         for pi3 in enumerate_partitions(s3, _MULT4):
-            nu = pi3.nu
+            nu = len(pi3)
             for s4 in range(n - s3 + 1):
                 for pi4 in _distinct_odds(s4, 1, 2 * nu):
                     for pi1 in _distinct_odds(n - s3 - s4, 2 * nu + 1):
@@ -358,7 +360,7 @@ def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
     return tuple(out)
 
 
-def trace_pipeline(pi: Partition, choice: tuple[bool, ...]) -> list[tuple[str, str]]:
+def trace_pipeline(pi: tuple[int, ...], choice: tuple[bool, ...]) -> list[tuple[str, str]]:
     """Stage-by-stage rendering of one run, for the CLI trace mode."""
     m = identify(pi)
     star = euler_subtract(pi)
@@ -366,15 +368,15 @@ def trace_pipeline(pi: Partition, choice: tuple[bool, ...]) -> list[tuple[str, s
     pi3, pi4 = ferrers_split(pair.pi2)
     rows = ferrers_graph(pair.pi2)
     stages = [
-        ("member", _fmt(pi.parts)),
+        ("member", _fmt(pi)),
         ("marks", _fmt(sorted(m.marks))),
         ("choice", "".join("2" if b else "1" for b in choice) or "-"),
-        ("euler-subtracted", _fmt(star.parts)),
-        ("pi1", _fmt(pair.pi1.parts)),
-        ("pi2", _fmt(pair.pi2.parts)),
+        ("euler-subtracted", _fmt(star)),
+        ("pi1", _fmt(pair.pi1)),
+        ("pi2", _fmt(pair.pi2)),
         ("graph", " / ".join("".join(str(w) for w in row) for row in rows) or "-"),
-        ("pi3", _fmt(pi3.parts)),
-        ("pi4", _fmt(pi4.parts)),
+        ("pi3", _fmt(pi3)),
+        ("pi4", _fmt(pi4)),
     ]
     back_m, back_bits = triple_inverse(TriplePartition(pair.pi1, pi3, pi4))
     _require(back_m == m and back_bits == tuple(choice), "the trace inverts")

@@ -136,7 +136,7 @@ def parse_json(text: str) -> list[VerificationReport]:
     return [report_from_dict(d) for d in checks]
 
 
-_CSV_COLUMNS = ["id", "params", "order2", "status", "first_mismatch", "elapsed_ms"]
+_CSV_COLUMNS = ["id", "params", "order2", "status", "first_mismatch", "elapsed_ms", "failed_facet"]
 
 
 def emit_csv(reports: Sequence[VerificationReport]) -> str:
@@ -152,6 +152,7 @@ def emit_csv(reports: Sequence[VerificationReport]) -> str:
                 r.status,
                 r.first_mismatch or "",
                 r.elapsed_ms,
+                r.failed_facet or "",
             ]
         )
     return buf.getvalue()
@@ -334,10 +335,10 @@ def _cmd_bijection(args, cfg: CliConfig) -> int:
                 t = triple_map(m, choice)
                 shown = "".join("2" if b else "1" for b in choice) or "-"
                 lines.append(
-                    f"pi={_fmt(pi.parts)} choice={shown} -> "
-                    f"pi1={_fmt(t.pi1.parts)} "
-                    f"pi3={_fmt(t.pi3.parts)} "
-                    f"pi4={_fmt(t.pi4.parts)}"
+                    f"pi={_fmt(pi)} choice={shown} -> "
+                    f"pi1={_fmt(t.pi1)} "
+                    f"pi3={_fmt(t.pi3)} "
+                    f"pi4={_fmt(t.pi4)}"
                 )
     _write_out("\n".join(lines) + "\n" if lines else "", args.out or cfg.out_path)
     return 0

@@ -1,8 +1,11 @@
-"""Partitions with ascending parts, family listing, and counting.
+"""Partitions: family listing, counting and membership.
 
-Parts are kept in ascending order throughout.  "Parity" of a part means
-its residue class mod 4, not mod 2; all parity predicates below are
-written mod 4 explicitly.
+A partition is the tuple of its parts, in ascending order; the empty
+tuple is the partition of 0.  No constructor checks a tuple: each
+function that needs positive, ascending parts reads them through a
+family's ``weigh``, ``_ANY`` for any partition and ``_gap_family`` for
+gaps >= 2.  "Parity" of a part means its residue class mod 4, not mod 2;
+all parity predicates below are written mod 4 explicitly.
 
 Each family is described once, as a ``Family``: a state machine that
 reads the parts smallest first, keeping the last part and a few parity
@@ -17,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 __all__ = [
-    "Partition",
     "Family",
     "ResidueFamilyConfig",
     "VARIANTS",
@@ -41,34 +43,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        last = 0
-        for p in self.parts:
-            if p <= 0:
-                raise ValueError("parts must be positive")
-            if p < last:
-                raise ValueError("parts must ascend")
-            last = p
-
-    @property
-    def sigma(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def nu(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """A partition family read one part at a time, smallest part first.
@@ -78,7 +52,9 @@ class Family:
     state 0.  ``step(state, p)``, for p no smaller than the last part,
     returns the next state and p's weight, or None when p may not
     follow.  Every admitted prefix is a member, weighted by the product
-    of its steps' weights.
+    of its steps' weights.  A family whose ``weigh`` checks a given
+    tuple, such as ``_ANY`` or ``_gap_family``, also refuses a part below
+    1 and one below the last part.
     """
 
     step: Callable[[int, int], Optional[tuple[int, int]]]
@@ -99,7 +75,8 @@ class Family:
         return weight
 
 
-_ANY = Family(lambda last, p: (p, 1))
+# every partition: positive parts, ascending
+_ANY = Family(lambda last, p: (p, 1) if p >= max(last, 1) else None)
 
 
 def _next_parts(last: int, remaining: int) -> list[int]:
@@ -108,19 +85,19 @@ def _next_parts(last: int, remaining: int) -> list[int]:
     return [*range(lo, remaining // 2 + 1), remaining] if lo <= remaining else []
 
 
-def enumerate_partitions(n: int, family: Optional[Family] = None) -> list[Partition]:
+def enumerate_partitions(n: int, family: Optional[Family] = None) -> list[tuple[int, ...]]:
     """The members of n in ascending-lexicographic order; every partition
     of n when no family is given."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     fam = family or _ANY
     step, bits = fam.step, fam.bits
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     stack = [((), n, 0)]
     while stack:
         prefix, remaining, state = stack.pop()
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(prefix)
             continue
         for p in reversed(_next_parts(state >> bits, remaining)):
             nxt = step(state, p)
@@ -160,16 +137,14 @@ def _count(family: Family, n: int) -> int:
     return memo[n][0]
 
 
-def chains(pi: Partition) -> list[tuple[int, ...]]:
+def chains(pi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Chain decomposition: the maximal runs of parts differing by exactly
     2, each of one parity; defined only for gap >= 2 partitions."""
-    parts = pi.parts
-    for a, b in zip(parts, parts[1:]):
-        if b - a < 2:
-            raise ValueError("chain decomposition needs gaps >= 2")
+    if _gap_family(1).weigh(pi) is None:
+        raise ValueError("chain decomposition needs positive parts and gaps >= 2")
     out: list[tuple[int, ...]] = []
     run: list[int] = []
-    for p in parts:
+    for p in pi:
         if run and p - run[-1] == 2:
             run.append(p)
         else:
@@ -181,9 +156,9 @@ def chains(pi: Partition) -> list[tuple[int, ...]]:
     return out
 
 
-def is_gollnitz_gordon(pi: Partition) -> bool:
-    """Gaps >= 2, strictly more than 2 above any even part."""
-    return _gap_family(1, 0).weigh(pi.parts) is not None
+def is_gollnitz_gordon(pi: tuple[int, ...]) -> bool:
+    """Positive parts, gaps >= 2, strictly more than 2 above any even part."""
+    return _gap_family(1, 0).weigh(pi) is not None
 
 
 # -- weighted families (mod-4 parity conditions on even parts) ----------
@@ -195,15 +170,14 @@ class WeightVariant:
     weight 2 when odd, least part >= chain_min, and least part ==
     2t+chain_offset (mod 4)."""
 
-    name: str
     even_offset: int
     chain_min: int
     chain_offset: int
 
 
 VARIANTS = {
-    "S": WeightVariant("S", 0, 5, 1),
-    "Sstar": WeightVariant("Sstar", 2, 3, 3),
+    "S": WeightVariant(0, 5, 1),
+    "Sstar": WeightVariant(2, 3, 3),
 }
 
 
@@ -217,15 +191,15 @@ def _odd_below(parts: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def _chain_marks(variant: str, pi: Partition) -> Optional[frozenset[int]]:
+def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[frozenset[int]]:
     """Least parts of the qualifying odd chains of a member, or None if the
     even-part parity test fails; anything not Gollnitz-Gordon is a usage
     error."""
     v = VARIANTS[variant]
     if not is_gollnitz_gordon(pi):
         raise ValueError("not a Gollnitz-Gordon partition")
-    t = _odd_below(pi.parts)
-    if any(p % 2 == 0 and (p - 2 * t[p]) % 4 != v.even_offset for p in pi.parts):
+    t = _odd_below(pi)
+    if any(p % 2 == 0 and (p - 2 * t[p]) % 4 != v.even_offset for p in pi):
         return None
     return frozenset(
         run[0]
@@ -261,7 +235,7 @@ def _member_family(variant: str) -> Family:
 _MEMBERS = {name: _member_family(name) for name in VARIANTS}
 
 
-def enumerate_members(variant: str, n: int) -> list[Partition]:
+def enumerate_members(variant: str, n: int) -> list[tuple[int, ...]]:
     """All weighted-family members of n (S or Sstar)."""
     return enumerate_partitions(n, _MEMBERS[variant])
 
@@ -289,8 +263,9 @@ def count_q(i: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gap_family(min_part: int, strict_parity: int) -> Family:
-    """Parts >= min_part, gaps >= 2, no gap of 2 below a part == strict_parity (mod 2)."""
+def _gap_family(min_part: int, strict_parity: Optional[int] = None) -> Family:
+    """Parts >= min_part, gaps >= 2, no gap of 2 below a part == strict_parity
+    (mod 2); any gap of 2 when strict_parity is None."""
 
     def step(last: int, p: int):
         d = p - last

@@ -47,7 +47,6 @@ from .bijection import (
 )
 from .partitions import (
     MOD8_CONFIG,
-    Partition,
     count_g,
     count_gg,
     count_p,
@@ -381,23 +380,23 @@ def _build_2_7(sigma_max):
             m = identify(pi)
             for choice in m.choices():
                 pair = redistribute(m, choice)
-                images[pair.pi1.parts, pair.pi2.parts] += 1
+                images[pair.pi1, pair.pi2] += 1
                 try:
                     bad += _invert(pair) != (m, choice)
                 except ValueError:
                     bad += 1
         triples = Counter()
         for (pi1, pi2), count in images.items():
-            split[pi2] = split.get(pi2) or [p.parts for p in ferrers_split(Partition(pi2))]
+            split[pi2] = split.get(pi2) or ferrers_split(pi2)
             triples[(pi1, *split[pi2])] += count
         total = images.total()
-        images.subtract((p.pi1.parts, p.pi2.parts) for p in split_pairs(n))
-        triples.subtract((t.pi1.parts, t.pi3.parts, t.pi4.parts) for t in triple_partitions(n))
+        images.subtract((p.pi1, p.pi2) for p in split_pairs(n))
+        triples.subtract((t.pi1, t.pi3, t.pi4) for t in triple_partitions(n))
         rows.append((bad, sum(map(abs, images.values())), sum(map(abs, triples.values())), total))
     fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows))
     zeros = [0] * (sigma_max + 1)
-    p3, p4 = ferrers_split(Partition((5, 15, 24, 29)))
-    worked = list(p3.parts) + list(p4.parts)
+    p3, p4 = ferrers_split((5, 15, 24, 29))
+    worked = [*p3, *p4]
     return [
         Facet("forward-roundtrip-failures", fwd_bad, zeros),
         Facet("image-vs-split-pairs", image_bad, zeros),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ggq.partitions import VARIANTS, Partition, ResidueFamilyConfig
+from ggq.partitions import VARIANTS, ResidueFamilyConfig
 
 ExtendFn = Callable[[tuple[int, ...], int], bool]
 AcceptFn = Callable[[tuple[int, ...]], bool]
@@ -20,7 +20,7 @@ def enumerate_partitions(
     n: int,
     extend: Optional[ExtendFn] = None,
     accept: Optional[AcceptFn] = None,
-) -> list[Partition]:
+) -> list[tuple[int, ...]]:
     """All partitions of n passing the filters, ascending-lexicographic.
 
     extend(prefix, p) is consulted before appending p (p >= last part is
@@ -28,12 +28,12 @@ def enumerate_partitions(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, lo: int):
         if remaining == 0:
             if accept is None or accept(prefix):
-                out.append(Partition(prefix))
+                out.append(prefix)
             return
         for p in range(lo, remaining + 1):
             if extend is None or extend(prefix, p):
@@ -123,7 +123,7 @@ def chain_weight(variant: str, parts: tuple[int, ...]) -> int:
 
 def weighted(variant: str, n: int) -> int:
     return sum(
-        chain_weight(variant, pi.parts)
+        chain_weight(variant, pi)
         for pi in enumerate_partitions(n, extend=member_side(variant))
     )
 

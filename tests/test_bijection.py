@@ -24,10 +24,11 @@ from ggq.bijection import (
     triple_partitions,
 )
 from ggq.partitions import (
-    Partition,
+    chains,
     count_q,
     enumerate_members,
     enumerate_partitions,
+    is_gollnitz_gordon,
     weighted_count,
 )
 
@@ -35,24 +36,24 @@ SIGMA = 28  # exhaustive round-trip bound for this module's own suite
 
 
 def test_choices_cover_every_bit_tuple_in_order():
-    m = MarkedPartition(Partition((1, 5, 9)), frozenset({1, 5}))
+    m = MarkedPartition((1, 5, 9), frozenset({1, 5}))
     f, t = False, True
     assert list(m.choices()) == [(f, f), (t, f), (f, t), (t, t)]
-    assert list(MarkedPartition(Partition((2,)), frozenset()).choices()) == [()]
+    assert list(MarkedPartition((2,), frozenset()).choices()) == [()]
 
 
 def test_staircase_pair():
-    assert euler_subtract(Partition((3, 5, 8))) == Partition((3, 3, 4))
-    assert euler_add(Partition((3, 3, 4))) == Partition((3, 5, 8))
+    assert euler_subtract((3, 5, 8)) == (3, 3, 4)
+    assert euler_add((3, 3, 4)) == (3, 5, 8)
     with pytest.raises(ValueError):
-        euler_subtract(Partition((3, 4)))
+        euler_subtract((3, 4))
     for n in range(20):
         for pi in enumerate_members("S", n):
             assert euler_add(euler_subtract(pi)) == pi
 
 
 def test_identify_worked_example():
-    m = identify(Partition((5,)))
+    m = identify((5,))
     assert m.marks == frozenset({5})
     assert len(m.marks) == 1
 
@@ -60,29 +61,29 @@ def test_identify_worked_example():
 def test_broken_invariant_raises(monkeypatch):
     # a split that loses pi2 breaks triple_map's size invariant; the check
     # is an explicit raise, so it fires under python -O as well
-    monkeypatch.setattr(bijection, "ferrers_split", lambda pi2: (Partition(), Partition()))
+    monkeypatch.setattr(bijection, "ferrers_split", lambda pi2: ((), ()))
     with pytest.raises(AssertionError, match="invariant broken"):
-        triple_map(identify(Partition((5,))), (True,))
+        triple_map(identify((5,)), (True,))
 
 
 def test_identify_mark_count_matches_weight():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
             m = identify(pi)
-            assert 1 << len(m.marks) == brute_force.chain_weight("S", pi.parts)
+            assert 1 << len(m.marks) == brute_force.chain_weight("S", pi)
 
 
 def test_identify_rejects_bad_parity():
     with pytest.raises(ValueError):
-        identify(Partition((1, 4, 9, 11)))  # the 4 sits at the wrong parity
+        identify((1, 4, 9, 11))  # the 4 sits at the wrong parity
 
 
 def test_redistribute_single_mark():
-    m = identify(Partition((5,)))
+    m = identify((5,))
     keep = redistribute(m, (False,))
     move = redistribute(m, (True,))
-    assert keep == SplitPair(Partition((5,)), Partition())
-    assert move == SplitPair(Partition(), Partition((5,)))
+    assert keep == SplitPair((5,), ())
+    assert move == SplitPair((), (5,))
 
 
 def test_redistribute_roundtrip_exhaustive():
@@ -121,19 +122,19 @@ def test_split_pair_validation():
         ((1,), (4,)),  # 1 <= 2*nu(pi2)
     ]:
         with pytest.raises(ValueError):
-            SplitPair(Partition(pi1), Partition(pi2))
+            SplitPair(pi1, pi2)
     for pi1, pi2 in [((5,), ()), ((), (5,)), ((3,), (4,)), ((), (5, 11)), ((), (4, 9))]:
-        SplitPair(Partition(pi1), Partition(pi2))
+        SplitPair(pi1, pi2)
 
 
 def test_ferrers_worked_example():
-    pi2 = Partition((5, 15, 24, 29))
+    pi2 = (5, 15, 24, 29)
     rows = ferrers_graph(pi2)
     assert [sum(r) for r in rows] == [5, 15, 24, 29]
     # exactly the one-footed columns feed the odd pile
     pi3, pi4 = ferrers_split(pi2)
-    assert pi3 == Partition((4, 12, 20, 24))
-    assert pi4 == Partition((1, 5, 7))
+    assert pi3 == (4, 12, 20, 24)
+    assert pi4 == (1, 5, 7)
     assert ferrers_merge(pi3, pi4) == pi2
 
 
@@ -149,7 +150,7 @@ def _split_by_columns(rows):
     one_cols = {len(row) - 1: i for i, row in enumerate(rows) if row[-1] == 1}
     pi4 = sorted(sum(rows[j][c] for j in range(i, len(rows))) for c, i in one_cols.items())
     pi3 = [sum(w for c, w in enumerate(row) if c not in one_cols) for row in rows]
-    return Partition(tuple(pi3)), Partition(tuple(pi4))
+    return tuple(pi3), tuple(pi4)
 
 
 def test_ferrers_graph_structure():
@@ -161,7 +162,7 @@ def test_ferrers_graph_structure():
             rows = ferrers_graph(pair.pi2)
             assert ferrers_split(pair.pi2) == _split_by_columns(rows)
             one_cols = set()
-            for row, p in zip(rows, pair.pi2.parts):
+            for row, p in zip(rows, pair.pi2):
                 assert sum(row) == p
                 assert set(row) <= {1, 2, 4}
                 if p % 2:
@@ -178,11 +179,35 @@ def test_ferrers_split_and_graph_reject_non_members():
     # (4, 5) has integral, increasing row lengths but breaks the gap rule
     for n in range(25):
         for pi in enumerate_partitions(n):
-            if _PI2.weigh(pi.parts) is None:
+            if _PI2.weigh(pi) is None:
                 with pytest.raises(ValueError):
                     ferrers_split(pi)
                 with pytest.raises(ValueError):
                     ferrers_graph(pi)
+
+
+# (0, 4) meets pi2's gap and parity rules: only positivity refuses it
+@pytest.mark.parametrize("bad", [(3, 1), (0,), (0, 4), (-1, 3)])
+def test_non_partitions_are_refused(bad):
+    # descending, zero and negative parts: each function that reads a
+    # partition refuses them through its family's weigh
+    assert not is_gollnitz_gordon(bad)
+    assert _PI2.weigh(bad) is None
+    for refuse in [
+        chains,
+        euler_subtract,
+        euler_add,
+        identify,
+        ferrers_split,
+        ferrers_graph,
+        lambda pi: SplitPair(pi, ()),
+        lambda pi: SplitPair((), pi),
+        lambda pi: TriplePartition(pi, (), ()),
+        lambda pi: TriplePartition((), pi, ()),
+        lambda pi: TriplePartition((), (4, 8), pi),
+    ]:
+        with pytest.raises(ValueError):
+            refuse(bad)
 
 
 def test_triple_validation():
@@ -197,9 +222,9 @@ def test_triple_validation():
         ((1,), (4,), ()),  # 1 <= 2*nu(pi3)
     ]:
         with pytest.raises(ValueError):
-            TriplePartition(Partition(pi1), Partition(pi3), Partition(pi4))
-    TriplePartition(Partition(), Partition((4,)), Partition((1,)))
-    TriplePartition(Partition((3, 7)), Partition((4,)), Partition((1,)))
+            TriplePartition(pi1, pi3, pi4)
+    TriplePartition((), (4,), (1,))
+    TriplePartition((3, 7), (4,), (1,))
 
 
 @pytest.mark.parametrize(
@@ -216,15 +241,15 @@ def test_triple_validation():
 )
 def test_ferrers_merge_rejects_what_the_split_does_not_produce(pi3, pi4):
     with pytest.raises(ValueError):
-        ferrers_merge(Partition(pi3), Partition(pi4))
+        ferrers_merge(pi3, pi4)
 
 
 def test_triple_map_single_mark():
-    m = identify(Partition((5,)))
+    m = identify((5,))
     t0 = triple_map(m, (False,))
-    assert (t0.pi1, t0.pi3, t0.pi4) == (Partition((5,)), Partition(), Partition())
+    assert (t0.pi1, t0.pi3, t0.pi4) == ((5,), (), ())
     t1 = triple_map(m, (True,))
-    assert (t1.pi1, t1.pi3, t1.pi4) == (Partition(), Partition((4,)), Partition((1,)))
+    assert (t1.pi1, t1.pi3, t1.pi4) == ((), (4,), (1,))
 
 
 def test_triple_roundtrip_exhaustive():
@@ -249,7 +274,7 @@ def test_cardinalities_frozen_and_cross():
 
 
 def test_trace_stages():
-    stages = trace_pipeline(Partition((5,)), (True,))
+    stages = trace_pipeline((5,), (True,))
     names = [s for s, _ in stages]
     assert names == [
         "member",

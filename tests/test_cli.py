@@ -1,5 +1,7 @@
 """End-to-end command behavior through main(argv); no subprocesses."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -196,7 +198,7 @@ def test_report_conversion(capsys, tmp_path):
     path.write_text(emit_json(reports))
     code, out, _ = run(capsys, "report", str(path), "--emit", "csv")
     assert code == 1  # carries the failure through
-    assert out.splitlines()[0] == "id,params,order2,status,first_mismatch,elapsed_ms"
+    assert out.splitlines()[0] == "id,params,order2,status,first_mismatch,elapsed_ms,failed_facet"
     assert ",fail," in out
     code, out, _ = run(capsys, "report", str(path))
     assert "2 check(s), 1 failed" in out
@@ -211,6 +213,18 @@ def test_failed_facet_in_json_and_text(capsys):
     assert parse_json(text) == reports
     line = emit_text(reports).splitlines()[0]
     assert line.endswith("  sum-vs-product: " + reports[0].first_mismatch)
+
+
+def test_failed_facet_in_csv(capsys):
+    # the label is the last column, empty on a pass
+    code, out, _ = run(capsys, "verify", "--id", "1.1", "--corrupt", ":1", "--emit", "csv")
+    assert code == 1
+    header, row = csv.reader(io.StringIO(out))
+    assert header[-1] == "failed_facet"
+    assert row[3] == "fail" and row[-1] == "sum-vs-product"
+    code, out, _ = run(capsys, "verify", "--id", "1.1", "--emit", "csv")
+    _, row = csv.reader(io.StringIO(out))
+    assert code == 0 and row[3] == "pass" and row[-1] == ""
 
 
 def test_verify_echoes_compared_count_bound(capsys):

@@ -108,7 +108,7 @@ def test_weigh_admits_exactly_the_listed_members(name):
     family = WEIGHED[name]
     for n in range(21):
         members = set(enumerate_partitions(n, family))
-        weights = {pi: family.weigh(pi.parts) for pi in enumerate_partitions(n)}
+        weights = {pi: family.weigh(pi) for pi in enumerate_partitions(n)}
         assert {pi for pi, w in weights.items() if w is not None} == members
         assert sum(w for w in weights.values() if w is not None) == _count(family, n)
 

@@ -9,7 +9,6 @@ from ggq.partitions import (
     _chain_marks,
     MOD8_CONFIG,
     P_CONFIG,
-    Partition,
     ResidueFamilyConfig,
     VARIANTS,
     chains,
@@ -30,14 +29,16 @@ from ggq.series import FactorSpec, inv_poch_infinite, one, poch_product, q_coeff
 
 
 def test_partition_basics():
-    p = Partition((2, 5, 8))
-    assert p.sigma == 15 and p.nu == 3
-    empty = Partition()
-    assert empty.sigma == 0 and empty.nu == 0
-    with pytest.raises(ValueError):
-        Partition((3, 1))
-    with pytest.raises(ValueError):
-        Partition((0,))
+    # a partition is the ascending tuple of its parts, () the one of 0
+    assert enumerate_partitions(0) == [()]
+    assert (2, 5, 8) in enumerate_partitions(15)
+    # descending parts and a zero part are refused where a partition is read
+    for bad in [(3, 1), (0,)]:
+        assert not is_gollnitz_gordon(bad)
+        with pytest.raises(ValueError):
+            chains(bad)
+        with pytest.raises(ValueError):
+            identify(bad)
 
 
 def test_enumeration_is_exhaustive_and_ordered():
@@ -46,7 +47,7 @@ def test_enumeration_is_exhaustive_and_ordered():
     assert [len(enumerate_partitions(n)) for n in range(11)] == classical
     got = enumerate_partitions(5)
     assert got == sorted(got)
-    assert all(p.sigma == 5 for p in got)
+    assert all(sum(p) == 5 for p in got)
     assert enumerate_partitions(12) == brute_force.enumerate_partitions(12)
 
 
@@ -63,10 +64,10 @@ def test_extend_sees_the_prefix():
 
 
 def test_chains_decomposition():
-    assert chains(Partition((1, 3, 6, 8, 13))) == [(1, 3), (6, 8), (13,)]
-    assert chains(Partition()) == []
+    assert chains((1, 3, 6, 8, 13)) == [(1, 3), (6, 8), (13,)]
+    assert chains(()) == []
     with pytest.raises(ValueError):
-        chains(Partition((1, 2)))
+        chains((1, 2))
 
 
 def test_chain_runs_are_parity_homogeneous():
@@ -82,11 +83,11 @@ def test_chain_runs_are_parity_homogeneous():
 
 
 def test_gollnitz_gordon_predicate():
-    assert is_gollnitz_gordon(Partition((1, 5, 7)))
-    assert not is_gollnitz_gordon(Partition((1, 2)))
-    assert not is_gollnitz_gordon(Partition((2, 4)))  # even needs gap > 2
-    assert is_gollnitz_gordon(Partition((3, 5)))  # odd may sit at gap 2
-    assert is_gollnitz_gordon(Partition())
+    assert is_gollnitz_gordon((1, 5, 7))
+    assert not is_gollnitz_gordon((1, 2))
+    assert not is_gollnitz_gordon((2, 4))  # even needs gap > 2
+    assert is_gollnitz_gordon((3, 5))  # odd may sit at gap 2
+    assert is_gollnitz_gordon(())
 
 
 def test_membership_weight_is_power_of_two():
@@ -97,23 +98,23 @@ def test_membership_weight_is_power_of_two():
             for pi in enumerate_members(variant, n):
                 marks = _chain_marks(variant, pi)
                 assert marks is not None
-                assert 1 << len(marks) == brute_force.chain_weight(variant, pi.parts)
+                assert 1 << len(marks) == brute_force.chain_weight(variant, pi)
 
 
 def test_membership_rejects_non_gg_input():
     with pytest.raises(ValueError):
-        _chain_marks("S", Partition((1, 2)))
+        _chain_marks("S", (1, 2))
     with pytest.raises(ValueError):
-        identify(Partition((1, 2)))
+        identify((1, 2))
 
 
 def test_weight_counts_qualifying_chains():
     # (5,) is a single odd chain with least part 5 == 2*0+1 (mod 4): one mark
-    assert identify(Partition((5,))).marks == {5}
+    assert identify((5,)).marks == {5}
     # (1,) fails the chain_min bound: no mark
-    assert identify(Partition((1,))).marks == frozenset()
+    assert identify((1,)).marks == frozenset()
     # an even part matching the parity rule is never marked
-    assert identify(Partition((4,))).marks == frozenset()
+    assert identify((4,)).marks == frozenset()
 
 
 def test_variant_table():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ggq import registry
-from ggq.partitions import Partition
 from ggq.registry import (
     REGISTRY,
     Corruption,
@@ -276,9 +275,8 @@ def test_2_7_fails_when_the_split_moves_a_part(monkeypatch):
 
     def moved(pi2):
         pi3, pi4 = ferrers_split(pi2)
-        p = pi3.parts
-        if len(p) >= 3 and p[0] >= 8:
-            pi3 = Partition((p[0] - 4,) + p[1:-1] + (p[-1] + 4,))
+        if len(pi3) >= 3 and pi3[0] >= 8:
+            pi3 = (pi3[0] - 4, *pi3[1:-1], pi3[-1] + 4)
         return pi3, pi4
 
     monkeypatch.setattr(registry, "ferrers_split", moved)
