@@ -13,16 +13,19 @@ closed-form summands, before a series is ever built.
 
 A series carries its truncation bound ``order2``: terms with e2 >=
 order2 are unknown and silently dropped by the ring operations, and a
-sum or product keeps the smaller bound of its operands.  Exact
-polynomials (the bounded identities) are built outside this ring, as
-packed integers in ``ggq.trinomials``, and arrive here through
-``_unpack``.  Every product goes through one kernel, ``_mul``: a
-one-term operand shifts the keys of the other; otherwise each operand is
-cut into slices of equal marker degrees (dz, dw), and each pair of slices
-is multiplied as univariate series by one signed Kronecker product; the
-comment above the kernel says how, and why the one-term shift stays.
-Pochhammer products (a; q^k)_n and their inverses never go factor
-by factor through ``*``: their builders work on dense coefficient lists,
+sum or product keeps the smaller bound of its operands.  It is stored by
+marker slices: per (dz, dw), the lowest e2 and the dense coefficients
+from there to the highest nonzero one.  The kernel packs that form and
+the builders below produce it; ``terms`` is a read-only view built on
+demand.  No stored list is ever written, so series share lists, and a
+cached series cannot change.  Exact polynomials (the bounded
+identities) are built outside this ring, as packed integers in
+``ggq.trinomials``, and arrive as one dense list through
+``_from_lists``.  Every product goes through one kernel, ``_mul``: a
+one-term operand shifts the other; otherwise each pair of slices is one
+signed Kronecker product, as the comment above the kernel says.
+Pochhammer products (a; q^k)_n and their inverses never go factor by
+factor through ``*``: their builders work on dense coefficient lists,
 through two shared helpers that apply one factor (``_times_factor``) or
 divide by one (``_divide_factor``), as the comment above them says.  The
 same helpers walk the term ratio of the paper's single sums
@@ -35,12 +38,15 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt
-from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Optional
+from operator import add, mul, sub
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional
 
 Key = tuple[int, int, int]
+Mark = tuple[int, int]
+Slices = dict[Mark, tuple[int, list[int]]]  # (dz, dw) -> (lowest e2, coefficients from it)
 
 __all__ = [
     "FactorSpec",
@@ -88,14 +94,15 @@ class FactorSpec:
 
 
 class TruncSeries:
-    """Sparse exact series {(e2, dz, dw): coeff}, truncated at q^(order2/2)."""
+    """Exact series {(e2, dz, dw): coeff}, truncated at q^(order2/2), and
+    stored as its marker slices."""
 
-    __slots__ = ("terms", "order2", "_uni")
+    __slots__ = ("_by_mark", "_order2")
 
-    def __init__(self, terms: dict[Key, int], order2: int):
+    def __init__(self, terms: Mapping[Key, int], order2: int):
         if order2 <= 0:
             raise ValueError("order2 must be positive")
-        uni = True
+        groups: dict[Mark, dict[int, int]] = {}
         for (e2, dz, dw), c in terms.items():
             if e2 < 0:
                 raise ValueError(f"negative q-exponent e2={e2}")
@@ -107,98 +114,96 @@ class TruncSeries:
                 raise ValueError("marker degree exceeds truncation order")
             if c == 0:
                 raise ValueError("explicit zero coefficient")
-            if dz or dw:
-                uni = False
-        self.terms = terms
-        self.order2 = order2
-        self._uni = uni
+            groups.setdefault((dz, dw), {})[e2] = c
+        self._by_mark = {}
+        for mark, g in groups.items():
+            low = min(g)
+            v = [0] * (max(g) - low + 1)
+            for e2, c in g.items():
+                v[e2 - low] = c
+            self._by_mark[mark] = (low, v)
+        self._order2 = order2
 
     @classmethod
-    def _trusted(cls, terms: dict[Key, int], order2: int, uni: bool) -> "TruncSeries":
-        """A kernel output, or a re-tagged copy of a valid series, whose
-        terms are already nonzero, nonnegative, below order2 and within the
-        marker bound, so they are not checked again.  uni may be False for
-        a univariate result, never True with a marker term.  The marker
-        bound can only break in a product, a sum of unequal bounds, a
-        truncation or a marked Pochhammer builder, and each of those checks
-        it itself."""
+    def _of(cls, by_mark: Slices, order2: int) -> "TruncSeries":
+        """Slices already in stored form, with nonzero ends, below order2
+        and within the marker bound, so they are not checked again: each
+        operation that can pass the marker bound checks it itself."""
         s = object.__new__(cls)
-        s.terms = terms
-        s.order2 = order2
-        s._uni = uni
+        s._by_mark = by_mark
+        s._order2 = order2
         return s
+
+    @property
+    def order2(self) -> int:
+        return self._order2
+
+    @property
+    def terms(self) -> Mapping[Key, int]:
+        """The nonzero terms {(e2, dz, dw): c}, a read-only view built on each call."""
+        terms = {(low + i, dz, dw): c for (dz, dw), (low, v) in self._by_mark.items()
+                 for i, c in enumerate(v) if c}
+        return MappingProxyType(terms)
 
     # -- basic protocol -------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._by_mark)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.order2 == other.order2 and self.terms == other.terms
+        return self._order2 == other._order2 and self._by_mark == other._by_mark
 
-    __hash__ = None  # mutable dict inside; identity hashing would mislead
+    __hash__ = None  # compared by value; no caller keys on a series, and a hash would read it all
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"<series 0 (order2={self.order2})>"
-        bits = []
-        for (e2, dz, dw), c in sorted(self.terms.items())[:8]:
-            mono = []
-            if e2:
-                mono.append(f"q^{e2 // 2}" if e2 % 2 == 0 else f"q^({e2}/2)")
-            if dz:
-                mono.append(f"z^{dz}" if dz > 1 else "z")
-            if dw:
-                mono.append(f"w^{dw}" if dw > 1 else "w")
-            head = "*".join(mono) if mono else "1"
-            bits.append(f"{c}*{head}" if mono else str(c))
-        more = " + ..." if len(self.terms) > 8 else ""
-        return f"<series {' + '.join(bits)}{more} (order2={self.order2})>"
+        return f"TruncSeries({dict(sorted(self.terms.items()))}, {self._order2})"
 
     # -- inspection -----------------------------------------------------
 
     def max_e2(self) -> int:
         """Largest stored exponent, -1 for the zero series."""
-        return max((k[0] for k in self.terms), default=-1)
+        return max((low + len(v) - 1 for low, v in self._by_mark.values()), default=-1)
 
     @property
     def is_univariate(self) -> bool:
-        return self._uni
+        return self._by_mark.keys() <= {(0, 0)}
 
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._trusted({k: -c for k, c in self.terms.items()}, self.order2, self._uni)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "TruncSeries":
         if c == 0:
-            return TruncSeries._trusted({}, self.order2, True)
-        terms = {k: c * v for k, v in self.terms.items()}
-        return TruncSeries._trusted(terms, self.order2, self._uni)
+            return TruncSeries._of({}, self._order2)
+        return TruncSeries._of(
+            {mark: (low, list(map(mul, v, repeat(c)))) for mark, (low, v) in self._by_mark.items()},
+            self._order2,
+        )
 
     def __add__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        order2 = min(self.order2, other.order2)
-        # a running total is the longer operand: copy it whole, add the other
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        if big.order2 == order2:
-            out = dict(big.terms)
-        else:
-            out = {k: c for k, c in big.terms.items() if k[0] < order2}
-        for k, c in small.terms.items():
-            if k[0] < order2:
-                acc = out.get(k, 0) + c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        uni = self._uni and other._uni
-        if not uni and self.order2 != other.order2:
-            _check_markers(out, order2)
-        return TruncSeries._trusted(out, order2, uni)
+        order2 = min(self._order2, other._order2)
+        a, b = self._by_mark, other._by_mark
+        out: Slices = {}
+        for mark in a.keys() | b.keys():
+            if mark in a and mark in b:
+                # both spans in one list from the lower start, cut at order2
+                (la, va), (lb, vb) = a[mark], b[mark]
+                low = min(la, lb)
+                acc = [0] * (min(order2, max(la + len(va), lb + len(vb))) - low)
+                _add_at(acc, va, la - low)
+                _add_at(acc, vb, lb - low)
+                _put(out, mark, low, acc)
+            else:
+                low, v = a.get(mark) or b[mark]
+                if low < order2:
+                    _put(out, mark, low, v if low + len(v) <= order2 else v[: order2 - low])
+        _check_markers(out, order2)
+        return TruncSeries._of(out, order2)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
@@ -210,159 +215,153 @@ class TruncSeries:
             return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        order2 = min(self.order2, other.order2)
-        if not self.terms or not other.terms:
-            return TruncSeries._trusted({}, order2, True)
-        return TruncSeries._trusted(_mul(self, other, order2), order2, self._uni and other._uni)
+        order2 = min(self._order2, other._order2)
+        if not self._by_mark or not other._by_mark:
+            return TruncSeries._of({}, order2)
+        return TruncSeries._of(_mul(self, other, order2), order2)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
 
+def _put(out: Slices, mark: Mark, low: int, v: list[int]) -> None:
+    """Stores v, the coefficients from e2 = low up, under mark without its
+    zero ends (v itself if it has none), or nothing when all are zero."""
+    first = next(compress(count(), v), None)
+    if first is None:
+        return
+    end = len(v) - next(compress(count(), reversed(v)))
+    out[mark] = (low + first, v[first:end] if first or end < len(v) else v)
+
+
+def _add_at(acc: list[int], v: list[int], at: int) -> None:
+    """Adds v into acc from index at on, as far as acc reaches."""
+    end = min(len(acc), at + len(v))
+    acc[at:end] = map(add, acc[at:end], v)
+
+
+def _check_markers(by_mark: Slices, order2: int) -> None:
+    if any(dz + dw > order2 for dz, dw in by_mark):
+        raise ValueError("marker degree exceeds truncation order")
+
+
 # -- multiplication kernel ----------------------------------------------
 #
-# A one-term operand is a key shift of the other one.  The packed product
-# below would give the same terms, but one-term operands, such as the
-# monomial heads of the paper's sums, are common, and the shift is one
-# comprehension with nothing to pack or unpack.  Sending them through the
-# packed product instead raised the median time of the six marked double
-# sums from 0.451 to 0.550 s and of the full catalog from 0.829 to 0.977 s
-# (7 alternating in-process runs, 2-core x86-64 host, Python 3.11).
+# A one-term operand shifts the other one: each slice moves its lowest
+# exponent and marker degrees, and a cut of its list below order2 is
+# scaled.  The packed product below would give the same terms, but
+# one-term operands, such as the monomial heads of the paper's sums, are
+# common.  Sending them through the packed product instead raised the
+# median time of the six marked double sums from 0.451 to 0.550 s and of
+# the full catalog from 0.829 to 0.977 s (7 alternating in-process runs,
+# 2-core x86-64 host, Python 3.11).
 #
-# Any other product goes slice by slice: each operand's terms are grouped
-# by their marker degrees (dz, dw), a univariate series being one slice,
-# and each pair of slices is multiplied as univariate series, by one
-# signed Kronecker product, and added under (dz_a + dz_b, dw_a + dw_b).
-# A pair whose lowest exponents already sum past order2 is skipped
-# (Pochhammer factors never reach here: the builders below apply them to
-# dense lists).
+# Any other product multiplies each pair of marker slices as univariate
+# series, by one signed Kronecker product, and adds it under
+# (dz_a + dz_b, dw_a + dw_b).  A pair whose lowest exponents already sum
+# past order2 is skipped.
 #
 # Packing.  A slice with lowest exponent l is packed once per product, in
-# slots (e2 - l) / g, where g divides the gaps between the exponents of
-# every slice of both operands (most slices here step by 4 or 8).  The
-# slice is P - N, its positive and negated negative coefficients in B-bit
-# slots, B holding min(terms) * max|a| * max|b| over the whole operands
-# plus a sign bit: a coefficient of the product sums at most min(terms)
-# term products, so every slot of a slice product, and of a sum of them,
-# lies in [-2^(B-1), 2^(B-1)).  Adding 2^(B-1) to every slot then makes
-# each a digit in [0, 2^B), and no slot borrows from the next.  A pair's
-# product starts at exponent l_a + l_b; the products under one (dz, dw)
-# and one residue of l_a + l_b mod g are shifted into place and added as
-# integers, and each sum is unpacked once, only below order2, through
-# array for 1, 2, 4 or 8 bytes on little-endian machines.  The marker
-# bound is checked once, on the result, and only when some pair landed
-# past it.
+# slots (e2 - l) / g, where g divides the offset from l of every nonzero
+# coefficient of every slice of both operands (most slices here step by
+# 4 or 8).  Each coefficient fills its B-bit slot in two's complement,
+# B holding min(terms) * max|a| * max|b| over the whole operands plus a
+# sign bit: a coefficient of the product sums at most min(terms) term
+# products, so every slot of a slice product, and of a sum of them, lies
+# in [-2^(B-1), 2^(B-1)).  A negative c fills its slot as c + 2^B, which
+# sets the slot's top bit, so 2^B is taken back at each such slot.
+# Adding 2^(B-1) to every slot of a product then makes each a digit in
+# [0, 2^B), and no slot borrows from the next.  A pair's product starts
+# at l_a + l_b; the products under one (dz, dw) and one residue of
+# l_a + l_b mod g are shifted into place and added as integers, and each
+# sum is unpacked once, below order2, through array for 1, 2, 4 or 8
+# bytes on little-endian machines, into every g-th entry of one dense
+# list per (dz, dw).
 
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
-Slice = tuple[dict[Key, int], int]  # a slice's terms, read for e2 only, and its lowest e2
 
-
-def _check_markers(terms: dict[Key, int], order2: int) -> None:
-    if any(dz + dw > order2 for _, dz, dw in terms):
-        raise ValueError("marker degree exceeds truncation order")
-
-
-def _slices(s: TruncSeries) -> dict[tuple[int, int], Slice]:
-    if s._uni:
-        return {(0, 0): (s.terms, 0)}
-    groups: dict[tuple[int, int], dict[Key, int]] = {}
-    for k, c in s.terms.items():
-        sl = groups.get(k[1:])
-        if sl is None:
-            groups[k[1:]] = sl = {}
-        sl[k] = c
-    return {mark: (sl, min(sl)[0]) for mark, sl in groups.items()}
-
-
-def _packing(x: TruncSeries, y: TruncSeries, slices) -> tuple[int, int]:
+def _packing(x: TruncSeries, y: TruncSeries) -> tuple[int, int]:
     """The slot step g and the bytes per slot for any slice product of x and y."""
     step = 0
-    for sl in slices:
-        for terms, low in sl.values():
-            step = gcd(step, *map(sub, map(itemgetter(0), terms), repeat(low)))
-    a, b = x.terms, y.terms
-    bound = max(max(a.values()), -min(a.values())) * max(max(b.values()), -min(b.values()))
-    width = (bound.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
-    # every slice of both one term long: no gap, and any step will do
+    for _, v in chain(x._by_mark.values(), y._by_mark.values()):
+        step = gcd(step, *compress(count(), v))
+        if step == 1:
+            break
+    bound, terms = 1, []
+    for s in (x, y):
+        lists = [v for _, v in s._by_mark.values()]
+        bound *= max(max(map(max, lists)), -min(map(min, lists)))
+        terms.append(sum(len(v) - v.count(0) for v in lists))
+    width = (bound.bit_length() + min(terms).bit_length() + 8) // 8
+    # every slice of both one term long: no offset, and any step will do
     return step or 1, 1 << (width - 1).bit_length() if width <= 8 else width
 
 
-def _mul(x: TruncSeries, y: TruncSeries, order2: int) -> dict[Key, int]:
-    if len(x.terms) > 1 < len(y.terms):
-        return _mul_sliced(x, y, order2)
-    # a one-term operand moves every key of the other one
-    if len(x.terms) > 1:
+def _is_term(s: TruncSeries) -> bool:
+    return len(s._by_mark) == 1 and len(next(iter(s._by_mark.values()))[1]) == 1
+
+
+def _mul(x: TruncSeries, y: TruncSeries, order2: int) -> Slices:
+    if _is_term(y):
         x, y = y, x
-    ((e, z, w), c), = x.terms.items()
-    out = {
-        (e + e2, z + dz, w + dw): c * v for (e2, dz, dw), v in y.terms.items() if e + e2 < order2
-    }
-    if not y._uni:
-        _check_markers(out, order2)
-    elif z + w > order2 and out:
-        raise ValueError("marker degree exceeds truncation order")
+    elif not _is_term(x):
+        return _mul_sliced(x, y, order2)
+    # a one-term operand c q^(e/2) z^dz w^dw moves every slice of the other one
+    ((dz, dw), (e, (c,))), = x._by_mark.items()
+    out: Slices = {}
+    for (z, w), (low, v) in y._by_mark.items():
+        if low + e < order2:
+            _put(out, (z + dz, w + dw), low + e, list(map(mul, v[: order2 - low - e], repeat(c))))
+    _check_markers(out, order2)
     return out
 
 
-def _mul_sliced(x: TruncSeries, y: TruncSeries, order2: int) -> dict[Key, int]:
-    a, b = _slices(x), _slices(y)
-    step, width = _packing(x, y, (a, b))
-    packs_b = {mark: (*_pack(sl, low, step, width), low) for mark, (sl, low) in b.items()}
+def _mul_sliced(x: TruncSeries, y: TruncSeries, order2: int) -> Slices:
+    step, width = _packing(x, y)
+    packs_b = [(mark, *_pack(v, step, width), low) for mark, (low, v) in y._by_mark.items()]
     packed: dict[tuple[int, int, int], list[int]] = {}  # (dz, dw, residue) -> [sum, slots]
-    for (za, wa), (sa, la) in a.items():
-        va, na = _pack(sa, la, step, width)
-        for (zb, wb), (vb, nb, lb) in packs_b.items():
+    for (za, wa), (la, va) in x._by_mark.items():
+        pa, na = _pack(va, step, width)
+        for (zb, wb), pb, nb, lb in packs_b:
             low = la + lb
             if low >= order2:
                 continue
             residue, base = low % step, low // step
             slots = min(base + na + nb - 1, (order2 - residue + step - 1) // step)
-            prod = (va * vb) << (8 * width * base)
+            prod = (pa * pb) << (8 * width * base)
             acc = packed.get((za + zb, wa + wb, residue))
             if acc is None:
                 packed[za + zb, wa + wb, residue] = [prod, slots]
             else:
                 acc[0] += prod
                 acc[1] = max(acc[1], slots)
-    out: dict[Key, int] = {}
+    dense: dict[Mark, list[int]] = {}
     for (dz, dw, residue), (val, slots) in packed.items():
-        digits = _digits(val, slots, width)
-        out.update({(residue + step * i, dz, dw): c for i, c in enumerate(digits) if c})
-    if any(dz + dw > order2 for dz, dw, _ in packed):
-        _check_markers(out, order2)
+        if (dz, dw) not in dense:
+            dense[dz, dw] = [0] * order2
+        dense[dz, dw][residue : residue + step * slots : step] = _digits(val, slots, width)
+    out: Slices = {}
+    for mark, v in dense.items():
+        _put(out, mark, 0, v)
+    _check_markers(out, order2)
     return out
 
 
-@lru_cache(maxsize=None)
-def _uni_keys(size: int) -> tuple[Key, ...]:
-    return tuple((e2, 0, 0) for e2 in range(size))
-
-
-def _uni_terms(coeffs: Iterable[int], n: int) -> dict[Key, int]:
-    """{(e2, 0, 0): c} over the nonzero ones of the first n coefficients."""
-    return {k: c for k, c in zip(_uni_keys(1 << (n - 1).bit_length()), coeffs) if c}
-
-
-def _pack(terms: dict[Key, int], low: int, step: int, width: int) -> tuple[int, int]:
-    """Terms at e2 = low + step * i packed into slot i, and the slot count."""
-    nslots = (max(terms)[0] - low) // step + 1
-    pos = [0] * nslots
-    neg = [0] * nslots
-    for (e2, _, _), c in terms.items():
-        if c > 0:
-            pos[(e2 - low) // step] = c
-        else:
-            neg[(e2 - low) // step] = -c
+def _pack(v: list[int], step: int, width: int) -> tuple[int, int]:
+    """v[::step] packed into slots of width bytes, and the slot count."""
+    v = v[::step]
     code = _ARRAY_CODES.get(width)
-    pos, neg = (
-        array(code, xs) if code else b"".join(c.to_bytes(width, "little") for c in xs)
-        for xs in (pos, neg)
-    )
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), nslots
+    raw = (array(code.lower(), v) if code
+           else b"".join(c.to_bytes(width, "little", signed=True) for c in v))
+    val = int.from_bytes(raw, "little")
+    # 2^B back at each slot whose top bit a negative coefficient set
+    bits = 8 * width
+    ones = int.from_bytes((1).to_bytes(width, "little") * len(v), "little")
+    return val - (((val >> (bits - 1)) & ones) << bits), len(v)
 
 
-def _digits(val: int, nslots: int, width: int) -> Iterable[int]:
+def _digits(val: int, nslots: int, width: int) -> list[int]:
     """The signed coefficients in the first nslots slots of a packed value."""
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * nslots, "little")
@@ -371,11 +370,7 @@ def _digits(val: int, nslots: int, width: int) -> Iterable[int]:
     digits = array(code, raw) if code else [
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]
-    return map(sub, digits, repeat(half))
-
-
-def _unpack(val: int, nslots: int, width: int) -> dict[Key, int]:
-    return _uni_terms(_digits(val, nslots, width), nslots)
+    return list(map(sub, digits, repeat(half)))
 
 
 # -- constructors and reshaping -----------------------------------------
@@ -404,10 +399,12 @@ def truncate(s: TruncSeries, order2: int) -> TruncSeries:
         raise ValueError("order2 must be positive")
     if order2 > s.order2:
         raise ValueError("truncate cannot raise order2")
-    kept = {k: c for k, c in s.terms.items() if k[0] < order2}
-    if not s._uni:
-        _check_markers(kept, order2)
-    return TruncSeries._trusted(kept, order2, s._uni)
+    out: Slices = {}
+    for mark, (low, v) in s._by_mark.items():
+        if low < order2:
+            _put(out, mark, low, v[: order2 - low])
+    _check_markers(out, order2)
+    return TruncSeries._of(out, order2)
 
 
 def series_diff(got: TruncSeries, want: TruncSeries) -> Optional[tuple[Key, int, int]]:
@@ -415,13 +412,13 @@ def series_diff(got: TruncSeries, want: TruncSeries) -> Optional[tuple[Key, int,
 
     Returns (key, expected, got) sorted by (e2, dz, dw), or None.
     """
+    if got._by_mark == want._by_mark:
+        return None
     bound = min(got.order2, want.order2)
-    keys = {k for k in got.terms if k[0] < bound} | {k for k in want.terms if k[0] < bound}
-    for k in sorted(keys):
-        a = got.terms.get(k, 0)
-        b = want.terms.get(k, 0)
-        if a != b:
-            return (k, b, a)
+    a, b = got.terms, want.terms
+    for k in sorted({k for k in a if k[0] < bound} | {k for k in b if k[0] < bound}):
+        if a.get(k, 0) != b.get(k, 0):
+            return (k, b.get(k, 0), a.get(k, 0))
     return None
 
 
@@ -429,25 +426,21 @@ def q_coefficients(s: TruncSeries, n_max: int) -> list[int]:
     """[coeff of q^0, ..., coeff of q^n_max] along the pure-q axis."""
     if 2 * n_max >= s.order2:
         raise ValueError("q_coefficients beyond truncation order")
-    return [s.terms.get((2 * n, 0, 0), 0) for n in range(n_max + 1)]
+    low, v = s._by_mark.get((0, 0), (0, []))
+    return [v[e2 - low] if 0 <= e2 - low < len(v) else 0 for e2 in range(0, 2 * n_max + 1, 2)]
 
 
 def collapse_zw(s: TruncSeries) -> TruncSeries:
     """Substitute z = w = 1, folding marker degrees into the q-axis."""
-    out: dict[Key, int] = {}
-    for (e2, _, _), c in s.terms.items():
-        k = (e2, 0, 0)
-        acc = out.get(k, 0) + c
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
-    return TruncSeries(out, s.order2)
+    acc = [0] * (s.max_e2() + 1)
+    for low, v in s._by_mark.values():
+        _add_at(acc, v, low)
+    return _from_lists([acc], 0, 0, s.order2)
 
 
 def zw_slice(s: TruncSeries, dw: int) -> TruncSeries:
     """Sub-series of w-degree dw, degrees kept in place."""
-    return TruncSeries({k: c for k, c in s.terms.items() if k[2] == dw}, s.order2)
+    return TruncSeries._of({m: sl for m, sl in s._by_mark.items() if m[1] == dw}, s.order2)
 
 
 # -- Pochhammer products ------------------------------------------------
@@ -492,13 +485,13 @@ def _check_divisor(f: FactorSpec) -> None:
 
 
 def _from_lists(lists: list[list[int]], dz: int, dw: int, order2: int) -> TruncSeries:
-    """The series whose M^k part, M = z^dz w^dw, is lists[k]."""
-    if len(lists) == 1:
-        return TruncSeries._trusted(_uni_terms(lists[0], len(lists[0])), order2, True)
-    if any(map(any, lists[order2 // (dz + dw) + 1 :])):
-        raise ValueError("marker degree exceeds truncation order")
-    terms = {(e2, k * dz, k * dw): c for k, v in enumerate(lists) for e2, c in enumerate(v) if c}
-    return TruncSeries._trusted(terms, order2, False)
+    """The series whose M^k part, M = z^dz w^dw, is lists[k], a list from
+    e2 = 0 at most order2 long that no one writes again."""
+    out: Slices = {}
+    for k, v in enumerate(lists):
+        _put(out, (k * dz, k * dw), 0, v)
+    _check_markers(out, order2)
+    return TruncSeries._of(out, order2)
 
 
 def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
@@ -528,7 +521,7 @@ def _dense_inverse(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
     v[0] = 1
     for e in exps:
         _divide_factor(v, e, f.sign)
-    return TruncSeries._trusted(_uni_terms(v, order2), order2, True)
+    return _from_lists([v], 0, 0, order2)
 
 
 def _ratio_sum(

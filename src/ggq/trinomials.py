@@ -31,7 +31,8 @@ from operator import add
 from .series import (
     FactorSpec,
     TruncSeries,
-    _unpack,
+    _digits,
+    _from_lists,
     inv_poch_finite,
     inv_poch_infinite,
     one,
@@ -136,7 +137,7 @@ def _unpacked(*sides, order2: int = 0) -> tuple[TruncSeries, ...]:
             break
         width = (top.bit_length() + 8) // 8
     order2 = order2 or 2 + max(v.bit_length() // (8 * width) if v else -1 for v, _ in packed)
-    return tuple(TruncSeries._trusted(_unpack(v, order2, width), order2, True) for v, _ in packed)
+    return tuple(_from_lists([_digits(v, order2, width)], 0, 0, order2) for v, _ in packed)
 
 
 def _t_warnaar(l: int, m: int, a: int, b: int, bits: int) -> tuple[int, int]:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import importlib
+import re
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -226,6 +229,14 @@ def test_every_facet_matches_and_fails_under_corruption():
         if level == "quick":
             assert built == QUICK_FACETS
         assert sum(n for n, _ in built.values()) == total, level
+
+
+def test_facet_digest_script_covers_both_tiers(capsys):
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "facet_digest.py"))
+    assert script["main"]() == 0
+    count, digest = capsys.readouterr().out.splitlines()
+    assert count == "763 facets (308 quick + 455 full)"
+    assert re.fullmatch("sha256 [0-9a-f]{64}", digest)
 
 
 def _facets_2_7(sigma_max):

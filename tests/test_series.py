@@ -407,10 +407,14 @@ _kernel_operands = st.one_of(
 def test_kernel_outputs_pass_validation(a, b, c, data):
     # the ring operations skip the term-by-term check; every output must
     # still satisfy it, and none may claim to be univariate with a marker.
-    # Cuts stay at or above 6, the largest marker degree drawn: below it
-    # truncate rejects a marked operand, as it always has.
+    # Each must also be stored as the constructor stores its terms: series
+    # compare by their stored slices, so a zero end or an empty slice would
+    # make equal series differ.  Cuts stay at or above 6, the largest
+    # marker degree drawn: below it truncate rejects a marked operand, as it
+    # always has.
     cut = data.draw(st.integers(6, a.order2))
-    outs = [a * b, b * a, a + b, a - b, a - a, -a, a.scale(c), a * c, truncate(a, cut)]
+    outs = [a * b, b * a, a + b, a - b, b - a, a - a, -a, a.scale(c), a * c, truncate(a, cut),
+            collapse_zw(a), zw_slice(a, data.draw(st.integers(0, 3)))]
     # and so do the Pochhammer builders
     f = data.draw(_families)
     n = data.draw(st.integers(0, 30))
@@ -422,10 +426,32 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
     if f.e2 and not (f.dz or f.dw):
         outs += [inv_poch_finite(f, n, order2=a.order2), inv_poch_infinite(f, order2=a.order2)]
     for out in outs:
-        rebuilt = TruncSeries(out.terms, out.order2)
-        assert rebuilt == out
+        assert TruncSeries(dict(out.terms), out.order2) == out
+        assert eval(repr(out), {"TruncSeries": TruncSeries}) == out
         if out.is_univariate:
             assert not any(dz or dw for _, dz, dw in out.terms)
+
+
+Q2 = FactorSpec(1, 4, 4)
+
+
+def test_cached_series_cannot_change():
+    s = inv_poch_finite(Q2, 2, order2=21)
+    with pytest.raises(TypeError):
+        s.terms[(0, 0, 0)] += 1
+    with pytest.raises(AttributeError):
+        s.order2 = 5
+    # no operation writes a list its operands hold: neither the series nor
+    # any result changes while the others are computed
+    term = monomial(-3, 2, 1, 0, order2=21)
+    ops = (lambda t: t + t, lambda t: t - one(21), lambda t: t.scale(3), lambda t: truncate(t, 9),
+           lambda t: zw_slice(t, 0), collapse_zw, lambda t: t * term, lambda t: term * t,
+           lambda t: t * t)
+    results = [op(s) for op in ops]
+    inv_poch_finite.cache_clear()
+    rebuilt = inv_poch_finite(Q2, 2, order2=21)
+    assert rebuilt is not s and rebuilt == s
+    assert [op(rebuilt) for op in ops] == results
 
 
 def _crowded(max_size):
