@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt, prod
 from typing import Callable, Optional
@@ -60,6 +59,7 @@ from .partitions import (
 from .series import (
     FactorSpec,
     TruncSeries,
+    _dilate,
     _ratio_sum,
     collapse_zw,
     inv_poch_finite,
@@ -219,8 +219,7 @@ def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
     for level in lhs_4_7(top, k - 1, (order2 + 1) // 2):
         acc = zero(order2)
         for m, g in enumerate(level):
-            terms = {(2 * e2, dz, dw): c for (e2, dz, dw), c in g.terms.items() if 2 * e2 < order2}
-            acc = acc + monomial(1, 2 * m * m, order2=order2) * TruncSeries(terms, order2)
+            acc = acc + monomial(1, 2 * m * m, order2=order2) * _dilate(g, order2)
         sums.append(acc)
     return sums
 
@@ -914,6 +913,9 @@ def run_all(
         for cid in chosen
     ]
     if parallelism > 1:
+        # imported here: multiprocessing is loaded only by a run that uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             return list(ex.map(_run_by_id, jobs))
     return [_run_by_id(j) for j in jobs]

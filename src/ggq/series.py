@@ -25,11 +25,13 @@ identities) are built outside this ring, as packed integers in
 one-term operand shifts the other; otherwise each pair of slices is one
 signed Kronecker product, as the comment above the kernel says.
 Pochhammer products (a; q^k)_n and their inverses never go factor by
-factor through ``*``: their builders work on dense coefficient lists,
-through two shared helpers that apply one factor (``_times_factor``) or
-divide by one (``_divide_factor``), as the comment above them says.  The
-same helpers walk the term ratio of the paper's single sums
-(``_ratio_sum``), so no term of such a sum is built on its own.
+factor through ``*``: their builders hold the result packed into
+integers, as the kernel does, so each factor is one bignum shift and
+subtraction, and dividing by one is a few shift-adds; the comment above
+them gives the slot width.  The paper's single sums walk their term
+ratio on dense lists instead (``_ratio_sum``), through two helpers that
+apply one factor (``_times_factor``) or divide by one
+(``_divide_factor``), so no term of such a sum is built on its own.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, log, pi, sqrt
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
@@ -293,9 +295,15 @@ def _packing(x: TruncSeries, y: TruncSeries) -> tuple[int, int]:
         lists = [v for _, v in s._by_mark.values()]
         bound *= max(max(map(max, lists)), -min(map(min, lists)))
         terms.append(sum(len(v) - v.count(0) for v in lists))
-    width = (bound.bit_length() + min(terms).bit_length() + 8) // 8
     # every slice of both one term long: no offset, and any step will do
-    return step or 1, 1 << (width - 1).bit_length() if width <= 8 else width
+    return step or 1, _slot_bytes(bound.bit_length() + min(terms).bit_length())
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot for coefficients below 2^bits in absolute value: a
+    sign bit more, rounded up to an array item size where one fits."""
+    width = (bits + 8) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
 def _is_term(s: TruncSeries) -> bool:
@@ -362,15 +370,15 @@ def _pack(v: list[int], step: int, width: int) -> tuple[int, int]:
 
 
 def _digits(val: int, nslots: int, width: int) -> list[int]:
-    """The signed coefficients in the first nslots slots of a packed value."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * nslots, "little")
-    raw = ((val + bias) & ((1 << (8 * width * nslots)) - 1)).to_bytes(width * nslots, "little")
+    """The signed coefficients in the first nslots slots of a packed value:
+    each slot c + 2^(B-1), its top bit flipped, reads as c."""
+    size = width * nslots
+    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * nslots, "little")
+    raw = (((val + bias) & ((1 << 8 * size) - 1)) ^ bias).to_bytes(size, "little")
     code = _ARRAY_CODES.get(width)
-    digits = array(code, raw) if code else [
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    return array(code.lower(), raw).tolist() if code else [
+        int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)
     ]
-    return list(map(sub, digits, repeat(half)))
 
 
 # -- constructors and reshaping -----------------------------------------
@@ -438,6 +446,16 @@ def collapse_zw(s: TruncSeries) -> TruncSeries:
     return _from_lists([acc], 0, 0, s.order2)
 
 
+def _dilate(s: TruncSeries, order2: int) -> TruncSeries:
+    """s with q replaced by q^2, every e2 doubled, truncated at order2 <= 2 s.order2."""
+    out: Slices = {}
+    for mark, (low, v) in s._by_mark.items():
+        if 2 * low < order2:
+            _put(out, mark, 2 * low, _spread(v, 2, min(order2 - 2 * low, 2 * len(v) - 1)))
+    _check_markers(out, order2)
+    return TruncSeries._of(out, order2)
+
+
 def zw_slice(s: TruncSeries, dw: int) -> TruncSeries:
     """Sub-series of w-degree dw, degrees kept in place."""
     return TruncSeries._of({m: sl for m, sl in s._by_mark.items() if m[1] == dw}, s.order2)
@@ -445,36 +463,23 @@ def zw_slice(s: TruncSeries, dw: int) -> TruncSeries:
 
 # -- Pochhammer products ------------------------------------------------
 #
-# A family's product is built on dense lists, one per power k of its
-# marker M = z^dz w^dw (a single list when it has none).  Two helpers do
-# all the work on such lists, and every builder below, the ratio walk
-# included, is a loop over them.  ``_times_factor`` applies one factor
-# (1 - s q^(e/2) M): list k takes s times list k - 1, shifted by e, away;
-# lists are updated from the highest k down, so each list is read before
-# it is written.  Unmarked, the one list is its own source, which is safe
-# because the slices read are copies.  ``_divide_factor`` divides one
-# list by an unmarked factor (1 - s q^(e/2)): v[j] += s v[j-e], a block of
-# e at a time, each block reading the block below it that is already
-# divided.  In a product every list is min(order2, degree + 1) long, and a
-# new top list is opened only while its lowest term, at the degree, is
-# visible.
-
-
-def _times_factor(lists: list[list[int]], e: int, sign: int, marked: int) -> None:
-    """Multiplies the lists, of equal length, by (1 - sign q^(e/2) M) in
-    place; marked is 1 when list k holds the terms of M^k, 0 for one
-    unmarked list."""
-    op = sub if sign == 1 else add
-    for k in range(len(lists) - 1, marked - 1, -1):
-        v, src = lists[k], lists[k - marked]
-        v[e:] = map(op, v[e:], src[: len(v) - e])
-
-
-def _divide_factor(v: list[int], e: int, sign: int) -> None:
-    """Divides v by (1 - sign q^(e/2)) in place, e > 0."""
-    op = add if sign == 1 else sub
-    for b in range(e, len(v), e):
-        v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
+# A family's exponents are multiples of g = gcd(e2, step2), so its product
+# and inverse are packed into n = ceil(order2 / g) slots of B bits: the
+# series in y = q^(g/2) at y = 2^B, mod 2^(B n), one integer per power k
+# of its marker M = z^dz w^dw (one integer when it has none).  A factor
+# (1 - s q^(e/2) M) is V_k -= s (V_(k-1) << B e/g), from the highest k
+# down, so each integer is read before it is written; a new top integer
+# is opened only while its lowest term, at the degree, is visible.
+# Dividing by (1 - s x) multiplies by (1 + s x) (1 + x^2) (1 + x^4) ...
+# up to the truncation: 1/(1 - x) = prod (1 + x^(2^i)).  Reduction mod
+# 2^(B n) is a ring homomorphism from Z[y]/(y^n), so values may wrap on
+# the way and only the final coefficients must fit a slot.  In a product
+# the coefficient of M^k y^m counts with signs the sets of k distinct parts
+# e/g summing to m, at most 2 d(m) for d(m) the partitions of m into distinct
+# parts (the 2 covers a part 0 of an unmarked family with e2 = 0); in an
+# inverse it counts partitions of m, at most p(m).  Both are at most
+# 2 p(m) < 2 e^(pi sqrt(2m/3)) (Apostol, Introduction to Analytic Number
+# Theory, Thm 14.5), and B holds that for m = n, plus a sign bit.
 
 
 def _check_divisor(f: FactorSpec) -> None:
@@ -494,34 +499,76 @@ def _from_lists(lists: list[list[int]], dz: int, dw: int, order2: int) -> TruncS
     return TruncSeries._of(out, order2)
 
 
+def _spread(v: list[int], g: int, size: int) -> list[int]:
+    """A list of size entries with v[i] at entry i g and zeros between,
+    v cut to the entries that fit."""
+    out = [0] * size
+    out[::g] = v[: -(-size // g)]
+    return out
+
+
 def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
     """The visible exponents of the first n factors (all of them for None)."""
     stop = order2 if n is None else min(order2, f.e2 + n * f.step2)
     return range(f.e2, stop, f.step2)
 
 
+def _slots(f: FactorSpec, order2: int) -> tuple[int, int, int, int]:
+    """The slot step g, the slot count n, the bits per slot and the mask of
+    n slots of the family's product and inverse."""
+    g = gcd(f.e2, f.step2)
+    n = -(-order2 // g)
+    bits = 8 * _slot_bytes(int(pi * sqrt(2 * n / 3) / log(2)) + 2)
+    return g, n, bits, (1 << bits * n) - 1
+
+
 def _dense_product(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
+    g, n, bits, mask = _slots(f, order2)
+    op = sub if f.sign == 1 else add
     marked = 1 if f.dz or f.dw else 0
-    lists = [[1]]
+    vals = [1]
     degree = 0
     for e in exps:
         degree += e
-        size = min(order2, degree + 1)
         if marked and degree < order2:
-            lists.append([])
-        for v in lists:
-            v.extend(repeat(0, size - len(v)))
-        _times_factor(lists, e, f.sign, marked)
+            vals.append(0)
+        shift = bits * (e // g)
+        for k in range(len(vals) - 1, marked - 1, -1):
+            vals[k] = op(vals[k], vals[k - marked] << shift) & mask
+    lists = [_spread(_digits(v, n, bits // 8), g, order2) for v in vals]
     return _from_lists(lists, f.dz, f.dw, order2)
 
 
 def _dense_inverse(f: FactorSpec, exps: range, order2: int) -> TruncSeries:
     _check_divisor(f)
-    v = [0] * order2
-    v[0] = 1
+    g, n, bits, mask = _slots(f, order2)
+    v = 1
     for e in exps:
-        _divide_factor(v, e, f.sign)
-    return _from_lists([v], 0, 0, order2)
+        shift, op = bits * (e // g), add if f.sign == 1 else sub
+        while shift < bits * n:
+            v = op(v, v << shift) & mask
+            shift, op = 2 * shift, add
+    return _from_lists([_spread(_digits(v, n, bits // 8), g, order2)], 0, 0, order2)
+
+
+# The single sums walk their terms on dense lists instead: a term is not a
+# product or an inverse, so no partition number bounds its coefficients.
+def _times_factor(lists: list[list[int]], e: int, sign: int, marked: int) -> None:
+    """Multiplies the lists, of equal length, by (1 - sign q^(e/2) M) in
+    place, from the highest k down; marked is 1 when list k holds the
+    terms of M^k, 0 for one unmarked list, its own source."""
+    op = sub if sign == 1 else add
+    for k in range(len(lists) - 1, marked - 1, -1):
+        v, src = lists[k], lists[k - marked]
+        v[e:] = map(op, v[e:], src[: len(v) - e])
+
+
+def _divide_factor(v: list[int], e: int, sign: int) -> None:
+    """Divides v by (1 - sign q^(e/2)) in place, e > 0, a block of e at a
+    time, each reading the block below it that is already divided."""
+    op = add if sign == 1 else sub
+    for b in range(e, len(v), e):
+        v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
 
 
 def _ratio_sum(

@@ -264,6 +264,53 @@ def test_euler_products():
     }
 
 
+# Deep closed forms through q^1000.  p(1000) has 105 bits, so each slot of
+# the packed builders is wider than 8 bytes there, and its digits are read
+# one by one rather than through an array.
+DEEP = 1000
+
+
+def test_euler_product_matches_the_pentagonal_theorem():
+    want = [0] * (DEEP + 1)
+    for k in range(-26, 27):
+        if k * (3 * k - 1) // 2 <= DEEP:
+            want[k * (3 * k - 1) // 2] = (-1) ** k
+    assert q_coefficients(poch_infinite(Q, order2=2 * DEEP + 1), DEEP) == want
+
+
+def test_inverse_euler_product_counts_partitions():
+    # p(n) by Euler's recurrence over the generalized pentagonal numbers
+    p = [1]
+    for n in range(1, DEEP + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    assert q_coefficients(inv_poch_infinite(Q, order2=2 * DEEP + 1), DEEP) == p
+
+
+def test_product_of_one_plus_q_counts_distinct_parts():
+    distinct = [1] + [0] * DEEP
+    for part in range(1, DEEP + 1):
+        for m in range(DEEP, part - 1, -1):
+            distinct[m] += distinct[m - part]
+    got = poch_infinite(FactorSpec(-1, 2, 2), order2=2 * DEEP + 1)
+    assert q_coefficients(got, DEEP) == distinct
+
+
+@pytest.mark.parametrize("f", [FactorSpec(1, 0, 2, 1), FactorSpec(-1, 0, 3, 0, 1),
+                               FactorSpec(1, 0, 1, 1, 1), FactorSpec(-1, 0, 4, 2)])
+def test_marked_products_from_exponent_zero_match_the_factor_by_factor_product(f):
+    # the first factor (1 - s M) has no q in it, so every power of M starts at q^0
+    for n in (0, 1, 5, 12):
+        assert poch_finite(f, n, order2=90) == schoolbook.poch(f, n, 90)
+    assert poch_infinite(f, order2=90) == schoolbook.poch(f, None, 90)
+
+
 def test_infinite_product_rejects_constant_factor():
     with pytest.raises(ValueError):
         poch_infinite(FactorSpec(1, 0, 2), order2=10)
