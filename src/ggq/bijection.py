@@ -219,12 +219,18 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
     the mark's subtracted value.  Equal subtracted values all come from
     one chain, and only a chain's least part can be marked, so the
     multiset lookup is unambiguous.
+
+    The merged piles are re-staircased here, without ``euler_add``'s
+    check: they are sorted, so ascending, and the base's first part is
+    their first value, so it is at least 1 exactly when they all are.
+    ``identify`` refuses a base whose first part is below 1, so it
+    refuses exactly what ``euler_add`` would.
     """
     n2 = len(pair.pi2)
     star2 = [p - 2 * k for k, p in enumerate(pair.pi2)]
     star1 = [p - 2 * (n2 + k) for k, p in enumerate(pair.pi1)]
     merged = sorted(star1 + star2)
-    base = euler_add(tuple(merged))
+    base = tuple(p + 2 * k for k, p in enumerate(merged))
     m = identify(base)
     star_of = dict(zip(base, merged))
     budget: dict[int, int] = {}
@@ -328,21 +334,17 @@ def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...
 
 
 @lru_cache(maxsize=None)
-def _distinct_odds(
-    n: int, min_part: int, below: Optional[int] = None
-) -> tuple[tuple[int, ...], ...]:
-    """Partitions of n into distinct odd parts p >= min_part, and p < below
-    when below is given; cached, so a tuple."""
-    return tuple(enumerate_partitions(n, _odds(min_part, below)))
+def _listed(family: Family, n: int) -> tuple[tuple[int, ...], ...]:
+    """The members of n in family, listed once per size; cached, so a tuple."""
+    return tuple(enumerate_partitions(n, family))
 
 
 @lru_cache(maxsize=None)
 def split_pairs(n: int) -> tuple[SplitPair, ...]:
     out = []
     for s2 in range(n + 1):
-        for pi2 in enumerate_partitions(s2, _PI2):
-            bound = 2 * len(pi2)
-            for pi1 in _distinct_odds(n - s2, bound + 1):
+        for pi2 in _listed(_PI2, s2):
+            for pi1 in _listed(_odds(2 * len(pi2) + 1), n - s2):
                 out.append(SplitPair(pi1, pi2))
     return tuple(out)
 
@@ -351,11 +353,11 @@ def split_pairs(n: int) -> tuple[SplitPair, ...]:
 def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
     out = []
     for s3 in range(n + 1):
-        for pi3 in enumerate_partitions(s3, _MULT4):
+        for pi3 in _listed(_MULT4, s3):
             nu = len(pi3)
             for s4 in range(n - s3 + 1):
-                for pi4 in _distinct_odds(s4, 1, 2 * nu):
-                    for pi1 in _distinct_odds(n - s3 - s4, 2 * nu + 1):
+                for pi4 in _listed(_odds(1, 2 * nu), s4):
+                    for pi1 in _listed(_odds(2 * nu + 1), n - s3 - s4):
                         out.append(TriplePartition(pi1, pi3, pi4))
     return tuple(out)
 

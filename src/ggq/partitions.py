@@ -194,27 +194,32 @@ def _odd_below(parts: tuple[int, ...]) -> dict[int, int]:
 def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[frozenset[int]]:
     """Least parts of the qualifying odd chains of a member, or None if the
     even-part parity test fails; anything not Gollnitz-Gordon is a usage
-    error."""
+    error.  One pass over the parts: a chain starts at an odd part whose
+    predecessor is not 2 below it."""
     v = VARIANTS[variant]
-    if not is_gollnitz_gordon(pi):
-        raise ValueError("not a Gollnitz-Gordon partition")
-    t = _odd_below(pi)
-    if any(p % 2 == 0 and (p - 2 * t[p]) % 4 != v.even_offset for p in pi):
-        return None
-    return frozenset(
-        run[0]
-        for run in chains(pi)
-        if run[0] % 2
-        and run[0] >= v.chain_min
-        and (run[0] - 2 * t[run[0]]) % 4 == v.chain_offset
-    )
+    marks = []
+    last = t = 0
+    parity = True
+    for p in pi:
+        d = p - last
+        if p < 1 or (last and (d < 2 or (d == 2 and p % 2 == 0))):
+            raise ValueError("not a Gollnitz-Gordon partition")
+        if p % 2 == 0:
+            parity = parity and (p - 2 * t) % 4 == v.even_offset
+        else:
+            if d != 2 and p >= v.chain_min and (p - 2 * t) % 4 == v.chain_offset:
+                marks.append(p)
+            t += 1
+        last = p
+    return frozenset(marks) if parity else None
 
 
 def _member_family(variant: str) -> Family:
     """Gollnitz-Gordon gaps, the even-part parity test, and weight 2 at the
     least part of each qualifying odd chain; state: odd parts so far mod 2.
 
-    This restates the rule of ``_chain_marks`` part by part on purpose:
+    ``_chain_marks`` reads one given partition in a loop of its own; this
+    restates its rule as a ``Family`` step on purpose, with no shared code:
     check 2.7 compares the marks with the counts this family gives, so
     neither may be derived from the other."""
     v = VARIANTS[variant]

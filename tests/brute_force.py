@@ -106,19 +106,24 @@ def member_side(variant: str) -> ExtendFn:
     return ext
 
 
-def chain_weight(variant: str, parts: tuple[int, ...]) -> int:
-    """2 for each odd chain, a maximal run of odd parts two apart, whose
-    least part b is at least chain_min and has b - 2 t(b) == chain_offset
+def chain_marks(variant: str, parts: tuple[int, ...]) -> set[int]:
+    """The least parts b of the odd chains, maximal runs of odd parts two
+    apart, with b at least chain_min and b - 2 t(b) == chain_offset
     (mod 4), where t(b) counts the odd parts below b."""
     v = VARIANTS[variant]
-    weight = 1
+    marks = set()
     for i, b in enumerate(parts):
         if b % 2 == 0 or (i and parts[i - 1] == b - 2):
             continue
         t = sum(x % 2 for x in parts[:i])
         if b >= v.chain_min and (b - 2 * t) % 4 == v.chain_offset:
-            weight *= 2
-    return weight
+            marks.add(b)
+    return marks
+
+
+def chain_weight(variant: str, parts: tuple[int, ...]) -> int:
+    """2 for each mark of ``chain_marks``."""
+    return 2 ** len(chain_marks(variant, parts))
 
 
 def weighted(variant: str, n: int) -> int:

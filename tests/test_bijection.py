@@ -1,5 +1,7 @@
 """Round trips and worked examples for the staged partition bijection."""
 
+from types import SimpleNamespace
+
 import brute_force
 import pytest
 
@@ -107,6 +109,13 @@ def test_unchecked_inverse_agrees_with_the_checked_one():
     for n in range(SIGMA + 1):
         for pair in split_pairs(n):
             assert bijection._invert(pair) == redistribute_inverse(pair)
+
+
+def test_unchecked_inverse_refuses_a_non_positive_merge():
+    # no SplitPair holds these piles: de-staircased, pi1's 1 becomes -1,
+    # so the merge (-1, 8) re-staircases to a base with a part below 1
+    with pytest.raises(ValueError):
+        bijection._invert(SimpleNamespace(pi1=(1,), pi2=(8,)))
 
 
 def test_split_pair_validation():

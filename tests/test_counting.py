@@ -6,7 +6,7 @@ import brute_force as bf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggq.bijection import _MULT4, _PI2, _distinct_odds, _odds
+from ggq.bijection import _MULT4, _PI2, _listed, _odds
 from ggq.partitions import (
     MOD8_CONFIG,
     P_CONFIG,
@@ -77,7 +77,7 @@ def test_listers_match_brute_force():
             n, bf.distinct_where(lambda p: p % 4 == 0)
         )
         for lo in (1, 4):
-            assert list(_distinct_odds(n, lo)) == bf.enumerate_partitions(
+            assert list(_listed(_odds(lo), n)) == bf.enumerate_partitions(
                 n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
             )
 

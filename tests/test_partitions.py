@@ -101,6 +101,28 @@ def test_membership_weight_is_power_of_two():
                 assert 1 << len(marks) == brute_force.chain_weight(variant, pi)
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_chain_marks_match_the_definition(variant):
+    # every partition of n <= 22, and each again behind a zero part: the
+    # one-pass reading refuses exactly the non-Gollnitz-Gordon ones, gives
+    # None exactly when an even part b has b - 2t(b) off even_offset
+    # (mod 4), and otherwise marks the chain starts of the definition
+    v = VARIANTS[variant]
+    for n in range(23):
+        for parts in enumerate_partitions(n):
+            for pi in (parts, (0, *parts)):
+                if not is_gollnitz_gordon(pi):
+                    with pytest.raises(ValueError):
+                        _chain_marks(variant, pi)
+                    continue
+                parity = all(
+                    b % 2 or (b - 2 * sum(x % 2 for x in pi[:i])) % 4 == v.even_offset
+                    for i, b in enumerate(pi)
+                )
+                marks = _chain_marks(variant, pi)
+                assert marks == (brute_force.chain_marks(variant, pi) if parity else None)
+
+
 def test_membership_rejects_non_gg_input():
     with pytest.raises(ValueError):
         _chain_marks("S", (1, 2))
