@@ -17,9 +17,9 @@ distinct-part counting function.
 Each rule on the stages' partitions is stated once, as a ``Family``
 step: the same families list ``split_pairs`` and ``triple_partitions``
 and, through ``Family.weigh``, validate ``SplitPair`` and
-``TriplePartition``.  The staircase maps read their input through the
-partition families of ``ggq.partitions``: ``euler_subtract`` needs
-positive parts with gaps >= 2, ``euler_add`` positive ascending parts.
+``TriplePartition``.  The staircase map ``euler_subtract`` reads its
+input through a partition family of ``ggq.partitions``: it needs
+positive parts with gaps >= 2.
 
 The split is stated in closed form; ``ferrers_graph`` draws the graph
 it cuts, for the trace.  Both raise ValueError on a pi2 outside the pi2
@@ -39,14 +39,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .partitions import _ANY, Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
+from .partitions import Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
 
 __all__ = [
     "MarkedPartition",
     "SplitPair",
     "TriplePartition",
     "euler_subtract",
-    "euler_add",
     "identify",
     "redistribute",
     "redistribute_inverse",
@@ -161,13 +160,6 @@ def euler_subtract(pi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p - 2 * k for k, p in enumerate(pi))
 
 
-def euler_add(pi_star: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse staircase; needs positive ascending parts."""
-    if _ANY.weigh(pi_star) is None:
-        raise ValueError("needs positive ascending parts")
-    return tuple(p + 2 * k for k, p in enumerate(pi_star))
-
-
 # -- identification and redistribution ----------------------------------
 
 
@@ -220,11 +212,11 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
     one chain, and only a chain's least part can be marked, so the
     multiset lookup is unambiguous.
 
-    The merged piles are re-staircased here, without ``euler_add``'s
-    check: they are sorted, so ascending, and the base's first part is
+    The merged piles are re-staircased (p + 2k) with no check of their
+    own: they are sorted, so ascending, and the base's first part is
     their first value, so it is at least 1 exactly when they all are.
-    ``identify`` refuses a base whose first part is below 1, so it
-    refuses exactly what ``euler_add`` would.
+    ``identify`` refuses a base whose first part is below 1, so a merge
+    that is not a partition of positive parts is refused there.
     """
     n2 = len(pair.pi2)
     star2 = [p - 2 * k for k, p in enumerate(pair.pi2)]

@@ -3,23 +3,27 @@
 A partition is the tuple of its parts, in ascending order; the empty
 tuple is the partition of 0.  No constructor checks a tuple: each
 function that needs positive, ascending parts reads them through a
-family's ``weigh``, ``_ANY`` for any partition and ``_gap_family`` for
-gaps >= 2.  "Parity" of a part means its residue class mod 4, not mod 2;
-all parity predicates below are written mod 4 explicitly.
+family's ``weigh``, such as ``_gap_family``'s for gaps >= 2.
+"Parity" of a part means its residue class mod 4, not mod 2; all parity
+predicates below are written mod 4 explicitly.
 
 Each family is described once, as a ``Family``: a state machine that
 reads the parts smallest first, keeping the last part and a few parity
 bits.  The description lists, counts and tests membership: it drives
 ``enumerate_partitions``, which lists members for the bijection, a
-counter memoized over (remaining, state) that builds no member, so the
-counts stay cheap far past n = 60, and ``Family.weigh``, which reads one
-given partition and is how the validators state a family's rule.
+counter that builds no member, and ``Family.weigh``, which reads one
+given partition and is how the validators state a family's rule.  The
+counter computes the counts of 0..N together, one packed completion
+series per state, and doubles N when asked past it, so the counts stay
+cheap far past n = 60.  It imports nothing from ``ggq.series``: the
+counts are the oracles the products are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt, log, pi, sqrt
 from typing import Callable, Optional
 
 __all__ = [
@@ -27,8 +31,6 @@ __all__ = [
     "ResidueFamilyConfig",
     "VARIANTS",
     "enumerate_partitions",
-    "chains",
-    "is_gollnitz_gordon",
     "weighted_count",
     "count_q",
     "count_thm1_side",
@@ -50,16 +52,17 @@ class Family:
     A state is an int: the last part shifted left by ``bits``, over
     ``bits`` bits of statistics of the parts so far; the empty prefix is
     state 0.  ``step(state, p)``, for p no smaller than the last part,
-    returns the next state and p's weight, or None when p may not
-    follow.  Every admitted prefix is a member, weighted by the product
-    of its steps' weights.  A family whose ``weigh`` checks a given
-    tuple, such as ``_ANY`` or ``_gap_family``, also refuses a part below
-    1 and one below the last part.
+    returns the next state and p's weight, a positive integer, or None
+    when p may not follow; a repeated part keeps the state.  Every
+    admitted prefix is a member, weighted by the product of its steps'
+    weights.  A family whose ``weigh`` checks a given tuple, such as
+    ``_ANY`` or ``_gap_family``, also refuses a part below 1 and one
+    below the last part.
     """
 
     step: Callable[[int, int], Optional[tuple[int, int]]]
     bits: int = 0
-    _memo: list = field(default_factory=list, repr=False)  # [remaining][state]
+    _memo: list = field(default_factory=list, repr=False)  # counts of 0..N
 
     def weigh(self, parts) -> Optional[int]:
         """Weight of the ascending parts as a member, or None when a step
@@ -107,58 +110,78 @@ def enumerate_partitions(n: int, family: Optional[Family] = None) -> list[tuple[
 
 
 def _count(family: Family, n: int) -> int:
-    """Weighted number of members of n, without listing them: memoized
-    over (remaining, state), so counts for successive n share the work,
-    and walked with an explicit stack, so no part count is too deep."""
+    """Weighted number of members of n, without listing them.  The counts
+    of 0..N are computed together and kept; a call past N computes them
+    again for at least 2N, so an ascending caller pays for about one
+    computation at its final size."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    memo, step, bits = family._memo, family.step, family.bits
-    memo.extend({} for _ in range(len(memo), n + 1))
-    stack = [[n, 0, None]]
-    while stack:
-        remaining, state, moves = frame = stack[-1]
-        if moves is None:
-            if state in memo[remaining]:
-                stack.pop()
+    memo = family._memo
+    if n >= len(memo):
+        memo[:] = _counts_to(family, max(n, 2 * len(memo) - 2))
+    return memo[n]
+
+
+def _counts_to(family: Family, top: int) -> list[int]:
+    """Weighted counts of 0..top, from one completion series per state.
+
+    F_s = (1 + sum w F_t x^p) / (1 - w' x^last) over the moves (p, t, w)
+    of state s and its repeat of the last part, of weight w'.  A move to
+    a larger part leads to a larger state, so the states are read in
+    descending order.  A state whose last part is L is reached with at
+    least L placed: its parts stop at top - L, and F_s is kept mod
+    x^(top - L + 1).  Each series is one int, x = 2^width; reducing mod
+    2^(width * (top + 1)) respects sums and products, so only the counts
+    read from F_0 must fit a slot.  The count of r is at most p(r) <
+    e^(pi sqrt(2r/3)) (Apostol, Thm 14.5) times heaviest^parts, and a
+    member of top has at most top parts, isqrt(2 top) when none repeats.
+    """
+    step, bits = family.step, family.bits
+    moves: dict[int, list[tuple[int, int, int]]] = {0: []}
+    loops: dict[int, int] = {}
+    heaviest = 1
+    todo = [0]
+    while todo:
+        s = todo.pop()
+        last = s >> bits
+        for p in range(max(last, 1), top - last + 1):
+            nxt = step(s, p)
+            if nxt is None:
                 continue
-            moves = frame[2] = []
-            for p in _next_parts(state >> bits, remaining):
-                nxt = step(state, p)
-                if nxt is not None:
-                    moves.append((remaining - p, *nxt))
-            pending = [[r, s, None] for r, s, _ in moves if r and s not in memo[r]]
-            if pending:
-                stack.extend(pending)
+            t, w = nxt
+            if w != 1:
+                if w < 1:
+                    raise ValueError("a family's weights must be positive integers")
+                heaviest = max(heaviest, w)
+            if p == last:
+                if t != s:
+                    raise ValueError("a repeated part must keep the state")
+                loops[s] = w
                 continue
-        memo[remaining][state] = sum(w * memo[r][s] if r else w for r, s, w in moves)
-        stack.pop()
-    return memo[n][0]
-
-
-def chains(pi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Chain decomposition: the maximal runs of parts differing by exactly
-    2, each of one parity; defined only for gap >= 2 partitions."""
-    if _gap_family(1).weigh(pi) is None:
-        raise ValueError("chain decomposition needs positive parts and gaps >= 2")
-    out: list[tuple[int, ...]] = []
-    run: list[int] = []
-    for p in pi:
-        if run and p - run[-1] == 2:
-            run.append(p)
-        else:
-            if run:
-                out.append(tuple(run))
-            run = [p]
-    if run:
-        out.append(tuple(run))
-    return out
-
-
-def is_gollnitz_gordon(pi: tuple[int, ...]) -> bool:
-    """Positive parts, gaps >= 2, strictly more than 2 above any even part."""
-    return _gap_family(1, 0).weigh(pi) is not None
+            moves[s].append((p, t, w))
+            if t not in moves:
+                moves[t] = []
+                todo.append(t)
+    parts = top if loops else isqrt(2 * top)
+    width = int(pi * sqrt(2 * top / 3) / log(2)) + 1 + (heaviest**parts).bit_length()
+    series: dict[int, int] = {}
+    for s in sorted(moves, reverse=True):
+        last = s >> bits
+        mask = (1 << width * (top - last + 1)) - 1
+        f = 1
+        for p, t, w in moves[s]:
+            f += (w * series[t] if w > 1 else series[t]) << width * p
+        f &= mask
+        if s in loops:
+            # 1/(1 - y) = prod (1 + y^(2^i)), y = w' x^last
+            k, y = last, loops[s]
+            while k <= top - last:
+                f = (f + ((y * f if y > 1 else f) << width * k)) & mask
+                k, y = 2 * k, y * y
+        series[s] = f
+    slot = (1 << width) - 1
+    f = series[0]
+    return [f >> width * r & slot for r in range(top + 1)]
 
 
 # -- weighted families (mod-4 parity conditions on even parts) ----------

@@ -106,6 +106,19 @@ def member_side(variant: str) -> ExtendFn:
     return ext
 
 
+def is_gollnitz_gordon(parts: tuple[int, ...]) -> bool:
+    """Positive parts, gaps >= 2, and a gap of exactly 2 only below an
+    odd part."""
+    return all(p >= 1 for p in parts) and all(
+        b - a > 2 or (b - a == 2 and b % 2) for a, b in zip(parts, parts[1:])
+    )
+
+
+def euler_add(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse staircase b_k -> b_k + 2(k-1)."""
+    return tuple(p + 2 * k for k, p in enumerate(parts))
+
+
 def chain_marks(variant: str, parts: tuple[int, ...]) -> set[int]:
     """The least parts b of the odd chains, maximal runs of odd parts two
     apart, with b at least chain_min and b - 2 t(b) == chain_offset

@@ -1,5 +1,6 @@
 """State-machine counters and listers against the brute-force oracle."""
 
+import random
 from functools import partial
 
 import brute_force as bf
@@ -10,6 +11,7 @@ from ggq.bijection import _MULT4, _PI2, _listed, _odds
 from ggq.partitions import (
     MOD8_CONFIG,
     P_CONFIG,
+    Family,
     ResidueFamilyConfig,
     _MEMBERS,
     _count,
@@ -111,6 +113,69 @@ def test_weigh_admits_exactly_the_listed_members(name):
         weights = {pi: family.weigh(pi) for pi in enumerate_partitions(n)}
         assert {pi for pi, w in weights.items() if w is not None} == members
         assert sum(w for w in weights.values() if w is not None) == _count(family, n)
+
+
+# each WEIGHED family restated from its definition
+WEIGHED_ORACLES = {
+    "pi2": listed(bf.pi2_side),
+    "mult4": listed(bf.distinct_where(lambda p: p % 4 == 0)),
+    "odds": listed(bf.distinct_where(lambda p: p % 2 == 1)),
+    "odds-3-below-12": listed(bf.distinct_where(lambda p: p % 2 == 1 and 3 <= p < 12)),
+    "members-S": partial(bf.weighted, "S"),
+    "members-Sstar": partial(bf.weighted, "Sstar"),
+    "gollnitz-gordon": listed(bf.gap_side(1, 0)),
+    "thm1-side-1": listed(bf.gap_side(2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHED))
+def test_counts_do_not_depend_on_the_order_asked(name):
+    # the counter computes 0..N together and doubles N when asked past it:
+    # ascending calls cross the growth points 1, 2, 4, ..., 128, descending
+    # ones compute 0..130 at once, shuffled ones grow at random points
+    family = WEIGHED[name]
+    ns = list(range(131))
+    shuffled = random.Random(name).sample(ns, len(ns))
+    got = []
+    for order in (ns, ns[::-1], shuffled):
+        fresh = Family(family.step, family.bits)
+        got.append({n: _count(fresh, n) for n in order})
+    assert got[0] == got[1] == got[2]
+    assert [got[0][n] for n in range(26)] == [WEIGHED_ORACLES[name](n) for n in range(26)]
+
+
+def test_repeated_parts_carry_their_weight():
+    # any parts, each weighing 2: prod 1/(1 - 2q^k), whose coefficients
+    # pass p(n) by far, so the slot needs its heaviest^top bits
+    top = 150
+    want = [1] + [0] * top
+    for k in range(1, top + 1):
+        for n in range(k, top + 1):
+            want[n] += 2 * want[n - k]
+    doubled = Family(lambda last, p: (p, 2) if p >= max(last, 1) else None)
+    assert [_count(doubled, n) for n in range(top + 1)] == want
+
+
+def test_distinct_part_counts_fill_their_slots():
+    # the paper's theorems far past the catalog's sizes: distinct parts, so
+    # at most isqrt(2 top) factors 2, and counts near p(n)'s bound
+    assert [weighted_count("S", n) for n in range(251)] == [count_q(2, n) for n in range(251)]
+    assert [weighted_count("Sstar", n) for n in range(251)] == [count_q(0, n) for n in range(251)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # a weight of 0
+        Family(lambda last, p: (p, 0 if p == 3 else 1) if p > last else None),
+        # a repeated part flips the parity of the number of parts
+        Family(lambda s, p: (p << 1 | (s & 1 ^ 1), 1) if p >= max(s >> 1, 1) else None, bits=1),
+    ],
+    ids=["zero-weight", "repeat-changes-state"],
+)
+def test_counter_refuses_what_it_cannot_count(family):
+    with pytest.raises(ValueError):
+        _count(family, 10)
 
 
 @st.composite

@@ -11,7 +11,6 @@ from ggq.partitions import (
     P_CONFIG,
     ResidueFamilyConfig,
     VARIANTS,
-    chains,
     count_g,
     count_gg,
     count_p,
@@ -22,7 +21,6 @@ from ggq.partitions import (
     enumerate_members,
     enumerate_partitions,
     interp_config,
-    is_gollnitz_gordon,
     weighted_count,
 )
 from ggq.series import FactorSpec, inv_poch_infinite, one, poch_product, q_coefficients
@@ -34,9 +32,7 @@ def test_partition_basics():
     assert (2, 5, 8) in enumerate_partitions(15)
     # descending parts and a zero part are refused where a partition is read
     for bad in [(3, 1), (0,)]:
-        assert not is_gollnitz_gordon(bad)
-        with pytest.raises(ValueError):
-            chains(bad)
+        assert not brute_force.is_gollnitz_gordon(bad)
         with pytest.raises(ValueError):
             identify(bad)
 
@@ -63,31 +59,12 @@ def test_extend_sees_the_prefix():
     assert ((), 3) in seen and ((1,), 2) in seen
 
 
-def test_chains_decomposition():
-    assert chains((1, 3, 6, 8, 13)) == [(1, 3), (6, 8), (13,)]
-    assert chains(()) == []
-    with pytest.raises(ValueError):
-        chains((1, 2))
-
-
-def test_chain_runs_are_parity_homogeneous():
-    for n in range(1, 25):
-        gapped = brute_force.enumerate_partitions(
-            n, extend=lambda pre, p: not pre or p - pre[-1] >= 2
-        )
-        for pi in gapped:
-            for run in chains(pi):
-                assert len({x % 2 for x in run}) == 1
-                diffs = {b - a for a, b in zip(run, run[1:])}
-                assert diffs <= {2}
-
-
 def test_gollnitz_gordon_predicate():
-    assert is_gollnitz_gordon((1, 5, 7))
-    assert not is_gollnitz_gordon((1, 2))
-    assert not is_gollnitz_gordon((2, 4))  # even needs gap > 2
-    assert is_gollnitz_gordon((3, 5))  # odd may sit at gap 2
-    assert is_gollnitz_gordon(())
+    assert brute_force.is_gollnitz_gordon((1, 5, 7))
+    assert not brute_force.is_gollnitz_gordon((1, 2))
+    assert not brute_force.is_gollnitz_gordon((2, 4))  # even needs gap > 2
+    assert brute_force.is_gollnitz_gordon((3, 5))  # odd may sit at gap 2
+    assert brute_force.is_gollnitz_gordon(())
 
 
 def test_membership_weight_is_power_of_two():
@@ -111,7 +88,7 @@ def test_chain_marks_match_the_definition(variant):
     for n in range(23):
         for parts in enumerate_partitions(n):
             for pi in (parts, (0, *parts)):
-                if not is_gollnitz_gordon(pi):
+                if not brute_force.is_gollnitz_gordon(pi):
                     with pytest.raises(ValueError):
                         _chain_marks(variant, pi)
                     continue
