@@ -2,24 +2,26 @@
 
 Stages, each invertible:
 
-    member  --identify-->  marked partition
+    member  --identify-->  its marks
             --redistribute (one bit per mark)-->  (pi1, pi2)
             --ferrers_split on pi2-->  (pi3, pi4)
 
-Every partition is the ascending tuple of its parts.  A member is a
-Gollnitz-Gordon partition whose even parts b satisfy b == 2t(b) (mod 4).
-Marks sit on the least parts of qualifying odd chains; each mark
-contributes a factor 2 to the weight, realized here as a free routing
-choice.  The final triples (pi1, pi3, pi4) carry no
-parity conditions at all, which is what ties the weighted count to the
-distinct-part counting function.
+Every partition is the ascending tuple of its parts, and every stage is
+a plain tuple: a member's marks are the ascending tuple of its marked
+parts, a pair is (pi1, pi2) and a triple (pi1, pi3, pi4).  A member is
+a Gollnitz-Gordon partition whose even parts b satisfy b == 2t(b)
+(mod 4).  Marks sit on the least parts of qualifying odd chains; each
+mark contributes a factor 2 to the weight, realized here as a free
+routing choice, one bit per mark (``choices``).  The final triples
+(pi1, pi3, pi4) carry no parity conditions at all, which is what ties
+the weighted count to the distinct-part counting function.
 
 Each rule on the stages' partitions is stated once, as a ``Family``
-step: the same families list ``split_pairs`` and ``triple_partitions``
-and, through ``Family.weigh``, validate ``SplitPair`` and
-``TriplePartition``.  The staircase map ``euler_subtract`` reads its
-input through a partition family of ``ggq.partitions``: it needs
-positive parts with gaps >= 2.
+step, and those families list ``split_pairs`` and ``triple_partitions``.
+Nothing re-checks the tuples they list.  The maps that read a member,
+``identify`` and the staircase map ``euler_subtract``, check it through
+partition families of ``ggq.partitions``: Gollnitz-Gordon gaps and the
+parity rule, and positive parts with gaps >= 2.
 
 The split is stated in closed form; ``ferrers_graph`` draws the graph
 it cuts, for the trace.  Both raise ValueError on a pi2 outside the pi2
@@ -27,24 +29,22 @@ family ``_PI2``.
 
 Inverses recompute rather than remember: the choice bits are recovered
 from which pile holds the subtracted value.  The public inverses,
-``redistribute_inverse`` and ``ferrers_merge``, check their input only
-against the forward map, and raise on anything it does not produce; the
-private ``_invert`` skips that check, for callers that compare its
-result with the forward map's input themselves.
+``redistribute_inverse``, ``ferrers_merge`` and ``triple_inverse``,
+check their input only against the forward map, and raise on anything
+it does not produce; the private ``_invert`` skips that check, for
+callers that compare its result with the forward map's input
+themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .partitions import Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
 
 __all__ = [
-    "MarkedPartition",
-    "SplitPair",
-    "TriplePartition",
+    "choices",
     "euler_subtract",
     "identify",
     "redistribute",
@@ -90,54 +90,6 @@ _PI2 = Family(_pi2_step, bits=1)
 _MULT4 = Family(lambda last, p: (p, 1) if p % 4 == 0 and p > last else None)
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
-    base: tuple[int, ...]
-    marks: frozenset[int]  # part values carrying a tilde
-
-    def choices(self):
-        """Every tuple of routing bits, one per mark; bit j of the
-        running index is the bit of the j-th mark."""
-        k = len(self.marks)
-        for bits in range(1 << k):
-            yield tuple(bool(bits >> j & 1) for j in range(k))
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    pi1: tuple[int, ...]
-    pi2: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_pi2(self.pi2)
-        if _odds(2 * len(self.pi2) + 1).weigh(self.pi1) is None:
-            raise ValueError("pi1 must be distinct odds above 2*nu(pi2)")
-
-    @property
-    def sigma(self) -> int:
-        return sum(self.pi1) + sum(self.pi2)
-
-
-@dataclass(frozen=True)
-class TriplePartition:
-    pi1: tuple[int, ...]
-    pi3: tuple[int, ...]
-    pi4: tuple[int, ...]
-
-    def __post_init__(self):
-        bound = 2 * len(self.pi3)
-        if _MULT4.weigh(self.pi3) is None:
-            raise ValueError("pi3 must be distinct multiples of 4")
-        if _odds(1, bound).weigh(self.pi4) is None:
-            raise ValueError("pi4 must be distinct odds below 2*nu(pi3)")
-        if _odds(bound + 1).weigh(self.pi1) is None:
-            raise ValueError("pi1 must be distinct odds above 2*nu(pi3)")
-
-    @property
-    def sigma(self) -> int:
-        return sum(self.pi1) + sum(self.pi3) + sum(self.pi4)
-
-
 def _check_pi2(parts) -> None:
     if _PI2.weigh(parts) is None:
         raise ValueError("pi2 breaks a gap or parity condition")
@@ -163,48 +115,51 @@ def euler_subtract(pi: tuple[int, ...]) -> tuple[int, ...]:
 # -- identification and redistribution ----------------------------------
 
 
-def identify(pi: tuple[int, ...]) -> MarkedPartition:
-    """Mark the least parts of qualifying odd chains of a member."""
+def identify(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """The marks of a member: the least parts of its qualifying odd
+    chains, ascending."""
     marks = _chain_marks("S", pi)
     if marks is None:
         raise ValueError("partition fails the even-part parity condition")
-    return MarkedPartition(pi, marks)
+    return marks
 
 
-def redistribute(m: MarkedPartition, choice: tuple[bool, ...]) -> SplitPair:
-    """Split the de-staircased parts into two piles and re-staircase.
+def choices(k: int):
+    """Every tuple of routing bits for k marks; bit j of the running
+    index is the bit of the j-th mark."""
+    for bits in range(1 << k):
+        yield tuple(bool(bits >> j & 1) for j in range(k))
+
+
+def redistribute(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+    """Split the member's de-staircased parts into two piles and
+    re-staircase them: (pi1, pi2).
 
     One bit per mark, ascending mark order; True routes the mark's
     subtracted value to the pi2 pile.  Unmarked odd values always go to
-    pi1's pile, everything even to pi2's.
+    pi1's pile, everything even to pi2's.  The subtracted values ascend,
+    so each pile does too.
     """
-    marks = sorted(m.marks)
+    marks = identify(pi)
     if len(choice) != len(marks):
         raise ValueError("one choice bit per mark required")
     to_pile2 = {v for v, bit in zip(marks, choice) if bit}
-    star = euler_subtract(m.base)
     pile1: list[int] = []
     pile2: list[int] = []
-    for k, b in enumerate(m.base):
-        v = star[k]
-        if b % 2 == 0:
-            pile2.append(v)
-        elif b in to_pile2:
+    for b, v in zip(pi, euler_subtract(pi)):
+        if b % 2 == 0 or b in to_pile2:
             pile2.append(v)
         else:
             pile1.append(v)
-    pile1.sort()
-    pile2.sort()
     n2 = len(pile2)
     pi2 = tuple(v + 2 * k for k, v in enumerate(pile2))
     pi1 = tuple(v + 2 * (n2 + k) for k, v in enumerate(pile1))
-    pair = SplitPair(pi1, pi2)
-    _require(pair.sigma == sum(m.base), "redistribution keeps the size")
-    return pair
+    _require(sum(pi1) + sum(pi2) == sum(pi), "redistribution keeps the size")
+    return pi1, pi2
 
 
-def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
-    """Recover the marked member and its routing bits, unchecked.
+def _invert(pair) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Recover the member and its routing bits from (pi1, pi2), unchecked.
 
     The piles are de-staircased and merged; marks are recomputed from the
     reassembled member, and each bit is read off from which pile holds
@@ -213,40 +168,40 @@ def _invert(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
     multiset lookup is unambiguous.
 
     The merged piles are re-staircased (p + 2k) with no check of their
-    own: they are sorted, so ascending, and the base's first part is
+    own: they are sorted, so ascending, and the member's first part is
     their first value, so it is at least 1 exactly when they all are.
-    ``identify`` refuses a base whose first part is below 1, so a merge
+    ``identify`` refuses a member whose first part is below 1, so a merge
     that is not a partition of positive parts is refused there.
     """
-    n2 = len(pair.pi2)
-    star2 = [p - 2 * k for k, p in enumerate(pair.pi2)]
-    star1 = [p - 2 * (n2 + k) for k, p in enumerate(pair.pi1)]
+    pi1, pi2 = pair
+    n2 = len(pi2)
+    star2 = [p - 2 * k for k, p in enumerate(pi2)]
+    star1 = [p - 2 * (n2 + k) for k, p in enumerate(pi1)]
     merged = sorted(star1 + star2)
-    base = tuple(p + 2 * k for k, p in enumerate(merged))
-    m = identify(base)
-    star_of = dict(zip(base, merged))
+    pi = tuple(p + 2 * k for k, p in enumerate(merged))
+    star_of = dict(zip(pi, merged))
     budget: dict[int, int] = {}
     for v in star2:
         if v % 2 == 1:
             budget[v] = budget.get(v, 0) + 1
     bits = []
-    for mark in sorted(m.marks):
+    for mark in identify(pi):
         v = star_of[mark]
         if budget.get(v, 0) > 0:
             budget[v] -= 1
             bits.append(True)
         else:
             bits.append(False)
-    return m, tuple(bits)
+    return pi, tuple(bits)
 
 
-def redistribute_inverse(pair: SplitPair) -> tuple[MarkedPartition, tuple[bool, ...]]:
-    """Recover the marked member and its routing bits; raise ValueError
-    when the pair is not an image of ``redistribute``."""
-    m, bits = _invert(pair)
-    if redistribute(m, bits) != pair:
+def redistribute_inverse(pair) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Recover the member and its routing bits from (pi1, pi2); raise
+    ValueError when the pair is not an image of ``redistribute``."""
+    pi, bits = _invert(pair)
+    if redistribute(pi, bits) != pair:
         raise ValueError("not in the image of the redistribution map")
-    return m, bits
+    return pi, bits
 
 
 # -- weighted Ferrers graph ---------------------------------------------
@@ -309,17 +264,19 @@ def ferrers_merge(pi3: tuple[int, ...], pi4: tuple[int, ...]) -> tuple[int, ...]
 # -- full pipeline ------------------------------------------------------
 
 
-def triple_map(m: MarkedPartition, choice: tuple[bool, ...]) -> TriplePartition:
-    pair = redistribute(m, choice)
-    pi3, pi4 = ferrers_split(pair.pi2)
-    t = TriplePartition(pair.pi1, pi3, pi4)
-    _require(t.sigma == sum(m.base), "the pipeline keeps the size")
-    return t
+def triple_map(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+    """The member's image (pi1, pi3, pi4) under the routing bits."""
+    pi1, pi2 = redistribute(pi, choice)
+    pi3, pi4 = ferrers_split(pi2)
+    _require(sum(pi1) + sum(pi3) + sum(pi4) == sum(pi), "the pipeline keeps the size")
+    return pi1, pi3, pi4
 
 
-def triple_inverse(t: TriplePartition) -> tuple[MarkedPartition, tuple[bool, ...]]:
-    pi2 = ferrers_merge(t.pi3, t.pi4)
-    return redistribute_inverse(SplitPair(t.pi1, pi2))
+def triple_inverse(triple) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Recover the member and its routing bits from (pi1, pi3, pi4); raise
+    ValueError when the triple is not an image of ``triple_map``."""
+    pi1, pi3, pi4 = triple
+    return redistribute_inverse((pi1, ferrers_merge(pi3, pi4)))
 
 
 # -- enumeration of the target objects ----------------------------------
@@ -332,48 +289,47 @@ def _listed(family: Family, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def split_pairs(n: int) -> tuple[SplitPair, ...]:
-    out = []
-    for s2 in range(n + 1):
-        for pi2 in _listed(_PI2, s2):
-            for pi1 in _listed(_odds(2 * len(pi2) + 1), n - s2):
-                out.append(SplitPair(pi1, pi2))
-    return tuple(out)
+def split_pairs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every (pi1, pi2) of size n."""
+    return tuple(
+        (pi1, pi2)
+        for s2 in range(n + 1)
+        for pi2 in _listed(_PI2, s2)
+        for pi1 in _listed(_odds(2 * len(pi2) + 1), n - s2)
+    )
 
 
 @lru_cache(maxsize=None)
-def triple_partitions(n: int) -> tuple[TriplePartition, ...]:
-    out = []
-    for s3 in range(n + 1):
-        for pi3 in _listed(_MULT4, s3):
-            nu = len(pi3)
-            for s4 in range(n - s3 + 1):
-                for pi4 in _listed(_odds(1, 2 * nu), s4):
-                    for pi1 in _listed(_odds(2 * nu + 1), n - s3 - s4):
-                        out.append(TriplePartition(pi1, pi3, pi4))
-    return tuple(out)
+def triple_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every (pi1, pi3, pi4) of size n."""
+    return tuple(
+        (pi1, pi3, pi4)
+        for s3 in range(n + 1)
+        for pi3 in _listed(_MULT4, s3)
+        for s4 in range(n - s3 + 1)
+        for pi4 in _listed(_odds(1, 2 * len(pi3)), s4)
+        for pi1 in _listed(_odds(2 * len(pi3) + 1), n - s3 - s4)
+    )
 
 
 def trace_pipeline(pi: tuple[int, ...], choice: tuple[bool, ...]) -> list[tuple[str, str]]:
     """Stage-by-stage rendering of one run, for the CLI trace mode."""
-    m = identify(pi)
-    star = euler_subtract(pi)
-    pair = redistribute(m, choice)
-    pi3, pi4 = ferrers_split(pair.pi2)
-    rows = ferrers_graph(pair.pi2)
+    pi1, pi2 = redistribute(pi, choice)
+    pi3, pi4 = ferrers_split(pi2)
+    rows = ferrers_graph(pi2)
     stages = [
         ("member", _fmt(pi)),
-        ("marks", _fmt(sorted(m.marks))),
+        ("marks", _fmt(identify(pi))),
         ("choice", "".join("2" if b else "1" for b in choice) or "-"),
-        ("euler-subtracted", _fmt(star)),
-        ("pi1", _fmt(pair.pi1)),
-        ("pi2", _fmt(pair.pi2)),
+        ("euler-subtracted", _fmt(euler_subtract(pi))),
+        ("pi1", _fmt(pi1)),
+        ("pi2", _fmt(pi2)),
         ("graph", " / ".join("".join(str(w) for w in row) for row in rows) or "-"),
         ("pi3", _fmt(pi3)),
         ("pi4", _fmt(pi4)),
     ]
-    back_m, back_bits = triple_inverse(TriplePartition(pair.pi1, pi3, pi4))
-    _require(back_m == m and back_bits == tuple(choice), "the trace inverts")
+    inverse = triple_inverse((pi1, pi3, pi4))
+    _require(inverse == (pi, tuple(choice)), "the trace inverts")
     return stages
 
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .bijection import _fmt, identify, trace_pipeline, triple_map
+from .bijection import _fmt, choices, identify, trace_pipeline, triple_map
 from .partitions import (
     ResidueFamilyConfig,
     count_g,
@@ -32,6 +32,7 @@ from .registry import (
     Corruption,
     UnknownCheckError,
     VerificationReport,
+    _upward,
     registry_ids,
     run_all,
     run_check,
@@ -101,9 +102,10 @@ def report_to_dict(r: VerificationReport) -> dict:
 
 
 def report_from_dict(d: dict) -> VerificationReport:
-    """A saved check; a field of the wrong type raises ValueError."""
-    r = VerificationReport(d["id"], d["params"], d["order2"], d["status"],
-                           d.get("first_mismatch"), d["elapsed_ms"], d.get("failed_facet"))
+    """A saved check; a missing field, or one of the wrong type, raises
+    ValueError."""
+    r = VerificationReport(d.get("id"), d.get("params"), d.get("order2"), d.get("status"),
+                           d.get("first_mismatch"), d.get("elapsed_ms"), d.get("failed_facet"))
     if not (
         isinstance(r.id, str)
         and isinstance(r.parameters, dict)
@@ -298,8 +300,7 @@ def _cmd_verify_all(args, cfg: CliConfig) -> int:
 def _cmd_count(args, cfg: CliConfig) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
-    counter = _family_counter(args.family)
-    counts = [counter(n) for n in range(args.max + 1)]
+    counts = _upward(_family_counter(args.family), args.max)
     fmt = args.emit or cfg.output_format
     if fmt == "json":
         text = (
@@ -325,20 +326,17 @@ def _cmd_count(args, cfg: CliConfig) -> int:
 def _cmd_bijection(args, cfg: CliConfig) -> int:
     lines = []
     for pi in enumerate_members("S", args.n):
-        m = identify(pi)
-        for choice in m.choices():
+        for choice in choices(len(identify(pi))):
             if args.trace:
                 for stage, value in trace_pipeline(pi, choice):
                     lines.append(f"{stage}: {value}")
                 lines.append("")
             else:
-                t = triple_map(m, choice)
+                pi1, pi3, pi4 = triple_map(pi, choice)
                 shown = "".join("2" if b else "1" for b in choice) or "-"
                 lines.append(
                     f"pi={_fmt(pi)} choice={shown} -> "
-                    f"pi1={_fmt(t.pi1)} "
-                    f"pi3={_fmt(t.pi3)} "
-                    f"pi4={_fmt(t.pi4)}"
+                    f"pi1={_fmt(pi1)} pi3={_fmt(pi3)} pi4={_fmt(pi4)}"
                 )
     _write_out("\n".join(lines) + "\n" if lines else "", args.out or cfg.out_path)
     return 0
@@ -409,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         return args.func(args, cfg)
     # UnknownCheckError and json.JSONDecodeError are ValueErrors
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

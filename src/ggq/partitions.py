@@ -214,11 +214,11 @@ def _odd_below(parts: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[frozenset[int]]:
-    """Least parts of the qualifying odd chains of a member, or None if the
-    even-part parity test fails; anything not Gollnitz-Gordon is a usage
-    error.  One pass over the parts: a chain starts at an odd part whose
-    predecessor is not 2 below it."""
+def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Least parts of the qualifying odd chains of a member, ascending, or
+    None if the even-part parity test fails; anything not Gollnitz-Gordon
+    is a usage error.  One pass over the parts: a chain starts at an odd
+    part whose predecessor is not 2 below it."""
     v = VARIANTS[variant]
     marks = []
     last = t = 0
@@ -234,7 +234,7 @@ def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[frozenset[int]]:
                 marks.append(p)
             t += 1
         last = p
-    return frozenset(marks) if parity else None
+    return tuple(marks) if parity else None
 
 
 def _member_family(variant: str) -> Family:

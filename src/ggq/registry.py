@@ -38,6 +38,7 @@ from .bailey import (
 )
 from .bijection import (
     _invert,
+    choices,
     ferrers_split,
     identify,
     redistribute,
@@ -253,9 +254,16 @@ def _hier_rewrite(k: int, order2: int) -> Optional[TruncSeries]:
     )
 
 
+def _upward(f, top: int) -> list:
+    """[f(0), ..., f(top)], asked from the top down: a counter then
+    computes the counts of 0..top once, where an ascending caller makes it
+    double its bound on the way up."""
+    return [f(n) for n in range(top, -1, -1)][::-1]
+
+
 def _counts_facet(label, series: TruncSeries, cmax: int, oracle) -> Facet:
     """The q^0..q^cmax coefficients of series against oracle(n)."""
-    return Facet(label, q_coefficients(series, cmax), [oracle(n) for n in range(cmax + 1)])
+    return Facet(label, q_coefficients(series, cmax), _upward(oracle, cmax))
 
 
 # -- builder factories, one per shape of statement ----------------------
@@ -298,9 +306,8 @@ def _sequences(*rows):
     got, expected), got and expected mapping n to an integer."""
 
     def build(n_max):
-        ns = range(n_max + 1)
         return [
-            Facet(label, [got(n) for n in ns], [want(n) for n in ns])
+            Facet(label, _upward(got, n_max), _upward(want, n_max))
             for label, got, want in rows
         ]
 
@@ -376,12 +383,11 @@ def _build_2_7(sigma_max):
         bad = 0
         images = Counter()
         for pi in enumerate_members("S", n):
-            m = identify(pi)
-            for choice in m.choices():
-                pair = redistribute(m, choice)
-                images[pair.pi1, pair.pi2] += 1
+            for choice in choices(len(identify(pi))):
+                pair = redistribute(pi, choice)
+                images[pair] += 1
                 try:
-                    bad += _invert(pair) != (m, choice)
+                    bad += _invert(pair) != (pi, choice)
                 except ValueError:
                     bad += 1
         triples = Counter()
@@ -389,8 +395,8 @@ def _build_2_7(sigma_max):
             split[pi2] = split.get(pi2) or ferrers_split(pi2)
             triples[(pi1, *split[pi2])] += count
         total = images.total()
-        images.subtract((p.pi1, p.pi2) for p in split_pairs(n))
-        triples.subtract((t.pi1, t.pi3, t.pi4) for t in triple_partitions(n))
+        images.subtract(split_pairs(n))
+        triples.subtract(triple_partitions(n))
         rows.append((bad, sum(map(abs, images.values())), sum(map(abs, triples.values())), total))
     fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows))
     zeros = [0] * (sigma_max + 1)
@@ -403,7 +409,7 @@ def _build_2_7(sigma_max):
         Facet(
             "choice-count-vs-weight",
             fwd_total,
-            [weighted_count("S", n) for n in range(sigma_max + 1)],
+            _upward(lambda n: weighted_count("S", n), sigma_max),
         ),
         Facet("worked-example-split", worked, [4, 12, 20, 24, 1, 5, 7]),
     ]
@@ -545,8 +551,8 @@ def _build_4_20(k_list, l_max):
 
 
 def _build_thm5(n_max):
-    g = [count_g(n) for n in range(n_max + 1)]
-    p = [count_p(n) for n in range(n_max + 1)]
+    g = _upward(count_g, n_max)
+    p = _upward(count_p, n_max)
     lhs = _ratio_sum(
         2 * n_max + 1, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F]
     )

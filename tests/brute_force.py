@@ -119,19 +119,19 @@ def euler_add(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p + 2 * k for k, p in enumerate(parts))
 
 
-def chain_marks(variant: str, parts: tuple[int, ...]) -> set[int]:
+def chain_marks(variant: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """The least parts b of the odd chains, maximal runs of odd parts two
     apart, with b at least chain_min and b - 2 t(b) == chain_offset
-    (mod 4), where t(b) counts the odd parts below b."""
+    (mod 4), where t(b) counts the odd parts below b; ascending."""
     v = VARIANTS[variant]
-    marks = set()
+    marks = []
     for i, b in enumerate(parts):
         if b % 2 == 0 or (i and parts[i - 1] == b - 2):
             continue
         t = sum(x % 2 for x in parts[:i])
         if b >= v.chain_min and (b - 2 * t) % 4 == v.chain_offset:
-            marks.add(b)
-    return marks
+            marks.append(b)
+    return tuple(marks)
 
 
 def chain_weight(variant: str, parts: tuple[int, ...]) -> int:

@@ -1,16 +1,12 @@
 """Round trips and worked examples for the staged partition bijection."""
 
-from types import SimpleNamespace
-
 import brute_force
 import pytest
 
 from ggq import bijection
 from ggq.bijection import (
     _PI2,
-    MarkedPartition,
-    SplitPair,
-    TriplePartition,
+    choices,
     euler_subtract,
     ferrers_graph,
     ferrers_merge,
@@ -35,10 +31,9 @@ SIGMA = 28  # exhaustive round-trip bound for this module's own suite
 
 
 def test_choices_cover_every_bit_tuple_in_order():
-    m = MarkedPartition((1, 5, 9), frozenset({1, 5}))
     f, t = False, True
-    assert list(m.choices()) == [(f, f), (t, f), (f, t), (t, t)]
-    assert list(MarkedPartition((2,), frozenset()).choices()) == [()]
+    assert list(choices(2)) == [(f, f), (t, f), (f, t), (t, t)]
+    assert list(choices(0)) == [()]
 
 
 def test_staircase_pair():
@@ -52,9 +47,11 @@ def test_staircase_pair():
 
 
 def test_identify_worked_example():
-    m = identify((5,))
-    assert m.marks == frozenset({5})
-    assert len(m.marks) == 1
+    assert identify((5,)) == (5,)
+    # 1 is below chain_min, and 5 - 2t(5) == 3 (mod 4): only 9 is marked
+    assert identify((1, 5, 9)) == (9,)
+    # the chain 5, 7 is marked at its least part, and 13 starts a chain
+    assert identify((5, 7, 13)) == (5, 13)
 
 
 def test_broken_invariant_raises(monkeypatch):
@@ -62,14 +59,13 @@ def test_broken_invariant_raises(monkeypatch):
     # is an explicit raise, so it fires under python -O as well
     monkeypatch.setattr(bijection, "ferrers_split", lambda pi2: ((), ()))
     with pytest.raises(AssertionError, match="invariant broken"):
-        triple_map(identify((5,)), (True,))
+        triple_map((5,), (True,))
 
 
 def test_identify_mark_count_matches_weight():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
-            m = identify(pi)
-            assert 1 << len(m.marks) == brute_force.chain_weight("S", pi)
+            assert 1 << len(identify(pi)) == brute_force.chain_weight("S", pi)
 
 
 def test_identify_rejects_bad_parity():
@@ -78,28 +74,26 @@ def test_identify_rejects_bad_parity():
 
 
 def test_redistribute_single_mark():
-    m = identify((5,))
-    keep = redistribute(m, (False,))
-    move = redistribute(m, (True,))
-    assert keep == SplitPair((5,), ())
-    assert move == SplitPair((), (5,))
+    assert redistribute((5,), (False,)) == ((5,), ())
+    assert redistribute((5,), (True,)) == ((), (5,))
+    with pytest.raises(ValueError):
+        redistribute((5,), ())  # one bit per mark
 
 
 def test_redistribute_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
-            m = identify(pi)
-            for choice in m.choices():
-                pair = redistribute(m, choice)
-                assert pair.sigma == n
-                assert redistribute_inverse(pair) == (m, choice)
+            for choice in choices(len(identify(pi))):
+                pi1, pi2 = redistribute(pi, choice)
+                assert sum(pi1) + sum(pi2) == n
+                assert redistribute_inverse((pi1, pi2)) == (pi, choice)
 
 
 def test_pair_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pair in split_pairs(n):
-            m, choice = redistribute_inverse(pair)
-            assert redistribute(m, choice) == pair
+            pi, choice = redistribute_inverse(pair)
+            assert redistribute(pi, choice) == pair
 
 
 def test_unchecked_inverse_agrees_with_the_checked_one():
@@ -109,13 +103,16 @@ def test_unchecked_inverse_agrees_with_the_checked_one():
 
 
 def test_unchecked_inverse_refuses_a_non_positive_merge():
-    # no SplitPair holds these piles: de-staircased, pi1's 1 becomes -1,
-    # so the merge (-1, 8) re-staircases to a base with a part below 1
+    # no pair of split_pairs holds these piles: de-staircased, pi1's 1
+    # becomes -1, so the merge (-1, 8) re-staircases to a member with a
+    # part below 1
     with pytest.raises(ValueError):
-        bijection._invert(SimpleNamespace(pi1=(1,), pi2=(8,)))
+        bijection._invert(((1,), (8,)))
 
 
 def test_split_pair_validation():
+    # what split_pairs does not list, the inverse refuses; what it lists
+    # inverts
     for pi1, pi2 in [
         ((), (5, 7)),  # pi2 gap < 4
         ((), (1,)),  # odd pi2 part < 5
@@ -127,10 +124,12 @@ def test_split_pair_validation():
         ((5, 5), ()),  # repeated pi1 part
         ((1,), (4,)),  # 1 <= 2*nu(pi2)
     ]:
+        assert (pi1, pi2) not in split_pairs(sum(pi1) + sum(pi2))
         with pytest.raises(ValueError):
-            SplitPair(pi1, pi2)
+            redistribute_inverse((pi1, pi2))
     for pi1, pi2 in [((5,), ()), ((), (5,)), ((3,), (4,)), ((), (5, 11)), ((), (4, 9))]:
-        SplitPair(pi1, pi2)
+        pi, choice = redistribute_inverse((pi1, pi2))
+        assert redistribute(pi, choice) == (pi1, pi2)
 
 
 def test_ferrers_worked_example():
@@ -146,8 +145,8 @@ def test_ferrers_worked_example():
 
 def test_ferrers_merge_split_roundtrip():
     for n in range(SIGMA + 1):
-        for t in triple_partitions(n):
-            assert ferrers_split(ferrers_merge(t.pi3, t.pi4)) == (t.pi3, t.pi4)
+        for _, pi3, pi4 in triple_partitions(n):
+            assert ferrers_split(ferrers_merge(pi3, pi4)) == (pi3, pi4)
 
 
 def _split_by_columns(rows):
@@ -164,11 +163,11 @@ def test_ferrers_graph_structure():
     # everything else is a 4; row sums give back the parts, and cutting
     # the graph's columns gives what the closed-form split gives
     for n in range(SIGMA + 1):
-        for pair in split_pairs(n):
-            rows = ferrers_graph(pair.pi2)
-            assert ferrers_split(pair.pi2) == _split_by_columns(rows)
+        for _, pi2 in split_pairs(n):
+            rows = ferrers_graph(pi2)
+            assert ferrers_split(pi2) == _split_by_columns(rows)
             one_cols = set()
-            for row, p in zip(rows, pair.pi2):
+            for row, p in zip(rows, pi2):
                 assert sum(row) == p
                 assert set(row) <= {1, 2, 4}
                 if p % 2:
@@ -196,7 +195,8 @@ def test_ferrers_split_and_graph_reject_non_members():
 @pytest.mark.parametrize("bad", [(3, 1), (0,), (0, 4), (-1, 3)])
 def test_non_partitions_are_refused(bad):
     # descending, zero and negative parts: each function that reads a
-    # partition refuses them through its family's weigh
+    # partition refuses them, through its family's weigh or, for the
+    # inverses, against the forward map
     assert not brute_force.is_gollnitz_gordon(bad)
     assert _PI2.weigh(bad) is None
     for refuse in [
@@ -204,17 +204,19 @@ def test_non_partitions_are_refused(bad):
         identify,
         ferrers_split,
         ferrers_graph,
-        lambda pi: SplitPair(pi, ()),
-        lambda pi: SplitPair((), pi),
-        lambda pi: TriplePartition(pi, (), ()),
-        lambda pi: TriplePartition((), pi, ()),
-        lambda pi: TriplePartition((), (4, 8), pi),
+        lambda pi: redistribute_inverse((pi, ())),
+        lambda pi: redistribute_inverse(((), pi)),
+        lambda pi: triple_inverse((pi, (), ())),
+        lambda pi: triple_inverse(((), pi, ())),
+        lambda pi: triple_inverse(((), (4, 8), pi)),
     ]:
         with pytest.raises(ValueError):
             refuse(bad)
 
 
 def test_triple_validation():
+    # what triple_partitions does not list, the inverse refuses; what it
+    # lists inverts
     for pi1, pi3, pi4 in [
         ((), (3,), ()),  # pi3 part not a multiple of 4
         ((), (4, 4), ()),  # repeated pi3 part
@@ -225,10 +227,12 @@ def test_triple_validation():
         ((5, 5), (), ()),  # repeated pi1 part
         ((1,), (4,), ()),  # 1 <= 2*nu(pi3)
     ]:
+        assert (pi1, pi3, pi4) not in triple_partitions(sum(pi1) + sum(pi3) + sum(pi4))
         with pytest.raises(ValueError):
-            TriplePartition(pi1, pi3, pi4)
-    TriplePartition((), (4,), (1,))
-    TriplePartition((3, 7), (4,), (1,))
+            triple_inverse((pi1, pi3, pi4))
+    for triple in [((), (4,), (1,)), ((3, 7), (4,), (1,))]:
+        pi, choice = triple_inverse(triple)
+        assert triple_map(pi, choice) == triple
 
 
 @pytest.mark.parametrize(
@@ -249,24 +253,20 @@ def test_ferrers_merge_rejects_what_the_split_does_not_produce(pi3, pi4):
 
 
 def test_triple_map_single_mark():
-    m = identify((5,))
-    t0 = triple_map(m, (False,))
-    assert (t0.pi1, t0.pi3, t0.pi4) == ((5,), (), ())
-    t1 = triple_map(m, (True,))
-    assert (t1.pi1, t1.pi3, t1.pi4) == ((), (4,), (1,))
+    assert triple_map((5,), (False,)) == ((5,), (), ())
+    assert triple_map((5,), (True,)) == ((), (4,), (1,))
 
 
 def test_triple_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):
-            m = identify(pi)
-            for choice in m.choices():
-                t = triple_map(m, choice)
-                assert t.sigma == n
-                assert triple_inverse(t) == (m, choice)
+            for choice in choices(len(identify(pi))):
+                t = triple_map(pi, choice)
+                assert sum(map(sum, t)) == n
+                assert triple_inverse(t) == (pi, choice)
         for t in triple_partitions(n):
-            m, choice = triple_inverse(t)
-            assert triple_map(m, choice) == t
+            pi, choice = triple_inverse(t)
+            assert triple_map(pi, choice) == t
 
 
 def test_cardinalities_frozen_and_cross():

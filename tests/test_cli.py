@@ -15,6 +15,7 @@ from ggq.cli import (
     main,
     parse_json,
 )
+from ggq import partitions, registry
 from ggq.registry import run_all
 
 
@@ -160,6 +161,23 @@ def test_count_residue_family(capsys):
     assert "unknown family" in err
 
 
+def test_count_asks_the_counter_its_top_first(capsys, monkeypatch):
+    # a family no other test counts, so its memo starts empty: asked from
+    # the top, the counter computes 0..300 once, not 0, 1, 2, 4, ..., 512
+    tops = []
+    counts_to = partitions._counts_to
+
+    def recorded(family, top):
+        tops.append(top)
+        return counts_to(family, top)
+
+    monkeypatch.setattr(partitions, "_counts_to", recorded)
+    code, out, _ = run(capsys, "count", "--family", "residue:11:1,3,4,5,9", "--max", "300")
+    assert code == 0
+    assert len(out.split(",")) == 301
+    assert tops == [300]
+
+
 def test_bijection_summary_and_trace(capsys):
     code, out, _ = run(capsys, "bijection", "--n", "5")
     assert code == 0
@@ -285,6 +303,27 @@ def test_report_of_a_malformed_check_is_a_usage_error(capsys, tmp_path, field, v
     assert code == 2
     assert out == ""
     assert "malformed" in err
+
+
+def test_report_of_a_check_missing_a_field_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    saved = {k: v for k, v in _SAVED.items() if k != "elapsed_ms"}
+    path.write_text(json.dumps({"version": 1, "checks": [saved]}))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
+
+
+def test_a_key_error_is_no_usage_error(capsys, monkeypatch):
+    # a KeyError inside a check is a defect of the program, not of the
+    # command line, so it is not turned into exit 2
+    def run_check(*args, **kwargs):
+        raise KeyError(5)
+
+    monkeypatch.setattr(registry, "run_check", run_check)
+    with pytest.raises(KeyError):
+        main(["verify-all", "--level", "quick"])
 
 
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):

@@ -109,11 +109,11 @@ def test_membership_rejects_non_gg_input():
 
 def test_weight_counts_qualifying_chains():
     # (5,) is a single odd chain with least part 5 == 2*0+1 (mod 4): one mark
-    assert identify((5,)).marks == {5}
+    assert identify((5,)) == (5,)
     # (1,) fails the chain_min bound: no mark
-    assert identify((1,)).marks == frozenset()
+    assert identify((1,)) == ()
     # an even part matching the parity rule is never marked
-    assert identify((4,)).marks == frozenset()
+    assert identify((4,)) == ()
 
 
 def test_variant_table():

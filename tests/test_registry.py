@@ -257,7 +257,7 @@ def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
     # f loses one-to-one: the round trip and the image multiset both show it
     redistribute = registry.redistribute
     monkeypatch.setattr(
-        registry, "redistribute", lambda m, choice: redistribute(m, (False,) * len(choice))
+        registry, "redistribute", lambda pi, choice: redistribute(pi, (False,) * len(choice))
     )
     r = run_check("2.7", sigma_max=12)
     assert r.status == "fail"
@@ -265,6 +265,24 @@ def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
     facets = _facets_2_7(12)
     assert sum(facets["forward-roundtrip-failures"]) > 0
     assert sum(facets["image-vs-split-pairs"]) > 0
+
+
+def test_2_7_fails_when_the_map_merges_the_piles(monkeypatch):
+    # the merged piles are images no split pair matches: 2.7 reports a
+    # failed facet, not an error
+    redistribute = registry.redistribute
+
+    def merged(pi, choice):
+        pi1, pi2 = redistribute(pi, choice)
+        return tuple(sorted(pi1 + pi2)), ()
+
+    monkeypatch.setattr(registry, "redistribute", merged)
+    r = run_check("2.7", sigma_max=12)
+    assert r.status == "fail"
+    assert r.failed_facet == "forward-roundtrip-failures"
+    facets = _facets_2_7(12)
+    assert sum(facets["image-vs-split-pairs"]) > 0
+    assert sum(facets["split-image-vs-triples"]) > 0
 
 
 def test_2_7_fails_when_a_split_pair_is_missing(monkeypatch):
