@@ -29,7 +29,7 @@ from .series import (
     poch_finite,
     zero,
 )
-from .trinomials import n_vectors, q_binomial
+from .trinomials import q_binomial
 
 __all__ = [
     "BaileyPair",
@@ -125,27 +125,43 @@ def step(p: BaileyPair) -> BaileyPair:
 
 
 def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
-    """The closed form of k lemma applications, evaluated directly."""
+    """The closed form of k lemma applications, evaluated directly:
+    alpha_n becomes q^(k n^2/2) alpha_n, and beta_n becomes 1 / (-sqrt q)_n
+    times the k-fold sum over n >= N_1 >= .. >= N_k >= 0 of
+
+        q^((N_1^2 + .. + N_k^2)/2) (-sqrt q)_{N_k} beta_{N_k}
+            / ((q)_{n-N_1} (q)_{N_1-N_2} .. (q)_{N_(k-1)-N_k}).
+
+    The vectors are walked depth-first from N_k up to N_1, so vectors that
+    share N_k .. N_j share that part of the product: each node multiplies
+    its parent's partial product by q^(N_j^2/2) / (q)_{N_j-N_(j+1)}, and
+    each leaf adds its product times 1 / (q)_{n-N_1} into beta_n for every
+    n >= N_1.  Sums happen only at the leaves, one term per vector, so no
+    level is summed before the next is built, as the chain (``step``) does.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    order2 = p.order2
-    alpha = [
-        monomial(1, k * n * n, order2=order2) * p.alpha[n]
-        for n in range(p.n_max + 1)
-    ]
-    beta = []
-    for n in range(p.n_max + 1):
-        acc = zero(order2)
-        for nvec in n_vectors(k, n):
-            small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
-            nk = small[-1]
-            term = monomial(1, sum(v * v for v in nvec), order2=order2)
-            term = term * poch_finite(SQ, nk, order2=order2) * p.beta[nk]
-            term = term * inv_poch_finite(Q, n - nvec[0], order2=order2)
-            for nj in small[:-1]:
-                term = term * inv_poch_finite(Q, nj, order2=order2)
-            acc = acc + term
-        beta.append(acc * inv_poch_finite(SQ, n, order2=order2))
+    order2, top = p.order2, p.n_max
+    alpha = [monomial(1, k * n * n, order2=order2) * a for n, a in enumerate(p.alpha)]
+    sums = [zero(order2)] * (top + 1)
+    # q^(N_j^2/2) / (q)_{N_j-N_(j+1)} for each pair of indices, shared by every node
+    factor = {(nj, low): monomial(1, nj * nj, order2=order2)
+              * inv_poch_finite(Q, nj - low, order2=order2)
+              for low in range(top + 1) for nj in range(low, top + 1)}
+
+    def descend(partial: TruncSeries, low: int, levels: int) -> None:
+        # partial is the product through N_j = low, with levels indices to choose
+        if not levels:
+            for n in range(low, top + 1):
+                sums[n] = sums[n] + partial * inv_poch_finite(Q, n - low, order2=order2)
+            return
+        for nj in range(low, top + 1):
+            descend(partial * factor[nj, low], nj, levels - 1)
+
+    for nk, b in enumerate(p.beta):
+        root = monomial(1, nk * nk, order2=order2) * poch_finite(SQ, nk, order2=order2)
+        descend(root * b, nk, k - 1)
+    beta = [s * inv_poch_finite(SQ, n, order2=order2) for n, s in enumerate(sums)]
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
 

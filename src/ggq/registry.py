@@ -61,6 +61,7 @@ from .series import (
     FactorSpec,
     TruncSeries,
     _dilate,
+    _divided,
     _ratio_sum,
     collapse_zw,
     inv_poch_finite,
@@ -162,12 +163,12 @@ def _single_pair_sum(order2, marked: bool) -> TruncSeries:
 
     The head is q^(n^2+n-1) (q + [w]), and with m = n - 1 the rest is
     q^(n^2+n-1) (-[w]q; q^2)_m / ((1 - q^2) (q^4; q^2)_m), so the sum is
-    1 + (q + [w]) / (1 - q^2) times one regular sum over m."""
+    1 + (q + [w]) / (1 - q^2) times one regular sum over m.  The division
+    by (1 - q^2) runs on each slice's list, one dense product fewer."""
     dw = 1 if marked else 0
     head = monomial(1, 2, order2=order2) + monomial(1, 0, 0, dw, order2=order2)
-    head = head * inv_poch_finite(Q2F, 1, order2=order2)
     walk = _ratio_sum(order2, lambda m: 2 * m * m + 6 * m + 2, F(-1, 2, 4, 0, dw), [F(1, 8, 4)])
-    return one(order2) + head * walk
+    return one(order2) + _divided(head * walk, 4)
 
 
 def _double_sum(order2, lin, num, den2, w_mark: bool) -> TruncSeries:

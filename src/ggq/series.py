@@ -40,7 +40,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from math import gcd, isqrt, log, pi, sqrt
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -99,7 +99,8 @@ class TruncSeries:
     """Exact series {(e2, dz, dw): coeff}, truncated at q^(order2/2), and
     stored as its marker slices."""
 
-    __slots__ = ("_by_mark", "_order2")
+    # _summary: the packing inputs, filled by the first product that reads them
+    __slots__ = ("_by_mark", "_order2", "_summary")
 
     def __init__(self, terms: Mapping[Key, int], order2: int):
         if order2 <= 0:
@@ -125,6 +126,7 @@ class TruncSeries:
                 v[e2 - low] = c
             self._by_mark[mark] = (low, v)
         self._order2 = order2
+        self._summary = None
 
     @classmethod
     def _of(cls, by_mark: Slices, order2: int) -> "TruncSeries":
@@ -134,6 +136,7 @@ class TruncSeries:
         s = object.__new__(cls)
         s._by_mark = by_mark
         s._order2 = order2
+        s._summary = None
         return s
 
     @property
@@ -270,33 +273,41 @@ def _check_markers(by_mark: Slices, order2: int) -> None:
 # B holding min(terms) * max|a| * max|b| over the whole operands plus a
 # sign bit: a coefficient of the product sums at most min(terms) term
 # products, so every slot of a slice product, and of a sum of them, lies
-# in [-2^(B-1), 2^(B-1)).  A negative c fills its slot as c + 2^B, which
-# sets the slot's top bit, so 2^B is taken back at each such slot.
-# Adding 2^(B-1) to every slot of a product then makes each a digit in
-# [0, 2^B), and no slot borrows from the next.  A pair's product starts
-# at l_a + l_b; the products under one (dz, dw) and one residue of
-# l_a + l_b mod g are shifted into place and added as integers, and each
-# sum is unpacked once, below order2, through array for 1, 2, 4 or 8
-# bytes on little-endian machines, into every g-th entry of one dense
+# in [-2^(B-1), 2^(B-1)).  Each operand's gcd, max|c| and term count are
+# read once and kept with it, since it cannot change.  A negative c fills
+# its slot as c + 2^B, which sets the slot's top bit, so 2^B is taken back
+# at each such slot.  Adding 2^(B-1) to every slot of a product then makes
+# each a digit in [0, 2^B), and no slot borrows from the next.  A pair's
+# product starts at l_a + l_b; the products under one (dz, dw) and one
+# residue of l_a + l_b mod g are shifted into place and added as integers,
+# and each sum is unpacked once, below order2, through array for 1, 2, 4
+# or 8 bytes on little-endian machines, into every g-th entry of one dense
 # list per (dz, dw).
 
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
 
+def _summary_of(s: TruncSeries) -> tuple[int, int, int]:
+    """The gcd of the nonzero offsets of every slice of s (0 when each is
+    one term long), its largest |c| and its nonzero count, read from its
+    stored slices once: a series cannot change."""
+    if s._summary is None:
+        lists = [v for _, v in s._by_mark.values()]
+        step = 0
+        for v in lists:
+            step = gcd(step, *compress(count(), v))
+            if step == 1:
+                break
+        s._summary = (step, max(max(map(max, lists)), -min(map(min, lists))),
+                      sum(len(v) - v.count(0) for v in lists))
+    return s._summary
+
+
 def _packing(x: TruncSeries, y: TruncSeries) -> tuple[int, int]:
     """The slot step g and the bytes per slot for any slice product of x and y."""
-    step = 0
-    for _, v in chain(x._by_mark.values(), y._by_mark.values()):
-        step = gcd(step, *compress(count(), v))
-        if step == 1:
-            break
-    bound, terms = 1, []
-    for s in (x, y):
-        lists = [v for _, v in s._by_mark.values()]
-        bound *= max(max(map(max, lists)), -min(map(min, lists)))
-        terms.append(sum(len(v) - v.count(0) for v in lists))
+    (sx, bx, tx), (sy, by, ty) = _summary_of(x), _summary_of(y)
     # every slice of both one term long: no offset, and any step will do
-    return step or 1, _slot_bytes(bound.bit_length() + min(terms).bit_length())
+    return gcd(sx, sy) or 1, _slot_bytes((bx * by).bit_length() + min(tx, ty).bit_length())
 
 
 def _slot_bytes(bits: int) -> int:
@@ -565,10 +576,27 @@ def _times_factor(lists: list[list[int]], e: int, sign: int, marked: int) -> Non
 
 def _divide_factor(v: list[int], e: int, sign: int) -> None:
     """Divides v by (1 - sign q^(e/2)) in place, e > 0, a block of e at a
-    time, each reading the block below it that is already divided."""
+    time, each reading the block below it that is already divided; or,
+    for sign 1 and more than e blocks, as a running sum over each residue
+    class mod e, e C-level passes in place of one Python step per block."""
+    if sign == 1 and e * e < len(v):
+        for r in range(e):
+            v[r::e] = accumulate(v[r::e])
+        return
     op = add if sign == 1 else sub
     for b in range(e, len(v), e):
         v[b : b + e] = map(op, v[b : b + e], v[b - e : b])
+
+
+def _divided(s: TruncSeries, e: int) -> TruncSeries:
+    """s / (1 - q^(e/2)), e > 0, each slice divided on its own list
+    continued to order2: the factor has no marker, so no slice moves."""
+    out: Slices = {}
+    for mark, (low, v) in s._by_mark.items():
+        v = v + [0] * (s._order2 - low - len(v))
+        _divide_factor(v, e, 1)
+        _put(out, mark, low, v)
+    return TruncSeries._of(out, s._order2)
 
 
 def _ratio_sum(

@@ -40,7 +40,6 @@ from .series import (
 )
 
 __all__ = [
-    "n_vectors",
     "q_binomial",
     "t_warnaar",
     "t_ab",

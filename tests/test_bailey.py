@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from ggq import bailey
 from ggq.bailey import (
     BaileyPair,
     defining_sum,
@@ -37,14 +38,23 @@ def test_step_preserves_relation():
         assert relation_mismatches(p) == []
 
 
-def test_closed_iterate_matches_stepping():
-    base = seed_E4(5, ORDER2)
-    walked = base
-    for k in range(1, 4):
-        walked = step(walked)
+def test_closed_iterate_matches_stepping(monkeypatch):
+    # the closed form is 4.5's independent side: with the chain refused, it
+    # still gives the stepped pairs
+    base = seed_E4(6, ORDER2)
+    stepped = [base]
+    for _ in range(5):
+        stepped.append(step(stepped[-1]))
+
+    def refuse(*args):
+        raise RuntimeError("the closed form ran the chain")
+
+    monkeypatch.setattr(bailey, "step", refuse)
+    monkeypatch.setattr(bailey, "_chain_level", refuse)
+    for k in range(1, 6):
         closed = iterate_closed(base, k)
-        assert closed.alpha == walked.alpha
-        assert closed.beta == walked.beta
+        assert closed.alpha == stepped[k].alpha
+        assert closed.beta == stepped[k].beta
 
 
 def test_pair_length_mismatch_rejected():

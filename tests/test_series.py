@@ -1,10 +1,14 @@
 """Ring laws, truncation coherence, and frozen expansions for the series kernel."""
 
+from itertools import chain, compress, count
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
 
+from ggq import series
 from ggq.series import (
     FactorSpec,
     TruncSeries,
@@ -449,20 +453,13 @@ _kernel_operands = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(_kernel_operands, _kernel_operands, st.integers(-5, 5), st.data())
-def test_kernel_outputs_pass_validation(a, b, c, data):
-    # the ring operations skip the term-by-term check; every output must
-    # still satisfy it, and none may claim to be univariate with a marker.
-    # Each must also be stored as the constructor stores its terms: series
-    # compare by their stored slices, so a zero end or an empty slice would
-    # make equal series differ.  Cuts stay at or above 6, the largest
-    # marker degree drawn: below it truncate rejects a marked operand, as it
-    # always has.
+def _kernel_outputs(a, b, c, data):
+    """What the ring operations and the Pochhammer builders make of a and b.
+    Cuts stay at or above 6, the largest marker degree drawn: below it
+    truncate rejects a marked operand, as it always has."""
     cut = data.draw(st.integers(6, a.order2))
     outs = [a * b, b * a, a + b, a - b, b - a, a - a, -a, a.scale(c), a * c, truncate(a, cut),
             collapse_zw(a), zw_slice(a, data.draw(st.integers(0, 3)))]
-    # and so do the Pochhammer builders
     f = data.draw(_families)
     n = data.draw(st.integers(0, 30))
     for build in (lambda: poch_finite(f, n, order2=a.order2),
@@ -472,11 +469,56 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
             outs.append(out)
     if f.e2 and not (f.dz or f.dw):
         outs += [inv_poch_finite(f, n, order2=a.order2), inv_poch_infinite(f, order2=a.order2)]
-    for out in outs:
+    return outs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_operands, _kernel_operands, st.integers(-5, 5), st.data())
+def test_kernel_outputs_pass_validation(a, b, c, data):
+    # the ring operations and the Pochhammer builders skip the term-by-term
+    # check; every output must still satisfy it, and none may claim to be
+    # univariate with a marker.  Each must also be stored as the constructor
+    # stores its terms: series compare by their stored slices, so a zero end
+    # or an empty slice would make equal series differ.
+    for out in _kernel_outputs(a, b, c, data):
         assert TruncSeries(dict(out.terms), out.order2) == out
         assert eval(repr(out), {"TruncSeries": TruncSeries}) == out
         if out.is_univariate:
             assert not any(dz or dw for _, dz, dw in out.terms)
+
+
+def _former_packing(x, y):
+    """The packing inputs as _packing read them before series carried them:
+    a pass over every slice of both operands."""
+    step = 0
+    for _, v in chain(x._by_mark.values(), y._by_mark.values()):
+        step = gcd(step, *compress(count(), v))
+    bound, terms = 1, []
+    for s in (x, y):
+        lists = [v for _, v in s._by_mark.values()]
+        bound *= max(max(map(max, lists)), -min(map(min, lists)))
+        terms.append(sum(len(v) - v.count(0) for v in lists))
+    return step or 1, series._slot_bytes(bound.bit_length() + min(terms).bit_length())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_operands, _kernel_operands, st.integers(-5, 5), st.data())
+def test_packing_summary_matches_the_stored_slices(a, b, c, data):
+    # each series packs by a summary it fills once; it must be what its
+    # terms give, and a product's packing what a pass over both operands gave
+    partners = [s for s in (a, b) if s]
+    outs = partners + [out for out in _kernel_outputs(a, b, c, data) if out]
+    for out in outs:
+        terms, lows = out.terms, {}
+        for e2, dz, dw in terms:
+            lows[dz, dw] = min(e2, lows.get((dz, dw), e2))
+        want = (gcd(*(e2 - lows[dz, dw] for e2, dz, dw in terms)),
+                max(map(abs, terms.values())), len(terms))
+        assert series._summary_of(out) == want
+        assert series._summary_of(out) is series._summary_of(out)
+    for x in outs:
+        for y in partners + [x]:
+            assert series._packing(x, y) == _former_packing(x, y)
 
 
 Q2 = FactorSpec(1, 4, 4)
