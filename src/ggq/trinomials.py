@@ -10,8 +10,9 @@ nonnegative coefficients that sum to comb(top, bottom), so the bound of a
 sum of products of binomials is the sum over its terms of the products of
 those combs.  ``_unpacked`` picks slots wide enough for every bound and
 reads each value back into a TruncSeries once, by balanced digits.  Only
-this module knows the packed form.  The alternating j-sums of 4.15 and
-4.20 run over a range stated in closed form: a trinomial at l vanishes
+this module knows the packed form.  The multisums of 4.15 and 4.20 run
+as a chain from N_1 down, with no list of vectors, and their alternating
+j-sums over a range stated in closed form: a trinomial at l vanishes
 once |a| > l, so only finitely many j can contribute.
 
 ``q_binomial`` builds its coefficients one by one instead: the limit
@@ -24,7 +25,6 @@ order2 must have settled, and compares both with the limit.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
@@ -193,36 +193,34 @@ def u_tilde(l: int, m: int, a: int, b: int, *, order2: int = 0) -> TruncSeries:
 # -- the doubly bounded identity and its m -> infinity form -------------
 
 
-def n_vectors(k: int, cap: int):
-    """Weakly decreasing nonnegative (N_1..N_k) with N_1 <= cap, in
-    descending lexicographic order."""
-    return combinations_with_replacement(range(cap, -1, -1), k)
+def _bounded_lhs(k: int, l: int, m: int | None, bits: int) -> tuple[int, int]:
+    """The multisum side of 4.15 (m >= N_1 >= .. >= N_k), or of 4.20 (m None,
+    l >= N_1), as a chain: past N_j, with t = N_1 + .. + N_j, the sum depends
+    only on (j, N_j, t), so each state is summed once.  The step to N_(j+1)
+    takes q^(N_(j+1)^2) [l - t + N_j - N_(j+1), N_j - N_(j+1)] in q^2; at
+    N_0 = m, t = 0 it is 4.15's leading binomial, which 4.20 lacks."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
+    @lru_cache(maxsize=None)
+    def below(j: int, n: int, t: int) -> tuple[int, int]:
+        val = bound = 0
+        if j == k:  # the s-sum that closes each vector
+            for s in range(n + 1):
+                f4, c4 = _binomial_at(n + (l - 1 - t - s) // 2, n, 8 * bits)
+                fs, cs = _binomial_at(n, s, 4 * bits)
+                val += (f4 * fs) << bits * 2 * (s * s + 2 * n)
+                bound += c4 * cs
+            return val, bound
+        for n2 in range(n + 1):
+            f, c = _binomial_at(l - t + n - n2, n - n2, 4 * bits) if j or m is not None else (1, 1)
+            if c:
+                v, b = below(j + 1, n2, t + n2)
+                val += (f * v) << bits * 2 * n2 * n2
+                bound += c * b
+        return val, bound
 
-def _bounded_lhs(k: int, l: int, cap: int, head, bits: int) -> tuple[int, int]:
-    """The multisum side of 4.15 and 4.20 over N_1 <= cap; head(N_1, bits)
-    is the leading factor, a Gaussian binomial in m for 4.15 and 1 for 4.20."""
-    val = bound = 0
-    for nvec in n_vectors(k, cap):
-        small = [nvec[i] - nvec[i + 1] for i in range(k - 1)] + [nvec[-1]]
-        nk = small[-1]
-        total = sum(nvec)
-        term, tb = head(nvec[0], bits)
-        run = 0
-        for j in range(k - 1):
-            run += nvec[j]
-            f, c = _binomial_at(l - run + small[j], small[j], 4 * bits)
-            term, tb = term * f, tb * c
-        if not tb:
-            continue
-        squares = sum(v * v for v in nvec)
-        for s in range(0, nk + 1):
-            f4, c4 = _binomial_at(nk + (l - 1 - total - s) // 2, nk, 8 * bits)
-            fs, cs = _binomial_at(nk, s, 4 * bits)
-            if c4 and cs:
-                val += (term * f4 * fs) << bits * 2 * (squares + s * s + 2 * nk)
-                bound += tb * c4 * cs
-    return val, bound
+    return below(0, l if m is None else m, 0)
 
 
 def _rhs_hierarchy(k: int, l: int, u, bits: int) -> tuple[int, int]:
@@ -254,7 +252,7 @@ def sides_4_15(k: int, l: int, m: int) -> tuple[TruncSeries, TruncSeries]:
     if l < 0 or m < 0:
         raise ValueError("l, m must be nonnegative")
     return _unpacked(
-        partial(_bounded_lhs, k, l, m, lambda n1, bits: _binomial_at(l + m - n1, m - n1, 4 * bits)),
+        partial(_bounded_lhs, k, l, m),
         partial(_rhs_hierarchy, k, l, partial(_u_tilde, l, m)),
     )
 
@@ -268,7 +266,7 @@ def sides_4_20(k: int, l: int) -> tuple[TruncSeries, TruncSeries]:
     if l < 0:
         raise ValueError("l must be nonnegative")
     return _unpacked(
-        partial(_bounded_lhs, k, l, l, lambda n1, bits: (1, 1)),
+        partial(_bounded_lhs, k, l, None),
         partial(_rhs_hierarchy, k, l, lambda a, b, bits: _u_of(l, a, bits)),
     )
 

@@ -5,9 +5,10 @@ The refined trinomials and both sides of the bounded identities 4.15 and
 4.20 are written here a second time, as dicts {e2: coeff} over
 x = q^(1/2), multiplied pair by pair and summed key by key from the
 coefficients of ``q_binomial``.  Nothing here packs a polynomial into an
-integer or shares the vector walk or the j range of ``ggq.trinomials``:
-vectors come from a filtered product, and the j-sum runs over the wider
-range |j| <= l, past which every term is zero.
+integer or shares the chain or the j range of ``ggq.trinomials``: each
+multisum is summed one term per vector, the vectors from a filtered
+product, and the j-sum runs over the wider range |j| <= l, past which
+every term is zero.
 
 ``poch`` multiplies a Pochhammer product out one two-term factor at a
 time through ``TruncSeries.__mul__``; it shares nothing with the dense

@@ -1,7 +1,6 @@
 """Gaussian binomials, refined trinomials, and their limiting behavior."""
 
 from functools import partial
-from itertools import product
 from math import comb
 
 import pytest
@@ -15,7 +14,6 @@ from ggq.trinomials import (
     limit_4_10,
     limit_4_17,
     limit_4_18,
-    n_vectors,
     q_binomial,
     sides_4_15,
     sides_4_20,
@@ -23,17 +21,6 @@ from ggq.trinomials import (
     t_warnaar,
     u_tilde,
 )
-
-
-def _decreasing(vectors):
-    return [v for v in vectors if all(a >= b for a, b in zip(v, v[1:]))]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_n_vectors_match_brute_force(k):
-    for cap in range(7):
-        brute = sorted(_decreasing(product(range(cap + 1), repeat=k)), reverse=True)
-        assert list(n_vectors(k, cap)) == brute
 
 
 def test_frozen_small_binomial():
@@ -149,6 +136,15 @@ def test_bounded_sides_reject_negative_bounds(sides, args):
         sides(*args)
 
 
+@pytest.mark.parametrize(
+    "sides, args", [(sides_4_15, (0, 2, 1)), (sides_4_15, (-1, 2, 1)),
+                    (sides_4_20, (0, 3)), (sides_4_20, (-1, 3))]
+)
+def test_bounded_sides_reject_k_below_one(sides, args):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sides(*args)
+
+
 def _dict(s):
     assert s.is_univariate
     return {e2: c for (e2, _, _), c in s.terms.items()}
@@ -159,7 +155,7 @@ def _degree(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 5))
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5))
 def test_packed_sides_match_schoolbook(k, l, m):
     for got, want in ((sides_4_15(k, l, m), sb.sides_4_15(k, l, m)),
                       (sides_4_20(k, l), sb.sides_4_20(k, l))):
