@@ -17,8 +17,8 @@ multisums in the registry are ``lhs_4_7``'s levels with q replaced by q^2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .series import (
     FactorSpec,
@@ -46,19 +46,20 @@ SQ = FactorSpec(-1, 1, 2)  # (-sqrt q; q)
 Q2 = FactorSpec(1, 4, 4)  # (q^2; q^2)
 
 
-@dataclass(frozen=True)
-class BaileyPair:
-    alpha: tuple[TruncSeries, ...]
-    beta: tuple[TruncSeries, ...]
-    order2: int
+class BaileyPair(namedtuple("BaileyPair", "alpha beta order2")):
+    """alpha and beta: tuples of TruncSeries of one length."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.alpha) != len(self.beta):
+            raise ValueError("alpha and beta must have the same length")
+        return self
 
     @property
     def n_max(self) -> int:
         return len(self.alpha) - 1
-
-    def __post_init__(self):
-        if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have the same length")
 
 
 def seed_E4(n_max: int, order2: int) -> BaileyPair:

@@ -39,7 +39,6 @@ themselves.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .partitions import Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
 
@@ -64,7 +63,7 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _odds(min_part: int, below: Optional[int] = None) -> Family:
+def _odds(min_part: int, below: int | None = None) -> Family:
     """Distinct odd parts p >= min_part, and p < below when below is given."""
 
     def step(last: int, p: int):
@@ -143,10 +142,15 @@ def redistribute(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[i
     marks = identify(pi)
     if len(choice) != len(marks):
         raise ValueError("one choice bit per mark required")
+    return _route(pi, marks, euler_subtract(pi), choice)
+
+
+def _route(pi, marks, stars, choice) -> tuple[tuple[int, ...], ...]:
+    # redistribute, given the marks and de-staircased parts read once per member
     to_pile2 = {v for v, bit in zip(marks, choice) if bit}
     pile1: list[int] = []
     pile2: list[int] = []
-    for b, v in zip(pi, euler_subtract(pi)):
+    for b, v in zip(pi, stars):
         if b % 2 == 0 or b in to_pile2:
             pile2.append(v)
         else:

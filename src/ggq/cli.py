@@ -13,8 +13,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .bijection import _fmt, choices, identify, trace_pipeline, triple_map
 from .partitions import (
@@ -42,14 +42,12 @@ CONFIG_ENV = "GGQ_CONFIG"
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CliConfig:
-    default_order2: Optional[int] = None
-    parallelism: int = 1
-    output_format: str = "text"
-    out_path: Optional[str] = None
+class CliConfig(namedtuple("CliConfig", "default_order2 parallelism output_format out_path",
+                           defaults=(None, 1, "text", None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a config file is JSON, so a value may have any type; bool is no int here
         if type(self.parallelism) is not int:
             raise ValueError(f"parallelism must be an integer, got {self.parallelism!r}")
@@ -63,9 +61,10 @@ class CliConfig:
             raise ValueError("parallelism must be >= 1")
         if self.output_format not in ("text", "json", "csv"):
             raise ValueError("output_format must be text, json or csv")
+        return self
 
 
-def load_config(path: Optional[str]) -> CliConfig:
+def load_config(path: str | None) -> CliConfig:
     """Config file from the explicit path or the environment; flags
     override whatever is loaded."""
     if path is None:
@@ -180,7 +179,7 @@ def emit_text(reports: Sequence[VerificationReport]) -> str:
 _EMITTERS = {"json": emit_json, "csv": emit_csv, "text": emit_text}
 
 
-def _write_out(text: str, out_path: Optional[str]):
+def _write_out(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -292,7 +291,8 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
 
 def _cmd_verify_all(args, cfg: CliConfig) -> int:
     if args.parallelism is not None:
-        cfg = replace(cfg, parallelism=args.parallelism)  # checked like the config
+        # a new config, checked like the loaded one (_replace would skip the checks)
+        cfg = CliConfig(**{**cfg._asdict(), "parallelism": args.parallelism})
     reports = run_all(level=args.level, parallelism=cfg.parallelism, corrupt_id=args.corrupt)
     return _emit_reports(reports, args, cfg)
 
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,10 +21,10 @@ counts are the oracles the products are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from math import isqrt, log, pi, sqrt
-from typing import Callable, Optional
 
 __all__ = [
     "Family",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class Family:
     """A partition family read one part at a time, smallest part first.
 
@@ -57,14 +56,25 @@ class Family:
     admitted prefix is a member, weighted by the product of its steps'
     weights.  A family whose ``weigh`` checks a given tuple, such as
     ``_ANY`` or ``_gap_family``, also refuses a part below 1 and one
-    below the last part.
+    below the last part.  Two families are equal only when they are one
+    object, so each keeps its own counts.
     """
 
-    step: Callable[[int, int], Optional[tuple[int, int]]]
-    bits: int = 0
-    _memo: list = field(default_factory=list, repr=False)  # counts of 0..N
+    __slots__ = ("step", "bits", "_memo")
 
-    def weigh(self, parts) -> Optional[int]:
+    def __init__(self, step: Callable[[int, int], tuple[int, int] | None], bits: int = 0):
+        for name, value in ("step", step), ("bits", bits), ("_memo", []):  # _memo: counts of 0..N
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"Family(step={self.step!r}, bits={self.bits!r})"
+
+    def weigh(self, parts) -> int | None:
         """Weight of the ascending parts as a member, or None when a step
         refuses one of them."""
         state = 0
@@ -88,7 +98,7 @@ def _next_parts(last: int, remaining: int) -> list[int]:
     return [*range(lo, remaining // 2 + 1), remaining] if lo <= remaining else []
 
 
-def enumerate_partitions(n: int, family: Optional[Family] = None) -> list[tuple[int, ...]]:
+def enumerate_partitions(n: int, family: Family | None = None) -> list[tuple[int, ...]]:
     """The members of n in ascending-lexicographic order; every partition
     of n when no family is given."""
     if n < 0:
@@ -187,15 +197,10 @@ def _counts_to(family: Family, top: int) -> list[int]:
 # -- weighted families (mod-4 parity conditions on even parts) ----------
 
 
-@dataclass(frozen=True)
-class WeightVariant:
-    """Even-part condition b == 2t(b)+even_offset (mod 4); a chain gets
-    weight 2 when odd, least part >= chain_min, and least part ==
-    2t+chain_offset (mod 4)."""
-
-    even_offset: int
-    chain_min: int
-    chain_offset: int
+# Even-part condition b == 2t(b)+even_offset (mod 4); a chain gets weight
+# 2 when odd, least part >= chain_min, and least part == 2t+chain_offset
+# (mod 4).
+WeightVariant = namedtuple("WeightVariant", "even_offset chain_min chain_offset")
 
 
 VARIANTS = {
@@ -214,7 +219,7 @@ def _odd_below(parts: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def _chain_marks(variant: str, pi: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def _chain_marks(variant: str, pi: tuple[int, ...]) -> tuple[int, ...] | None:
     """Least parts of the qualifying odd chains of a member, ascending, or
     None if the even-part parity test fails; anything not Gollnitz-Gordon
     is a usage error.  One pass over the parts: a chain starts at an odd
@@ -291,7 +296,7 @@ def count_q(i: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gap_family(min_part: int, strict_parity: Optional[int] = None) -> Family:
+def _gap_family(min_part: int, strict_parity: int | None = None) -> Family:
     """Parts >= min_part, gaps >= 2, no gap of 2 below a part == strict_parity
     (mod 2); any gap of 2 when strict_parity is None."""
 
@@ -347,17 +352,15 @@ def count_g(n: int) -> int:
     return _count(_G, n)
 
 
-@dataclass(frozen=True)
-class ResidueFamilyConfig:
+class ResidueFamilyConfig(namedtuple("ResidueFamilyConfig", [
+    "modulus", "allowed", "distinct_residues", "sub_modulus"], defaults=(frozenset(), None))):
     """Parts restricted to residues mod `modulus`; parts whose residue mod
     `sub_modulus` lands in `distinct_residues` may not repeat."""
 
-    modulus: int
-    allowed: frozenset[int]
-    distinct_residues: frozenset[int] = field(default_factory=frozenset)
-    sub_modulus: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus <= 0:
             raise ValueError("modulus must be positive")
         if not all(0 <= r < self.modulus for r in self.allowed):
@@ -365,6 +368,7 @@ class ResidueFamilyConfig:
         sub = self.sub_modulus if self.sub_modulus is not None else self.modulus
         if sub <= 0 or not all(0 <= r < sub for r in self.distinct_residues):
             raise ValueError("distinct residues out of range")
+        return self
 
     def permits(self, p: int) -> bool:
         return p % self.modulus in self.allowed

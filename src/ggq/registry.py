@@ -23,10 +23,8 @@ entries, is a usage error, not a pass.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import isqrt, prod
-from typing import Callable, Optional
 
 from .bailey import (
     defining_sum,
@@ -38,10 +36,11 @@ from .bailey import (
 )
 from .bijection import (
     _invert,
+    _route,
     choices,
+    euler_subtract,
     ferrers_split,
     identify,
-    redistribute,
     split_pairs,
     triple_partitions,
 )
@@ -103,45 +102,40 @@ Q4F = F(1, 8, 8)  # (q^4; q^4)
 MQ_Q2 = F(-1, 2, 4)  # (-q; q^2)
 
 
-@dataclass
-class Facet:
+class Facet(namedtuple("Facet", "label got expected")):
     """Two independently computed objects that must agree: truncated
     series, or count sequences (lists of integers)."""
 
-    label: str
-    got: object
-    expected: object
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
         return "series" if isinstance(self.got, TruncSeries) else "counts"
 
 
-@dataclass(frozen=True)
-class Corruption:
+class Corruption(namedtuple("Corruption", "key delta", defaults=(None, 1))):
     """Single-coefficient perturbation applied to the primary facet.
 
     key: (e2, dz, dw) for a series facet, an index for a counts facet,
     or None for the smallest key present.
     """
 
-    key: Optional[object] = None
-    delta: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta == 0:
             raise ValueError("corruption delta must be nonzero")
+        return self
 
 
-@dataclass
-class VerificationReport:
-    id: str
-    parameters: dict
-    order2: int
-    status: str  # "pass" | "fail"
-    first_mismatch: Optional[str]
-    elapsed_ms: int
-    failed_facet: Optional[str] = None  # label of the first mismatching facet
+# status is "pass" or "fail"; a failure's first_mismatch says where, and
+# failed_facet names the first mismatching facet
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "id parameters order2 status first_mismatch elapsed_ms failed_facet",
+    defaults=(None,),
+)
 
 
 class UnknownCheckError(ValueError):
@@ -226,7 +220,7 @@ def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
     return sums
 
 
-def _hier_rewrite(k: int, order2: int) -> Optional[TruncSeries]:
+def _hier_rewrite(k: int, order2: int) -> TruncSeries | None:
     """Quadruple-product forms; only for k odd and k = 2 mod 4."""
     if k % 2 == 1:
         m = 4 * k + 8
@@ -384,8 +378,9 @@ def _build_2_7(sigma_max):
         bad = 0
         images = Counter()
         for pi in enumerate_members("S", n):
-            for choice in choices(len(identify(pi))):
-                pair = redistribute(pi, choice)
+            marks, stars = identify(pi), euler_subtract(pi)
+            for choice in choices(len(marks)):
+                pair = _route(pi, marks, stars, choice)
                 images[pair] += 1
                 try:
                     bad += _invert(pair) != (pi, choice)
@@ -566,11 +561,8 @@ def _build_thm5(n_max):
 # -- the catalog --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Entry:
-    builder: Callable[..., list[Facet]]
-    quick: dict
-    full: dict
+# builder(**params) -> list[Facet], and the quick and full tiers' params
+_Entry = namedtuple("_Entry", "builder quick full")
 
 
 REGISTRY: dict[str, _Entry] = {
@@ -770,7 +762,7 @@ def natural_key(check_id: str):
 # -- runner -------------------------------------------------------------
 
 
-def _facet_mismatch(f: Facet) -> Optional[str]:
+def _facet_mismatch(f: Facet) -> str | None:
     if isinstance(f.got, TruncSeries):
         d = series_diff(f.got, f.expected)
         if d is not None:
@@ -824,7 +816,7 @@ def run_check(
     check_id: str,
     *,
     level: str = "quick",
-    corrupt: Optional[Corruption] = None,
+    corrupt: Corruption | None = None,
     **overrides,
 ) -> VerificationReport:
     if level not in ("quick", "full"):
@@ -900,8 +892,8 @@ def _run_by_id(args) -> VerificationReport:
 def run_all(
     level: str = "quick",
     parallelism: int = 1,
-    ids: Optional[list[str]] = None,
-    corrupt_id: Optional[str] = None,
+    ids: list[str] | None = None,
+    corrupt_id: str | None = None,
 ) -> list[VerificationReport]:
     """Reports for every requested id, ordered by catalog key."""
     if level not in ("quick", "full"):

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from math import gcd, isqrt, log, pi, sqrt
 from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
 
 Key = tuple[int, int, int]
 Mark = tuple[int, int]
@@ -70,21 +70,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FactorSpec:
+class FactorSpec(namedtuple("FactorSpec", "sign e2 step2 dz dw", defaults=(0, 0))):
     """Family of factors (1 - sign * q^((e2 + j*step2)/2) z^dz w^dw), j = 0, 1, ...
 
     ``sign=+1`` gives the plain product (x; .)_n, ``sign=-1`` encodes the
     negated argument (-x; .)_n, i.e. factors (1 + ...).
     """
 
-    sign: int
-    e2: int
-    step2: int
-    dz: int = 0
-    dw: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.e2 < 0:
@@ -93,6 +89,7 @@ class FactorSpec:
             raise ValueError("step2 must be positive")
         if self.dz < 0 or self.dw < 0:
             raise ValueError("marker degrees must be nonnegative")
+        return self
 
 
 class TruncSeries:
@@ -426,7 +423,7 @@ def truncate(s: TruncSeries, order2: int) -> TruncSeries:
     return TruncSeries._of(out, order2)
 
 
-def series_diff(got: TruncSeries, want: TruncSeries) -> Optional[tuple[Key, int, int]]:
+def series_diff(got: TruncSeries, want: TruncSeries) -> tuple[Key, int, int] | None:
     """First differing key through the common truncation range.
 
     Returns (key, expected, got) sorted by (e2, dz, dw), or None.
@@ -518,7 +515,7 @@ def _spread(v: list[int], g: int, size: int) -> list[int]:
     return out
 
 
-def _exponents(f: FactorSpec, n: Optional[int], order2: int) -> range:
+def _exponents(f: FactorSpec, n: int | None, order2: int) -> range:
     """The visible exponents of the first n factors (all of them for None)."""
     stop = order2 if n is None else min(order2, f.e2 + n * f.step2)
     return range(f.e2, stop, f.step2)
@@ -600,7 +597,7 @@ def _divided(s: TruncSeries, e: int) -> TruncSeries:
 
 
 def _ratio_sum(
-    order2: int, exp2: Callable[[int], int], num: Optional[FactorSpec], den: list[FactorSpec]
+    order2: int, exp2: Callable[[int], int], num: FactorSpec | None, den: list[FactorSpec]
 ) -> TruncSeries:
     """Sum over n >= 0 of q^(exp2(n)/2) (num)_n / prod (den)_n, with no
     numerator for num None; every family of den unmarked, e2 > 0.

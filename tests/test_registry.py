@@ -1,6 +1,5 @@
 """Catalog behavior: parameter handling, corruption, ordering, front doors."""
 
-import dataclasses
 import importlib
 import re
 import runpy
@@ -27,7 +26,7 @@ SMALL = {"1.1": {"order2": 41, "counts_max": 16}}
 
 
 def strip_elapsed(r):
-    return dataclasses.replace(r, elapsed_ms=0)
+    return r._replace(elapsed_ms=0)
 
 
 def test_run_check_is_deterministic():
@@ -255,9 +254,11 @@ def test_2_7_facet_labels():
 
 def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
     # f loses one-to-one: the round trip and the image multiset both show it
-    redistribute = registry.redistribute
+    route = registry._route
     monkeypatch.setattr(
-        registry, "redistribute", lambda pi, choice: redistribute(pi, (False,) * len(choice))
+        registry,
+        "_route",
+        lambda pi, marks, stars, choice: route(pi, marks, stars, (False,) * len(choice)),
     )
     r = run_check("2.7", sigma_max=12)
     assert r.status == "fail"
@@ -270,13 +271,13 @@ def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
 def test_2_7_fails_when_the_map_merges_the_piles(monkeypatch):
     # the merged piles are images no split pair matches: 2.7 reports a
     # failed facet, not an error
-    redistribute = registry.redistribute
+    route = registry._route
 
-    def merged(pi, choice):
-        pi1, pi2 = redistribute(pi, choice)
+    def merged(*args):
+        pi1, pi2 = route(*args)
         return tuple(sorted(pi1 + pi2)), ()
 
-    monkeypatch.setattr(registry, "redistribute", merged)
+    monkeypatch.setattr(registry, "_route", merged)
     r = run_check("2.7", sigma_max=12)
     assert r.status == "fail"
     assert r.failed_facet == "forward-roundtrip-failures"
