@@ -23,6 +23,7 @@ from collections.abc import Iterator
 from .series import (
     FactorSpec,
     TruncSeries,
+    _sum_of_products,
     inv_poch_finite,
     monomial,
     one,
@@ -82,12 +83,11 @@ def seed_E4(n_max: int, order2: int) -> BaileyPair:
 
 def defining_sum(p: BaileyPair, n: int) -> TruncSeries:
     """The right side of the defining relation at n, built from alpha."""
-    acc = zero(p.order2)
-    for i in range(n + 1):
-        acc = acc + p.alpha[i] * inv_poch_finite(
-            Q, n - i, order2=p.order2
-        ) * inv_poch_finite(Q, n + i, order2=p.order2)
-    return acc
+    return _sum_of_products(
+        [(p.alpha[i] * inv_poch_finite(Q, n - i, order2=p.order2),
+          inv_poch_finite(Q, n + i, order2=p.order2)) for i in range(n + 1)],
+        p.order2,
+    )
 
 
 def _chain_level(g: list[TruncSeries], order2: int) -> list[TruncSeries]:
@@ -95,16 +95,12 @@ def _chain_level(g: list[TruncSeries], order2: int) -> list[TruncSeries]:
 
         h_n = sum_{i<=n} q^(i^2 / 2) g_i / (q; q)_{n-i}.
 
-    Each g_i is weighted once, then each (n, i) costs one product.
+    Each g_i is weighted once, then each h_n is one sum of products, one
+    pair per i, packed and unpacked once.
     """
     weighted = [monomial(1, i * i, order2=order2) * gi for i, gi in enumerate(g)]
-    out = []
-    for n in range(len(g)):
-        acc = zero(order2)
-        for i in range(n + 1):
-            acc = acc + weighted[i] * inv_poch_finite(Q, n - i, order2=order2)
-        out.append(acc)
-    return out
+    return [_sum_of_products([(weighted[i], inv_poch_finite(Q, n - i, order2=order2))
+                              for i in range(n + 1)], order2) for n in range(len(g))]
 
 
 def _gamma(p: BaileyPair) -> list[TruncSeries]:
@@ -139,6 +135,8 @@ def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
     each leaf adds its product times 1 / (q)_{n-N_1} into beta_n for every
     n >= N_1.  Sums happen only at the leaves, one term per vector, so no
     level is summed before the next is built, as the chain (``step``) does.
+    Each root N_k's leaf terms are collected and added as one sum of
+    products per n when its subtree is done, so one root's are held at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -154,14 +152,17 @@ def iterate_closed(p: BaileyPair, k: int) -> BaileyPair:
         # partial is the product through N_j = low, with levels indices to choose
         if not levels:
             for n in range(low, top + 1):
-                sums[n] = sums[n] + partial * inv_poch_finite(Q, n - low, order2=order2)
+                leaves[n].append((partial, inv_poch_finite(Q, n - low, order2=order2)))
             return
         for nj in range(low, top + 1):
             descend(partial * factor[nj, low], nj, levels - 1)
 
     for nk, b in enumerate(p.beta):
         root = monomial(1, nk * nk, order2=order2) * poch_finite(SQ, nk, order2=order2)
+        leaves = {n: [] for n in range(nk, top + 1)}  # n -> the pairs of its leaf terms
         descend(root * b, nk, k - 1)
+        for n, pairs in leaves.items():
+            sums[n] = sums[n] + _sum_of_products(pairs, order2)
     beta = [s * inv_poch_finite(SQ, n, order2=order2) for n, s in enumerate(sums)]
     return BaileyPair(tuple(alpha), tuple(beta), order2)
 
@@ -192,11 +193,11 @@ def rhs_4_7(n: int, k: int, order2: int) -> TruncSeries:
     the k-shifted seed gives 1/((q)_{n-j}(q)_{n+j}) = [2n, n+j]/(q)_{2n},
     and only the 2n form matches the multi-sum side termwise.
     """
-    acc = zero(order2)
-    for j in range(-n, n + 1):
-        e2 = (k + 2) * j * j + 2 * j
-        sgn = -1 if j % 2 else 1
-        acc = acc + monomial(sgn, e2, order2=order2) * q_binomial(2 * n, n + j, order2=order2)
+    acc = _sum_of_products(
+        [(monomial(-1 if j % 2 else 1, (k + 2) * j * j + 2 * j, order2=order2),
+          q_binomial(2 * n, n + j, order2=order2)) for j in range(-n, n + 1)],
+        order2,
+    )
     return (
         acc
         * poch_finite(SQ, n, order2=order2)

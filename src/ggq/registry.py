@@ -62,6 +62,7 @@ from .series import (
     _dilate,
     _divided,
     _ratio_sum,
+    _sum_of_products,
     collapse_zw,
     inv_poch_finite,
     inv_poch_infinite,
@@ -73,7 +74,6 @@ from .series import (
     poch_product,
     q_coefficients,
     series_diff,
-    zero,
     zw_slice,
 )
 from .trinomials import (
@@ -175,28 +175,29 @@ def _double_sum(order2, lin, num, den2, w_mark: bool) -> TruncSeries:
     Summed by rows of n2: the factors that depend on n2 alone come out of
     the n1 sum, so row n2 is the sum over n1 of z^n1 w^n2 q^(...) /
     (q^2; q^2)_{n1}, multiplied once by (num)_{n2} and once by
-    1 / (den2)_{n2}."""
+    1 / (den2)_{n2}.  Each row is one sum of products, one pair per n1,
+    and so is the total, one pair per row."""
     a, b = lin
     z_mark = num is not None and num.dz > 0
 
     def exp2(n1, n2):
         return 2 * (n1 * n1 + 2 * n1 * n2 + 2 * n2 * n2 + a * n1 + b * n2)
 
-    total = zero(order2)
+    rows = []
     n2 = 0
     while exp2(0, n2) < order2:
         dw = n2 if w_mark else 0
-        row = zero(order2)
-        n1 = 0
+        heads, n1 = [], 0
         while exp2(n1, n2) < order2:
-            head = monomial(1, exp2(n1, n2), n1 if z_mark else 0, dw, order2=order2)
-            row = row + head * inv_poch_finite(Q2F, n1, order2=order2)
+            heads.append((monomial(1, exp2(n1, n2), n1 if z_mark else 0, dw, order2=order2),
+                          inv_poch_finite(Q2F, n1, order2=order2)))
             n1 += 1
+        row = _sum_of_products(heads, order2)
         if num is not None:
             row = row * poch_finite(num, n2, order2=order2)
-        total = total + row * inv_poch_finite(den2, n2, order2=order2)
+        rows.append((row, inv_poch_finite(den2, n2, order2=order2)))
         n2 += 1
-    return total
+    return _sum_of_products(rows, order2)
 
 
 def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
@@ -213,10 +214,9 @@ def _lhs_hierarchy(k: int, order2: int) -> list[TruncSeries]:
     top = isqrt((order2 - 1) // 2)
     sums = []
     for level in lhs_4_7(top, k - 1, (order2 + 1) // 2):
-        acc = zero(order2)
-        for m, g in enumerate(level):
-            acc = acc + monomial(1, 2 * m * m, order2=order2) * _dilate(g, order2)
-        sums.append(acc)
+        sums.append(_sum_of_products(
+            [(monomial(1, 2 * m * m, order2=order2), _dilate(g, order2))
+             for m, g in enumerate(level)], order2))
     return sums
 
 

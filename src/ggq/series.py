@@ -21,9 +21,13 @@ demand.  No stored list is ever written, so series share lists, and a
 cached series cannot change.  Exact polynomials (the bounded
 identities) are built outside this ring, as packed integers in
 ``ggq.trinomials``, and arrive as one dense list through
-``_from_lists``.  Every product goes through one kernel, ``_mul``: a
-one-term operand shifts the other; otherwise each pair of slices is one
-signed Kronecker product, as the comment above the kernel says.
+``_from_lists``.  Every product and every sum of products, such as a row
+of a double sum or a level of the Bailey chain, goes through one kernel,
+``_sum_of_products``: each pair of slices is one signed Kronecker product
+in slots wide enough for the whole sum, unpacked once, and each series
+keeps its slices as last packed for the next sum.  Only a product with a
+one-term operand shifts the other one instead; the comment above the
+kernel says why.
 Pochhammer products (a; q^k)_n and their inverses never go factor by
 factor through ``*``: their builders hold the result packed into
 integers, as the kernel does, so each factor is one bignum shift and
@@ -96,8 +100,8 @@ class TruncSeries:
     """Exact series {(e2, dz, dw): coeff}, truncated at q^(order2/2), and
     stored as its marker slices."""
 
-    # _summary: the packing inputs, filled by the first product that reads them
-    __slots__ = ("_by_mark", "_order2", "_summary")
+    # the packing inputs and the slices packed at the last (step, width), kept by the kernel
+    __slots__ = ("_by_mark", "_order2", "_summary", "_packed")
 
     def __init__(self, terms: Mapping[Key, int], order2: int):
         if order2 <= 0:
@@ -123,7 +127,7 @@ class TruncSeries:
                 v[e2 - low] = c
             self._by_mark[mark] = (low, v)
         self._order2 = order2
-        self._summary = None
+        self._summary = self._packed = None
 
     @classmethod
     def _of(cls, by_mark: Slices, order2: int) -> "TruncSeries":
@@ -133,7 +137,7 @@ class TruncSeries:
         s = object.__new__(cls)
         s._by_mark = by_mark
         s._order2 = order2
-        s._summary = None
+        s._summary = s._packed = None
         return s
 
     @property
@@ -218,9 +222,11 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order2 = min(self._order2, other._order2)
-        if not self._by_mark or not other._by_mark:
-            return TruncSeries._of({}, order2)
-        return TruncSeries._of(_mul(self, other, order2), order2)
+        if _is_term(other):
+            return _shifted(self, other, order2)
+        if _is_term(self):
+            return _shifted(other, self, order2)
+        return _sum_of_products([(self, other)], order2)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -249,37 +255,39 @@ def _check_markers(by_mark: Slices, order2: int) -> None:
 
 # -- multiplication kernel ----------------------------------------------
 #
-# A one-term operand shifts the other one: each slice moves its lowest
-# exponent and marker degrees, and a cut of its list below order2 is
-# scaled.  The packed product below would give the same terms, but
-# one-term operands, such as the monomial heads of the paper's sums, are
+# A lone product with a one-term operand shifts the other one: each slice
+# moves its lowest exponent and marker degrees, and a cut of its list below
+# order2 is scaled.  The packed product below would give the same terms,
+# but one-term operands, such as the monomial heads of the paper's sums, are
 # common.  Sending them through the packed product instead raised the
 # median time of the six marked double sums from 0.451 to 0.550 s and of
 # the full catalog from 0.829 to 0.977 s (7 alternating in-process runs,
 # 2-core x86-64 host, Python 3.11).
 #
-# Any other product multiplies each pair of marker slices as univariate
-# series, by one signed Kronecker product, and adds it under
-# (dz_a + dz_b, dw_a + dw_b).  A pair whose lowest exponents already sum
-# past order2 is skipped.
+# Any other product, and every sum of products (one-term operands and all),
+# is one call of _sum_of_products: each pair of marker slices of each pair
+# of operands is one signed Kronecker product, added under
+# (dz_a + dz_b, dw_a + dw_b).  A slice pair whose lowest exponents already
+# sum past order2 is skipped.
 #
-# Packing.  A slice with lowest exponent l is packed once per product, in
-# slots (e2 - l) / g, where g divides the offset from l of every nonzero
-# coefficient of every slice of both operands (most slices here step by
-# 4 or 8).  Each coefficient fills its B-bit slot in two's complement,
-# B holding min(terms) * max|a| * max|b| over the whole operands plus a
-# sign bit: a coefficient of the product sums at most min(terms) term
-# products, so every slot of a slice product, and of a sum of them, lies
-# in [-2^(B-1), 2^(B-1)).  Each operand's gcd, max|c| and term count are
-# read once and kept with it, since it cannot change.  A negative c fills
-# its slot as c + 2^B, which sets the slot's top bit, so 2^B is taken back
-# at each such slot.  Adding 2^(B-1) to every slot of a product then makes
-# each a digit in [0, 2^B), and no slot borrows from the next.  A pair's
-# product starts at l_a + l_b; the products under one (dz, dw) and one
-# residue of l_a + l_b mod g are shifted into place and added as integers,
-# and each sum is unpacked once, below order2, through array for 1, 2, 4
-# or 8 bytes on little-endian machines, into every g-th entry of one dense
-# list per (dz, dw).
+# Packing.  A slice with lowest exponent l is packed in slots (e2 - l) / g,
+# where g divides the offset from l of every nonzero coefficient of every
+# slice of every operand (most slices here step by 4 or 8).  Each
+# coefficient fills its B-bit slot in two's complement, B holding the sum
+# over the pairs of max|x| * max|y| * 2^bits(min(terms)) plus a sign bit:
+# a coefficient of one product sums at most min(terms) term products, so
+# every slot of the whole sum, not only of its largest product, lies in
+# [-2^(B-1), 2^(B-1)).  Each operand's gcd, max|c| and term count are read
+# once and kept with it, since it cannot change, and so are its slices
+# packed at the last (g, B): a cached inverse that many rows read is packed
+# once.  A negative c fills its slot as c + 2^B, which sets the slot's top
+# bit, so 2^B is taken back at each such slot.  Adding 2^(B-1) to every
+# slot then makes each a digit in [0, 2^B), and no slot borrows from the
+# next.  A pair's product starts at l_a + l_b; the products under one
+# (dz, dw) and one residue of l_a + l_b mod g are shifted into place and
+# added as integers, and each sum is unpacked once, below order2, through
+# array for 1, 2, 4 or 8 bytes on little-endian machines, into every g-th
+# entry of one dense list per (dz, dw).
 
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
@@ -300,13 +308,6 @@ def _summary_of(s: TruncSeries) -> tuple[int, int, int]:
     return s._summary
 
 
-def _packing(x: TruncSeries, y: TruncSeries) -> tuple[int, int]:
-    """The slot step g and the bytes per slot for any slice product of x and y."""
-    (sx, bx, tx), (sy, by, ty) = _summary_of(x), _summary_of(y)
-    # every slice of both one term long: no offset, and any step will do
-    return gcd(sx, sy) or 1, _slot_bytes((bx * by).bit_length() + min(tx, ty).bit_length())
-
-
 def _slot_bytes(bits: int) -> int:
     """Bytes per slot for coefficients below 2^bits in absolute value: a
     sign bit more, rounded up to an array item size where one fits."""
@@ -318,40 +319,51 @@ def _is_term(s: TruncSeries) -> bool:
     return len(s._by_mark) == 1 and len(next(iter(s._by_mark.values()))[1]) == 1
 
 
-def _mul(x: TruncSeries, y: TruncSeries, order2: int) -> Slices:
-    if _is_term(y):
-        x, y = y, x
-    elif not _is_term(x):
-        return _mul_sliced(x, y, order2)
-    # a one-term operand c q^(e/2) z^dz w^dw moves every slice of the other one
-    ((dz, dw), (e, (c,))), = x._by_mark.items()
+def _shifted(s: TruncSeries, term: TruncSeries, order2: int) -> TruncSeries:
+    """s times a one-term series c q^(e/2) z^dz w^dw: every slice of s moves."""
+    ((dz, dw), (e, (c,))), = term._by_mark.items()
     out: Slices = {}
-    for (z, w), (low, v) in y._by_mark.items():
+    for (z, w), (low, v) in s._by_mark.items():
         if low + e < order2:
             _put(out, (z + dz, w + dw), low + e, list(map(mul, v[: order2 - low - e], repeat(c))))
     _check_markers(out, order2)
-    return out
+    return TruncSeries._of(out, order2)
 
 
-def _mul_sliced(x: TruncSeries, y: TruncSeries, order2: int) -> Slices:
-    step, width = _packing(x, y)
-    packs_b = [(mark, *_pack(v, step, width), low) for mark, (low, v) in y._by_mark.items()]
+def _sum_of_products(pairs: list[tuple[TruncSeries, TruncSeries]], order2: int) -> TruncSeries:
+    """The sum of x * y over the pairs (x, y), below order2 and the bound
+    of every operand, packed as the comment above says."""
+    order2 = min([order2, *(s._order2 for pair in pairs for s in pair)])
+    pairs = [(x, y) for x, y in pairs if x._by_mark and y._by_mark]
+    if not pairs:
+        return TruncSeries._of({}, order2)
+    step = bound = 0
+    for x, y in pairs:
+        (sx, bx, tx), (sy, by, ty) = _summary_of(x), _summary_of(y)
+        step = gcd(step, sx, sy)
+        bound += (bx * by) << min(tx, ty).bit_length()
+    # every slice of every operand one term long: no offset, and any step will do
+    step, width = step or 1, _slot_bytes(bound.bit_length())
     packed: dict[tuple[int, int, int], list[int]] = {}  # (dz, dw, residue) -> [sum, slots]
-    for (za, wa), (la, va) in x._by_mark.items():
-        pa, na = _pack(va, step, width)
-        for (zb, wb), pb, nb, lb in packs_b:
-            low = la + lb
-            if low >= order2:
-                continue
-            residue, base = low % step, low // step
-            slots = min(base + na + nb - 1, (order2 - residue + step - 1) // step)
-            prod = (pa * pb) << (8 * width * base)
-            acc = packed.get((za + zb, wa + wb, residue))
-            if acc is None:
-                packed[za + zb, wa + wb, residue] = [prod, slots]
-            else:
-                acc[0] += prod
-                acc[1] = max(acc[1], slots)
+    for x, y in pairs:
+        for s in (x, y):  # each slice as (mark, lowest e2, value, slot count)
+            if s._packed is None or s._packed[0] != (step, width):
+                s._packed = ((step, width), [(mark, low, *_pack(v, step, width))
+                                             for mark, (low, v) in s._by_mark.items()])
+        for (za, wa), la, pa, na in x._packed[1]:
+            for (zb, wb), lb, pb, nb in y._packed[1]:
+                low = la + lb
+                if low >= order2:
+                    continue
+                residue, base = low % step, low // step
+                slots = min(base + na + nb - 1, (order2 - residue + step - 1) // step)
+                prod = (pa * pb) << (8 * width * base)
+                acc = packed.get((za + zb, wa + wb, residue))
+                if acc is None:
+                    packed[za + zb, wa + wb, residue] = [prod, slots]
+                else:
+                    acc[0] += prod
+                    acc[1] = max(acc[1], slots)
     dense: dict[Mark, list[int]] = {}
     for (dz, dw, residue), (val, slots) in packed.items():
         if (dz, dw) not in dense:
@@ -361,7 +373,7 @@ def _mul_sliced(x: TruncSeries, y: TruncSeries, order2: int) -> Slices:
     for mark, v in dense.items():
         _put(out, mark, 0, v)
     _check_markers(out, order2)
-    return out
+    return TruncSeries._of(out, order2)
 
 
 def _pack(v: list[int], step: int, width: int) -> tuple[int, int]:

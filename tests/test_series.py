@@ -487,25 +487,33 @@ def test_kernel_outputs_pass_validation(a, b, c, data):
             assert not any(dz or dw for _, dz, dw in out.terms)
 
 
-def _former_packing(x, y):
-    """The packing inputs as _packing read them before series carried them:
-    a pass over every slice of both operands."""
-    step = 0
-    for _, v in chain(x._by_mark.values(), y._by_mark.values()):
-        step = gcd(step, *compress(count(), v))
-    bound, terms = 1, []
-    for s in (x, y):
-        lists = [v for _, v in s._by_mark.values()]
-        bound *= max(max(map(max, lists)), -min(map(min, lists)))
-        terms.append(sum(len(v) - v.count(0) for v in lists))
-    return step or 1, series._slot_bytes(bound.bit_length() + min(terms).bit_length())
+def _former_packing(pairs):
+    """The packing inputs as a pass over every slice of every operand gives
+    them, before series carried them.  One pair takes the former width,
+    bits(max|x| max|y|) + bits(min(terms)); a sum of products adds each
+    pair's max|x| max|y| 2^bits(min(terms)) and takes the bits of the total."""
+    step = total = 0
+    for x, y in pairs:
+        for _, v in chain(x._by_mark.values(), y._by_mark.values()):
+            step = gcd(step, *compress(count(), v))
+        bound, terms = 1, []
+        for s in (x, y):
+            lists = [v for _, v in s._by_mark.values()]
+            bound *= max(max(map(max, lists)), -min(map(min, lists)))
+            terms.append(sum(len(v) - v.count(0) for v in lists))
+        total += bound << min(terms).bit_length()
+        bits = bound.bit_length() + min(terms).bit_length()
+    if len(pairs) > 1:
+        bits = total.bit_length()
+    return step or 1, series._slot_bytes(bits)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_kernel_operands, _kernel_operands, st.integers(-5, 5), st.data())
 def test_packing_summary_matches_the_stored_slices(a, b, c, data):
     # each series packs by a summary it fills once; it must be what its
-    # terms give, and a product's packing what a pass over both operands gave
+    # terms give, and the packing of a product, or of a sum of them, what a
+    # pass over every operand gives
     partners = [s for s in (a, b) if s]
     outs = partners + [out for out in _kernel_outputs(a, b, c, data) if out]
     for out in outs:
@@ -517,8 +525,54 @@ def test_packing_summary_matches_the_stored_slices(a, b, c, data):
         assert series._summary_of(out) == want
         assert series._summary_of(out) is series._summary_of(out)
     for x in outs:
-        for y in partners + [x]:
-            assert series._packing(x, y) == _former_packing(x, y)
+        pairs = [(x, y) for y in partners + [x]]
+        for chosen in [[pair] for pair in pairs] + [pairs]:
+            # the kernel leaves every operand packed at the sum's (step, width),
+            # also where the sum passes a truncated operand's marker bound
+            _outcome(lambda: series._sum_of_products(chosen, x.order2))
+            assert {s._packed[0] for pair in chosen for s in pair} == {_former_packing(chosen)}
+
+
+def _fold(pairs, order2):
+    # the sum as the ring operations give it, one product and one sum at a time
+    acc = zero(order2)
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+# zero series of their own bound beside every kernel operand
+_summands = st.one_of(_kernel_operands, st.builds(zero, st.integers(13, 400)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_summands, _summands), max_size=6), st.integers(13, 400))
+def test_sum_of_products_matches_the_fold(pairs, order2):
+    # marked, strided, one-term and zero operands of mixed bounds; a bound of
+    # 13 or more keeps every product's marker degree (at most 12) legal
+    got = series._sum_of_products(pairs, order2)
+    want = _fold(pairs, order2)
+    assert got == want and got.order2 == want.order2
+    assert TruncSeries(dict(got.terms), got.order2) == got
+
+
+def test_sum_of_products_sizes_its_slots_by_the_sum():
+    assert series._sum_of_products([], 17) == zero(17)
+    # each product fits one-byte slots, 20 + 20 q^2 times 1 + q^2 reaching
+    # 40, but four of them reach 160 at q^2: two bytes
+    x = TruncSeries({(0, 0, 0): 20, (2, 0, 0): 20}, 9)
+    y = TruncSeries({(0, 0, 0): 1, (2, 0, 0): 1}, 9)
+    assert (x * y).terms == {(0, 0, 0): 20, (2, 0, 0): 40, (4, 0, 0): 20}
+    assert x._packed[0] == y._packed[0] == (2, 1)
+    got = series._sum_of_products([(x, y)] * 4, 9)
+    assert x._packed[0] == y._packed[0] == (2, 2)
+    assert got.terms == {(0, 0, 0): 80, (2, 0, 0): 160, (4, 0, 0): 80} == _fold([(x, y)] * 4, 9).terms
+    # coefficients past 2^64: slots wider than eight bytes, read without array
+    big = TruncSeries({(0, 0, 0): 2**70, (1, 0, 0): -(2**70), (3, 1, 0): 3}, 9)
+    pairs = [(big, big), (big, x), (y, big)]
+    got = series._sum_of_products(pairs, 9)
+    assert big._packed[0][1] > 8
+    assert got == _fold(pairs, 9)
 
 
 Q2 = FactorSpec(1, 4, 4)
@@ -541,6 +595,19 @@ def test_cached_series_cannot_change():
     rebuilt = inv_poch_finite(Q2, 2, order2=21)
     assert rebuilt is not s and rebuilt == s
     assert [op(rebuilt) for op in ops] == results
+    # a series keeps its slices packed at the last (step, width): used in
+    # turn with partners that pack it differently, each product is that of a
+    # fresh copy, and neither == nor terms reads what it keeps
+    small = TruncSeries({(0, 0, 0): 2, (4, 1, 0): -1}, 21)
+    wide = TruncSeries({(0, 0, 0): 2**70, (2, 0, 1): 5}, 21)
+    packings = []
+    for partner in (small, wide, small, wide, small):
+        fresh = TruncSeries(dict(s.terms), 21)
+        assert s * partner == fresh * partner and partner * s == partner * fresh
+        packings.append(s._packed[0])
+        assert s == fresh and s.terms == fresh.terms and fresh._packed is not None
+        assert s == TruncSeries(dict(s.terms), 21)
+    assert packings == [(4, 1), (4, 10)] * 2 + [(4, 1)]
 
 
 def _crowded(max_size):
