@@ -270,7 +270,11 @@ def ferrers_merge(pi3: tuple[int, ...], pi4: tuple[int, ...]) -> tuple[int, ...]
 
 def triple_map(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
     """The member's image (pi1, pi3, pi4) under the routing bits."""
-    pi1, pi2 = redistribute(pi, choice)
+    return _triple(pi, *redistribute(pi, choice))
+
+
+def _triple(pi, pi1, pi2):
+    # triple_map, given the member's pair
     pi3, pi4 = ferrers_split(pi2)
     _require(sum(pi1) + sum(pi3) + sum(pi4) == sum(pi), "the pipeline keeps the size")
     return pi1, pi3, pi4

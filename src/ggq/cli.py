@@ -15,8 +15,9 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import partial
 
-from .bijection import _fmt, choices, identify, trace_pipeline, triple_map
+from .bijection import _fmt, _route, _triple, choices, euler_subtract, identify, trace_pipeline
 from .partitions import (
     ResidueFamilyConfig,
     count_g,
@@ -241,13 +242,10 @@ def _grid_params(check_id: str, args) -> dict:
 
 def _family_counter(family: str):
     fixed = {
-        "Q0": lambda n: count_q(0, n),
-        "Q1": lambda n: count_q(1, n),
-        "Q2": lambda n: count_q(2, n),
-        "Q3": lambda n: count_q(3, n),
+        **{f"Q{i}": partial(count_q, i) for i in range(4)},
         "GG": count_gg,
-        "S-weighted": lambda n: weighted_count("S", n),
-        "Sstar-weighted": lambda n: weighted_count("Sstar", n),
+        "S-weighted": partial(weighted_count, "S"),
+        "Sstar-weighted": partial(weighted_count, "Sstar"),
         "G": count_g,
         "P": count_p,
     }
@@ -268,7 +266,7 @@ def _family_counter(family: str):
             sub = int(parts[3])
             distinct = frozenset(int(x) for x in parts[4].split(","))
             cfg = ResidueFamilyConfig(modulus, allowed, distinct, sub)
-        return lambda n: count_residue_family(cfg, n)
+        return partial(count_residue_family, cfg)
     raise ValueError(
         f"unknown family {family!r}; valid: {', '.join(sorted(fixed))}, residue:<cfg>"
     )
@@ -313,9 +311,7 @@ def _cmd_count(args, cfg: CliConfig) -> int:
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "count"])
-        for n, c in enumerate(counts):
-            w.writerow([n, c])
+        w.writerows([["n", "count"], *enumerate(counts)])
         text = buf.getvalue()
     else:
         text = ",".join(str(c) for c in counts) + "\n"
@@ -326,18 +322,17 @@ def _cmd_count(args, cfg: CliConfig) -> int:
 def _cmd_bijection(args, cfg: CliConfig) -> int:
     lines = []
     for pi in enumerate_members("S", args.n):
-        for choice in choices(len(identify(pi))):
+        marks, stars = identify(pi), euler_subtract(pi)
+        for choice in choices(len(marks)):
             if args.trace:
                 for stage, value in trace_pipeline(pi, choice):
                     lines.append(f"{stage}: {value}")
                 lines.append("")
             else:
-                pi1, pi3, pi4 = triple_map(pi, choice)
+                pi1, pi3, pi4 = _triple(pi, *_route(pi, marks, stars, choice))
                 shown = "".join("2" if b else "1" for b in choice) or "-"
-                lines.append(
-                    f"pi={_fmt(pi)} choice={shown} -> "
-                    f"pi1={_fmt(pi1)} pi3={_fmt(pi3)} pi4={_fmt(pi4)}"
-                )
+                lines.append(f"pi={_fmt(pi)} choice={shown} -> "
+                             f"pi1={_fmt(pi1)} pi3={_fmt(pi3)} pi4={_fmt(pi4)}")
     _write_out("\n".join(lines) + "\n" if lines else "", args.out or cfg.out_path)
     return 0
 

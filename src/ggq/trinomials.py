@@ -5,13 +5,14 @@ limits 4.17 and 4.18, are equalities of exact polynomials in x = q^(1/2).
 Such a polynomial p is built as the integer p(2^bits) (Kronecker
 substitution), so products, sums and shifts x^e are one bignum ``*``,
 ``+`` and ``<< bits * e``, and q -> q^2 is evaluation at 2^(2 * bits).
-Each value travels with a bound on |coefficient|: a Gaussian binomial has
-nonnegative coefficients that sum to comb(top, bottom), so the bound of a
-sum of products of binomials is the sum over its terms of the products of
-those combs.  ``_unpacked`` picks slots wide enough for every bound and
-reads each value back into a TruncSeries once, by balanced digits.  Only
-this module knows the packed form.  The multisums of 4.15 and 4.20 run
-as a chain from N_1 down, with no list of vectors, and their alternating
+Gaussian binomials come from the q-Pascal rule, with no division, and
+have nonnegative coefficients that sum to comb(top, bottom).  So each
+value travels with a bound on |coefficient|: a sum of products of
+binomials is bounded by the sum of the products of their combs.
+``_unpacked`` picks slots wide enough for every bound and reads each
+value back into a TruncSeries once, by balanced digits.  Only this
+module knows the packed form.  The multisums of 4.15 and 4.20 run as a
+chain from N_1 down, with no list of vectors, and their alternating
 j-sums over a range stated in closed form: a trinomial at l vanishes
 once |a| > l, so only finitely many j can contribute.
 
@@ -101,22 +102,22 @@ def q_binomial(top: int, bottom: int, *, order2: int = 0) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def _binomial_at(top: int, bottom: int, bits: int) -> tuple[int, int]:
-    """([top choose bottom] at x = 2^bits, comb(top, bottom)); (0, 0)
-    outside 0 <= bottom <= top.
-
-    The product of (x^(top-bottom+i) - 1) / (x^i - 1), i = 1..bottom:
-    every partial product is a Gaussian binomial itself, so each division
-    is exact, and a remainder means a bug.
+    """([top choose bottom] at x = 2^bits, comb(top, bottom)) by the q-Pascal
+    rule [t, b] = [t-1, b-1] + x^b [t-1, b], one shift-add per entry, each
+    cached; (0, 0) outside 0 <= bottom <= top.  With b <= t - b, an entry
+    first builds [t - 64, b] when t - b >= 64, so the recursion runs at
+    most b + 64 deep past it.
     """
     if bottom < 0 or bottom > top:
         return 0, 0
     bottom = min(bottom, top - bottom)
-    val = 1
-    for i in range(1, bottom + 1):
-        val, rem = divmod(val * ((1 << bits * (top - bottom + i)) - 1), (1 << bits * i) - 1)
-        if rem:
-            raise AssertionError(f"q-binomial [{top}, {bottom}] left a remainder")
-    return val, comb(top, bottom)
+    if bottom == 0:
+        return 1, 1
+    if top - bottom >= 64:
+        _binomial_at(top - 64, bottom, bits)
+    f1, c1 = _binomial_at(top - 1, bottom - 1, bits)
+    f2, c2 = _binomial_at(top - 1, bottom, bits)
+    return f1 + (f2 << bits * bottom), c1 + c2
 
 
 def _unpacked(*sides, order2: int = 0) -> tuple[TruncSeries, ...]:
@@ -126,7 +127,8 @@ def _unpacked(*sides, order2: int = 0) -> tuple[TruncSeries, ...]:
     slot, so each coefficient is one balanced digit, and the top slot of
     a nonzero value is its bit length // (8 * width).  All sides share one
     order2: the given one, or else the highest degree of any side plus 2
-    (1 when every side is zero).
+    (1 when every side is zero).  Few calls widen (2 of the full tier's
+    292), so a pass at bits = 0 to fix the width first would cost more.
     """
     width = 4
     while True:
@@ -147,9 +149,8 @@ def _t_warnaar(l: int, m: int, a: int, b: int, bits: int) -> tuple[int, int]:
         f1, c1 = _binomial_at(m, n, 2 * bits)
         f2, c2 = _binomial_at(m + b + (l - a - n) // 2, m + b, 2 * bits)
         f3, c3 = _binomial_at(m - b + (l + a - n) // 2, m - b, 2 * bits)
-        if c1 and c2 and c3:
-            val += (f1 * f2 * f3) << bits * n * n
-            bound += c1 * c2 * c3
+        val += (f1 * f2 * f3) << bits * n * n
+        bound += c1 * c2 * c3
     return val, bound
 
 
@@ -160,9 +161,8 @@ def _t_ab(l: int, a: int, bits: int) -> tuple[int, int]:
     for n in range((l - a) % 2, l + 1, 2):
         f1, c1 = _binomial_at(l, n, 2 * bits)
         f2, c2 = _binomial_at(l - n, (l - a - n) // 2, 2 * bits)
-        if c1 and c2:
-            val += (f1 * f2) << bits * n * n
-            bound += c1 * c2
+        val += (f1 * f2) << bits * n * n
+        bound += c1 * c2
     return val, bound
 
 

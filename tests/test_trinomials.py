@@ -71,6 +71,32 @@ def test_binomial_pascal_and_symmetry(n, k):
     assert sum(lhs.terms.values()) == comb(n, k)
 
 
+def _packed(top, bottom, bits):
+    # q_binomial's whole polynomial at q = 2^bits, and its value at q = 1
+    terms = q_binomial(top, bottom).terms
+    return sum(c << bits * (e2 // 2) for (e2, _, _), c in terms.items()), comb(top, bottom)
+
+
+@pytest.mark.parametrize("bits", [3, 16])
+def test_packed_binomial_is_the_dense_one_evaluated(bits):
+    for top in range(25):
+        for bottom in range(top + 1):
+            assert trinomials._binomial_at(top, bottom, bits) == _packed(top, bottom, bits)
+
+
+@pytest.mark.parametrize("top, bottom", [(0, -1), (0, 1), (5, -2), (5, 6), (-1, 0), (-3, -4)])
+def test_packed_binomial_is_zero_out_of_range(top, bottom):
+    assert trinomials._binomial_at(top, bottom, 8) == (0, 0)
+
+
+@pytest.mark.parametrize("bottom", [1, 2, 3])
+def test_packed_binomial_at_a_far_top(bottom):
+    # with its cache cold, a recursion one top at a time would run about
+    # 1 000 frames deep here and raise RecursionError
+    trinomials._binomial_at.cache_clear()
+    assert trinomials._binomial_at(1000, bottom, 5) == _packed(1000, bottom, 5)
+
+
 def test_refined_trinomial_base_cases():
     assert sorted(t_warnaar(1, 1, 1, 0).terms.items()) == [
         ((0, 0, 0), 1),
