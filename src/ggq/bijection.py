@@ -17,11 +17,18 @@ routing choice, one bit per mark (``choices``).  The final triples
 the weighted count to the distinct-part counting function.
 
 Each rule on the stages' partitions is stated once, as a ``Family``
-step, and those families list ``split_pairs`` and ``triple_partitions``.
-Nothing re-checks the tuples they list.  The maps that read a member,
+step, and those families list ``split_pairs`` and ``triple_partitions``,
+each read from the listing of every size its family keeps.  Nothing
+re-checks the tuples they list.  The maps that read a member,
 ``identify`` and the staircase map ``euler_subtract``, check it through
 partition families of ``ggq.partitions``: Gollnitz-Gordon gaps and the
 parity rule, and positive parts with gaps >= 2.
+
+The redistribution is stated once, in ``_routes``: given a member and
+the marks ``identify`` read, it de-staircases the parts once and lists
+the pair of every routing choice, or of the choices it is given.
+``redistribute``, check 2.7 and the command line's bijection all route
+through it.
 
 The split is stated in closed form; ``ferrers_graph`` draws the graph
 it cuts, for the trace.  Both raise ValueError on a pi2 outside the pi2
@@ -39,8 +46,10 @@ themselves.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+from operator import add, not_, sub
 
-from .partitions import Family, _chain_marks, _gap_family, _odd_below, enumerate_partitions
+from .partitions import Family, _chain_marks, _gap_family, _listed_to, _odd_below
 
 __all__ = [
     "choices",
@@ -130,6 +139,12 @@ def choices(k: int):
         yield tuple(bool(bits >> j & 1) for j in range(k))
 
 
+@lru_cache(maxsize=None)
+def _choice_table(k: int) -> tuple[tuple[bool, ...], ...]:
+    # choices(k), built once per k
+    return tuple(choices(k))
+
+
 def redistribute(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
     """Split the member's de-staircased parts into two piles and
     re-staircase them: (pi1, pi2).
@@ -142,24 +157,44 @@ def redistribute(pi: tuple[int, ...], choice: tuple[bool, ...]) -> tuple[tuple[i
     marks = identify(pi)
     if len(choice) != len(marks):
         raise ValueError("one choice bit per mark required")
-    return _route(pi, marks, euler_subtract(pi), choice)
+    ((_, pair),) = _routes(pi, marks, (tuple(choice),))
+    return pair
 
 
-def _route(pi, marks, stars, choice) -> tuple[tuple[int, ...], ...]:
-    # redistribute, given the marks and de-staircased parts read once per member
-    to_pile2 = {v for v, bit in zip(marks, choice) if bit}
-    pile1: list[int] = []
-    pile2: list[int] = []
-    for b, v in zip(pi, stars):
-        if b % 2 == 0 or b in to_pile2:
-            pile2.append(v)
+def _routes(pi, marks, chosen=None) -> list[tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]]:
+    """The redistribution of a member under each routing choice, as
+    (choice, (pi1, pi2)): every choice, in the order of ``choices``,
+    unless chosen names some.  marks are the member's, from ``identify``.
+
+    The parts are de-staircased once, with no check of their own:
+    ``identify`` refuses anything that is not Gollnitz-Gordon.  Each
+    pile is its fixed values, the even or the unmarked odd ones, with
+    the values of the marks its choice routes there sorted in.
+    """
+    size = sum(pi)
+    to_mark = set(marks)
+    evens: list[int] = []
+    odds: list[int] = []
+    marked: list[int] = []
+    for k, b in enumerate(pi):
+        v = b - 2 * k
+        if b % 2 == 0:
+            evens.append(v)
+        elif b in to_mark:
+            marked.append(v)
         else:
-            pile1.append(v)
-    n2 = len(pile2)
-    pi2 = tuple(v + 2 * k for k, v in enumerate(pile2))
-    pi1 = tuple(v + 2 * (n2 + k) for k, v in enumerate(pile1))
-    _require(sum(pi1) + sum(pi2) == sum(pi), "redistribution keeps the size")
-    return pi1, pi2
+            odds.append(v)
+    n = len(pi)
+    out = []
+    for choice in chosen or _choice_table(len(marks)):
+        pile2 = sorted([*evens, *compress(marked, choice)]) if marked else evens
+        pile1 = sorted([*odds, *compress(marked, map(not_, choice))]) if marked else odds
+        n2 = len(pile2)
+        pi2 = tuple(map(add, pile2, range(0, 2 * n2, 2)))
+        pi1 = tuple(map(add, pile1, range(2 * n2, 2 * n, 2)))
+        _require(sum(pi1) + sum(pi2) == size, "redistribution keeps the size")
+        out.append((choice, (pi1, pi2)))
+    return out
 
 
 def _invert(pair) -> tuple[tuple[int, ...], tuple[bool, ...]]:
@@ -179,17 +214,19 @@ def _invert(pair) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """
     pi1, pi2 = pair
     n2 = len(pi2)
-    star2 = [p - 2 * k for k, p in enumerate(pi2)]
-    star1 = [p - 2 * (n2 + k) for k, p in enumerate(pi1)]
-    merged = sorted(star1 + star2)
-    pi = tuple(p + 2 * k for k, p in enumerate(merged))
+    star2 = list(map(sub, pi2, range(0, 2 * n2, 2)))
+    merged = sorted([*map(sub, pi1, range(2 * n2, 2 * (n2 + len(pi1)), 2)), *star2])
+    pi = tuple(map(add, merged, range(0, 2 * len(merged), 2)))
+    marks = identify(pi)
+    if not marks:
+        return pi, ()
     star_of = dict(zip(pi, merged))
     budget: dict[int, int] = {}
     for v in star2:
         if v % 2 == 1:
             budget[v] = budget.get(v, 0) + 1
     bits = []
-    for mark in identify(pi):
+    for mark in marks:
         v = star_of[mark]
         if budget.get(v, 0) > 0:
             budget[v] -= 1
@@ -291,33 +328,34 @@ def triple_inverse(triple) -> tuple[tuple[int, ...], tuple[bool, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _listed(family: Family, n: int) -> tuple[tuple[int, ...], ...]:
-    """The members of n in family, listed once per size; cached, so a tuple."""
-    return tuple(enumerate_partitions(n, family))
-
-
-@lru_cache(maxsize=None)
 def split_pairs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every (pi1, pi2) of size n."""
-    return tuple(
-        (pi1, pi2)
-        for s2 in range(n + 1)
-        for pi2 in _listed(_PI2, s2)
-        for pi1 in _listed(_odds(2 * len(pi2) + 1), n - s2)
-    )
+    """Every (pi1, pi2) of size n.  Each family's listing is asked at the
+    largest size this call reads from it first, so one walk serves it:
+    _PI2's at n, and each pi1 family's at n less the smallest pi2 it
+    follows, which comes first as s2 ascends."""
+    pi2s = _listed_to(_PI2, n)
+    out = []
+    for s2 in range(n + 1):
+        for pi2 in pi2s[s2]:
+            out += [(pi1, pi2) for pi1 in _listed_to(_odds(2 * len(pi2) + 1), n - s2)[n - s2]]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def triple_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every (pi1, pi3, pi4) of size n."""
-    return tuple(
-        (pi1, pi3, pi4)
-        for s3 in range(n + 1)
-        for pi3 in _listed(_MULT4, s3)
-        for s4 in range(n - s3 + 1)
-        for pi4 in _listed(_odds(1, 2 * len(pi3)), s4)
-        for pi1 in _listed(_odds(2 * len(pi3) + 1), n - s3 - s4)
-    )
+    """Every (pi1, pi3, pi4) of size n; each listing is asked at the
+    largest size read from it first, as in ``split_pairs``."""
+    pi3s = _listed_to(_MULT4, n)
+    out = []
+    for s3 in range(n + 1):
+        for pi3 in pi3s[s3]:
+            r = n - s3
+            pi4s = _listed_to(_odds(1, 2 * len(pi3)), r)
+            pi1s = _listed_to(_odds(2 * len(pi3) + 1), r)
+            out += [
+                (pi1, pi3, pi4) for s4 in range(r + 1) for pi4 in pi4s[s4] for pi1 in pi1s[r - s4]
+            ]
+    return tuple(out)
 
 
 def trace_pipeline(pi: tuple[int, ...], choice: tuple[bool, ...]) -> list[tuple[str, str]]:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import partial
 
-from .bijection import _fmt, _route, _triple, choices, euler_subtract, identify, trace_pipeline
+from .bijection import _fmt, _routes, _triple, identify, trace_pipeline
 from .partitions import (
     ResidueFamilyConfig,
     count_g,
@@ -322,14 +322,13 @@ def _cmd_count(args, cfg: CliConfig) -> int:
 def _cmd_bijection(args, cfg: CliConfig) -> int:
     lines = []
     for pi in enumerate_members("S", args.n):
-        marks, stars = identify(pi), euler_subtract(pi)
-        for choice in choices(len(marks)):
+        for choice, pair in _routes(pi, identify(pi)):
             if args.trace:
                 for stage, value in trace_pipeline(pi, choice):
                     lines.append(f"{stage}: {value}")
                 lines.append("")
             else:
-                pi1, pi3, pi4 = _triple(pi, *_route(pi, marks, stars, choice))
+                pi1, pi3, pi4 = _triple(pi, *pair)
                 shown = "".join("2" if b else "1" for b in choice) or "-"
                 lines.append(f"pi={_fmt(pi)} choice={shown} -> "
                              f"pi1={_fmt(pi1)} pi3={_fmt(pi3)} pi4={_fmt(pi4)}")

@@ -17,6 +17,13 @@ counter computes the counts of 0..N together, one packed completion
 series per state, and doubles N when asked past it, so the counts stay
 cheap far past n = 60.  It imports nothing from ``ggq.series``: the
 counts are the oracles the products are checked against.
+
+Every admitted prefix is a member, so one depth-first walk to N lists
+the members of every size 0..N.  A caller that reads every size up to a
+top asks ``_listed_to`` for the top first; the family keeps that
+listing, as it keeps its counts, and ``enumerate_partitions`` copies a
+size from it.  A size past the listing is listed on its own by a walk
+that only follows prefixes that can still reach n, and is not kept.
 """
 
 from __future__ import annotations
@@ -57,13 +64,14 @@ class Family:
     weights.  A family whose ``weigh`` checks a given tuple, such as
     ``_ANY`` or ``_gap_family``, also refuses a part below 1 and one
     below the last part.  Two families are equal only when they are one
-    object, so each keeps its own counts.
+    object, so each keeps its own counts and listing.
     """
 
-    __slots__ = ("step", "bits", "_memo")
+    __slots__ = ("step", "bits", "_memo", "_listing")
 
     def __init__(self, step: Callable[[int, int], tuple[int, int] | None], bits: int = 0):
-        for name, value in ("step", step), ("bits", bits), ("_memo", []):  # _memo: counts of 0..N
+        # _memo: counts of 0..N; _listing: the members of 0..N, by size
+        for name, value in ("step", step), ("bits", bits), ("_memo", []), ("_listing", []):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -100,10 +108,14 @@ def _next_parts(last: int, remaining: int) -> list[int]:
 
 def enumerate_partitions(n: int, family: Family | None = None) -> list[tuple[int, ...]]:
     """The members of n in ascending-lexicographic order; every partition
-    of n when no family is given."""
+    of n when no family is given.  A size the family's stored listing
+    holds is copied from it; any other is listed on its own, and not
+    stored."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     fam = family or _ANY
+    if n < len(fam._listing):
+        return list(fam._listing[n])
     step, bits = fam.step, fam.bits
     out: list[tuple[int, ...]] = []
     stack = [((), n, 0)]
@@ -116,6 +128,35 @@ def enumerate_partitions(n: int, family: Family | None = None) -> list[tuple[int
             nxt = step(state, p)
             if nxt is not None:
                 stack.append((prefix + (p,), remaining - p, nxt[0]))
+    return out
+
+
+def _listed_to(family: Family, top: int) -> list[list[tuple[int, ...]]]:
+    """The members of 0..N by size, N >= top, as kept on the family; asked
+    past N, it lists 0..top in one walk and keeps that instead, so a
+    caller that needs every size up to a top asks for the top first.  The
+    lists are the stored ones: callers read them and do not change them."""
+    listing = family._listing
+    if top >= len(listing):
+        listing[:] = _walk(family, top)
+    return listing
+
+
+def _walk(family: Family, top: int) -> list[list[tuple[int, ...]]]:
+    """The members of 0..top, by size, in one depth-first walk: every
+    admitted prefix is a member, and the walk visits the prefixes in
+    ascending-lexicographic order, so each size comes out in the order
+    ``enumerate_partitions`` lists it."""
+    step, bits = family.step, family.bits
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    stack = [((), 0, 0)]
+    while stack:
+        prefix, size, state = stack.pop()
+        out[size].append(prefix)
+        for p in range(top - size, max(state >> bits, 1) - 1, -1):
+            nxt = step(state, p)
+            if nxt is not None:
+                stack.append((prefix + (p,), size + p, nxt[0]))
     return out
 
 
@@ -224,7 +265,7 @@ def _chain_marks(variant: str, pi: tuple[int, ...]) -> tuple[int, ...] | None:
     None if the even-part parity test fails; anything not Gollnitz-Gordon
     is a usage error.  One pass over the parts: a chain starts at an odd
     part whose predecessor is not 2 below it."""
-    v = VARIANTS[variant]
+    even_offset, chain_min, chain_offset = VARIANTS[variant]
     marks = []
     last = t = 0
     parity = True
@@ -233,9 +274,9 @@ def _chain_marks(variant: str, pi: tuple[int, ...]) -> tuple[int, ...] | None:
         if p < 1 or (last and (d < 2 or (d == 2 and p % 2 == 0))):
             raise ValueError("not a Gollnitz-Gordon partition")
         if p % 2 == 0:
-            parity = parity and (p - 2 * t) % 4 == v.even_offset
+            parity = parity and (p - 2 * t) % 4 == even_offset
         else:
-            if d != 2 and p >= v.chain_min and (p - 2 * t) % 4 == v.chain_offset:
+            if d != 2 and p >= chain_min and (p - 2 * t) % 4 == chain_offset:
                 marks.append(p)
             t += 1
         last = p

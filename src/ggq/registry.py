@@ -36,9 +36,7 @@ from .bailey import (
 )
 from .bijection import (
     _invert,
-    _route,
-    choices,
-    euler_subtract,
+    _routes,
     ferrers_split,
     identify,
     split_pairs,
@@ -46,13 +44,14 @@ from .bijection import (
 )
 from .partitions import (
     MOD8_CONFIG,
+    _MEMBERS,
+    _listed_to,
     count_g,
     count_gg,
     count_p,
     count_q,
     count_residue_family,
     count_thm1_side,
-    enumerate_members,
     interp_config,
     weighted_count,
 )
@@ -371,30 +370,30 @@ def _build_2_7(sigma_max):
     # g(f(a)) == a on every a makes f one-to-one; its images, as a
     # multiset, equal to the independently listed pairs make it onto.
     # Their splits, as a multiset equal to the triples, each listed once,
-    # make the split a bijection from the pairs onto the triples
+    # make the split a bijection from the pairs onto the triples.  The
+    # sizes run from the top down, so the pairs and triples of the top
+    # walk each listing they read once, and every smaller size reuses it
     rows = []
     split = {}
-    for n in range(sigma_max + 1):
+    members = _listed_to(_MEMBERS["S"], sigma_max)
+    for n in range(sigma_max, -1, -1):
         bad = 0
-        images = Counter()
-        for pi in enumerate_members("S", n):
-            marks, stars = identify(pi), euler_subtract(pi)
-            for choice in choices(len(marks)):
-                pair = _route(pi, marks, stars, choice)
-                images[pair] += 1
+        images = []
+        for pi in members[n]:
+            for choice, pair in _routes(pi, identify(pi)):
+                images.append(pair)
                 try:
                     bad += _invert(pair) != (pi, choice)
                 except ValueError:
                     bad += 1
+        pairs = Counter(images)
         triples = Counter()
-        for (pi1, pi2), count in images.items():
+        for (pi1, pi2), count in pairs.items():
             split[pi2] = split.get(pi2) or ferrers_split(pi2)
             triples[(pi1, *split[pi2])] += count
-        total = images.total()
-        images.subtract(split_pairs(n))
-        triples.subtract(triple_partitions(n))
-        rows.append((bad, sum(map(abs, images.values())), sum(map(abs, triples.values())), total))
-    fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows))
+        rows.append((bad, _distance(pairs, Counter(split_pairs(n))),
+                     _distance(triples, Counter(triple_partitions(n))), len(images)))
+    fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows[::-1]))
     zeros = [0] * (sigma_max + 1)
     p3, p4 = ferrers_split((5, 15, 24, 29))
     worked = [*p3, *p4]
@@ -409,6 +408,14 @@ def _build_2_7(sigma_max):
         ),
         Facet("worked-example-split", worked, [4, 12, 20, 24, 1, 5, 7]),
     ]
+
+
+def _distance(got: Counter, want: Counter) -> int:
+    """The sum of |got[x] - want[x]| over every x; the dicts are compared
+    first, at C speed, where Counter's own == is a Python loop."""
+    if dict.__eq__(got, want):
+        return 0
+    return sum(abs(got[x] - want[x]) for x in got.keys() | want.keys())
 
 
 def _build_3_2(order2, counts_max, triples_max):

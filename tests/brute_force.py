@@ -119,6 +119,20 @@ def euler_add(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p + 2 * k for k, p in enumerate(parts))
 
 
+def redistribute(parts: tuple[int, ...], marks: tuple[int, ...], bits) -> tuple:
+    """The paper's redistribution (pi1, pi2) of a member: subtract the
+    staircase, send the even values and the values of the marks whose bit
+    is set to pi2's pile and every other odd value to pi1's, and add a
+    staircase back to each pile, pi1's above pi2's."""
+    staircase = [b - 2 * i for i, b in enumerate(parts)]
+    chosen = [m for m, bit in zip(marks, bits) if bit]
+    to_pi2 = [v for b, v in zip(parts, staircase) if b % 2 == 0 or b in chosen]
+    to_pi1 = [v for b, v in zip(parts, staircase) if b % 2 == 1 and b not in chosen]
+    pi2 = tuple(v + 2 * i for i, v in enumerate(to_pi2))
+    pi1 = tuple(v + 2 * (len(to_pi2) + i) for i, v in enumerate(to_pi1))
+    return pi1, pi2
+
+
 def chain_marks(variant: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """The least parts b of the odd chains, maximal runs of odd parts two
     apart, with b at least chain_min and b - 2 t(b) == chain_offset

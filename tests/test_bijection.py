@@ -80,6 +80,21 @@ def test_redistribute_single_mark():
         redistribute((5,), ())  # one bit per mark
 
 
+def test_routes_match_the_brute_force_redistribution():
+    # every member of n <= 30 from the brute-force lister, its marks from
+    # the brute-force chain rule, and every bit tuple for them
+    for n in range(31):
+        for pi in brute_force.enumerate_partitions(n, brute_force.member_side("S")):
+            marks = brute_force.chain_marks("S", pi)
+            routed = bijection._routes(pi, identify(pi))
+            k = len(marks)
+            every = [tuple(bool(i >> j & 1) for j in range(k)) for i in range(1 << k)]
+            assert [choice for choice, _ in routed] == every
+            for choice, pair in routed:
+                assert pair == brute_force.redistribute(pi, marks, choice)
+                assert redistribute(pi, choice) == pair
+
+
 def test_redistribute_roundtrip_exhaustive():
     for n in range(SIGMA + 1):
         for pi in enumerate_members("S", n):

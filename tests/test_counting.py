@@ -1,13 +1,14 @@
 """State-machine counters and listers against the brute-force oracle."""
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 import brute_force as bf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggq.bijection import _MULT4, _PI2, _listed, _odds
+from ggq import partitions
+from ggq.bijection import _MULT4, _PI2, _odds
 from ggq.partitions import (
     MOD8_CONFIG,
     P_CONFIG,
@@ -16,6 +17,7 @@ from ggq.partitions import (
     _MEMBERS,
     _count,
     _gap_family,
+    _listed_to,
     count_g,
     count_gg,
     count_p,
@@ -79,7 +81,7 @@ def test_listers_match_brute_force():
             n, bf.distinct_where(lambda p: p % 4 == 0)
         )
         for lo in (1, 4):
-            assert list(_listed(_odds(lo), n)) == bf.enumerate_partitions(
+            assert enumerate_partitions(n, _odds(lo)) == bf.enumerate_partitions(
                 n, bf.distinct_where(lambda p: p % 2 == 1 and p >= lo)
             )
 
@@ -89,6 +91,78 @@ def test_pi2_lister_matches_the_six_apart_rule():
     # bf.pi2_side keeps; the parity rule already implies it
     for n in range(61):
         assert enumerate_partitions(n, _PI2) == bf.enumerate_partitions(n, bf.pi2_side)
+
+
+# each family's listing of every size against the brute-force lister
+EVERY_SIZE = {
+    "S": (_MEMBERS["S"], bf.member_side("S")),
+    "Sstar": (_MEMBERS["Sstar"], bf.member_side("Sstar")),
+    "pi2": (_PI2, bf.pi2_side),
+    "mult4": (_MULT4, bf.distinct_where(lambda p: p % 4 == 0)),
+    "odds-from-5": (_odds(5), bf.distinct_where(lambda p: p % 2 == 1 and p >= 5)),
+    "odds-below-9": (_odds(1, 9), bf.distinct_where(lambda p: p % 2 == 1 and p < 9)),
+    "any": (partitions._ANY, None),
+}
+
+
+def _fresh(family):
+    # the same step with no listing kept yet, so the walk runs here
+    return Family(family.step, family.bits)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SIZE))
+def test_every_size_listing_matches_brute_force(name):
+    family, extend = EVERY_SIZE[name]
+    family = _fresh(family)
+    listing = _listed_to(family, 24)
+    assert len(listing) == 25
+    for n in range(25):
+        assert listing[n] == bf.enumerate_partitions(n, extend)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SIZE))
+def test_a_smaller_size_is_served_from_the_listing(name, monkeypatch):
+    family = _fresh(EVERY_SIZE[name][0])
+    _listed_to(family, 20)
+    walks = []
+    walk = partitions._walk
+    monkeypatch.setattr(partitions, "_walk", lambda f, top: walks.append(top) or walk(f, top))
+    unstored = _fresh(family)
+    for n in range(21):
+        assert _listed_to(family, n)[n] == enumerate_partitions(n, unstored)
+        assert enumerate_partitions(n, family) == enumerate_partitions(n, unstored)
+    assert walks == [] and len(family._listing) == 21 and unstored._listing == []
+
+
+def test_a_returned_listing_is_a_copy():
+    family = _fresh(_MEMBERS["S"])
+    _listed_to(family, 16)
+    got = enumerate_partitions(16, family)
+    want = list(got)
+    got.append((99,))
+    got[0] = ()
+    assert enumerate_partitions(16, family) == want
+    _listed_to(_MEMBERS["S"], 16)
+    members = enumerate_members("S", 16)
+    members.clear()
+    assert enumerate_members("S", 16) == want
+
+
+def test_split_pairs_walks_each_family_once(monkeypatch):
+    from ggq import bijection
+
+    walked = []
+    walk = partitions._walk
+    monkeypatch.setattr(partitions, "_walk", lambda f, top: walked.append(f) or walk(f, top))
+    monkeypatch.setattr(bijection, "_PI2", _fresh(_PI2))
+    monkeypatch.setattr(bijection, "_odds", lru_cache(maxsize=None)(_odds.__wrapped__))
+    split_pairs = bijection.split_pairs.__wrapped__
+    top = split_pairs(30)
+    assert walked and len(set(map(id, walked))) == len(walked)
+    before = len(walked)
+    assert [len(split_pairs(n)) for n in range(31)] == [weighted_count("S", n) for n in range(31)]
+    assert split_pairs(30) == top
+    assert len(walked) == before
 
 
 WEIGHED = {

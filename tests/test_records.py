@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 import ggq
-from ggq.bijection import _listed
 from ggq.cli import CliConfig
-from ggq.partitions import Family, ResidueFamilyConfig
+from ggq.partitions import Family, ResidueFamilyConfig, _listed_to
 from ggq.registry import Corruption, VerificationReport, run_check
 from ggq.series import FactorSpec, inv_poch_finite
 
@@ -70,9 +69,9 @@ def test_families_of_one_step_are_distinct_keys():
 
     f, g = Family(step), Family(step)
     assert f != g and f == f
-    before = _listed.cache_info().currsize
-    assert _listed(f, 9) == _listed(g, 9)
-    assert _listed.cache_info().currsize == before + 2
+    # each keeps its own listing: listing f leaves g's empty
+    assert len(_listed_to(f, 9)) == 10 and g._listing == []
+    assert _listed_to(g, 9) == f._listing and g._listing is not f._listing
     assert repr(f) == f"Family(step={step!r}, bits=0)"
     with pytest.raises(AttributeError):
         f.bits = 1

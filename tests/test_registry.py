@@ -254,12 +254,13 @@ def test_2_7_facet_labels():
 
 def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
     # f loses one-to-one: the round trip and the image multiset both show it
-    route = registry._route
-    monkeypatch.setattr(
-        registry,
-        "_route",
-        lambda pi, marks, stars, choice: route(pi, marks, stars, (False,) * len(choice)),
-    )
+    routes = registry._routes
+
+    def ignoring(pi, marks):
+        pairs = dict(routes(pi, marks))
+        return [(choice, pairs[(False,) * len(choice)]) for choice in pairs]
+
+    monkeypatch.setattr(registry, "_routes", ignoring)
     r = run_check("2.7", sigma_max=12)
     assert r.status == "fail"
     assert r.failed_facet == "forward-roundtrip-failures"
@@ -271,13 +272,12 @@ def test_2_7_fails_when_the_map_ignores_the_choice(monkeypatch):
 def test_2_7_fails_when_the_map_merges_the_piles(monkeypatch):
     # the merged piles are images no split pair matches: 2.7 reports a
     # failed facet, not an error
-    route = registry._route
+    routes = registry._routes
 
-    def merged(*args):
-        pi1, pi2 = route(*args)
-        return tuple(sorted(pi1 + pi2)), ()
+    def merged(pi, marks):
+        return [(c, (tuple(sorted(pi1 + pi2)), ())) for c, (pi1, pi2) in routes(pi, marks)]
 
-    monkeypatch.setattr(registry, "_route", merged)
+    monkeypatch.setattr(registry, "_routes", merged)
     r = run_check("2.7", sigma_max=12)
     assert r.status == "fail"
     assert r.failed_facet == "forward-roundtrip-failures"
