@@ -4,12 +4,12 @@
     PYTHONPATH=src python3 scripts/facet_digest.py
 
 Each id of the catalog is built at its quick and then its full
-parameters, with ``counts_max`` and ``triples_max`` clamped as
-``run_check`` clamps and reports them.  The digest covers each facet's
-id, level, label, kind and both sides; a series enters as its order2 and
-its sorted terms, so the digest does not depend on how a series is
-stored.  Two checkouts whose digests are equal build the same facets
-with the same values.
+parameters, with ``counts_max`` and ``triples_max`` clamped by
+``registry._clamped``, as ``run_check`` clamps and reports them.  The
+digest covers each facet's id, level, label, kind and both sides; a
+series enters as its order2 and its sorted terms, so the digest does not
+depend on how a series is stored.  Two checkouts whose digests are equal
+build the same facets with the same values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import sys
 
-from ggq.registry import REGISTRY, registry_ids
+from ggq.registry import REGISTRY, _clamped, registry_ids
 from ggq.series import TruncSeries
 
 
@@ -25,15 +25,6 @@ def canonical(side: object) -> object:
     if isinstance(side, TruncSeries):
         return side.order2, sorted(side.terms.items())
     return list(side)
-
-
-def clamped(params: dict) -> dict:
-    params = dict(params)
-    if "counts_max" in params:
-        params["counts_max"] = min(params["counts_max"], (params["order2"] - 1) // 2)
-    if "triples_max" in params:
-        params["triples_max"] = min(params["triples_max"], params["counts_max"])
-    return params
 
 
 def digest() -> tuple[dict[str, int], str]:
@@ -44,7 +35,7 @@ def digest() -> tuple[dict[str, int], str]:
         counts[level] = 0
         for check_id in registry_ids():
             entry = REGISTRY[check_id]
-            for f in entry.builder(**clamped(getattr(entry, level))):
+            for f in entry.builder(**_clamped(getattr(entry, level))):
                 row = (check_id, level, f.label, f.kind, canonical(f.got), canonical(f.expected))
                 h.update(repr(row).encode())
                 counts[level] += 1

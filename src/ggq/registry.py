@@ -9,15 +9,18 @@ Check ids are opaque catalog keys and form the public contract of the
 command line front end.  Each id is one row of ``REGISTRY``: a builder
 and two parameter sets, "quick" (the acceptance bounds) and "full"
 (extended bounds).  Most builders come from one factory per shape of
-statement: sum = product (= generating function of a count), count
-sequence = count sequence, a limit stabilizes, a Bailey relation, and a
-marked double sum = single sum = product.  Only the irregular ids have a
-builder of their own.  The multisums of 4.12 and 4.13 read the Bailey
-chain of ``bailey.lhs_4_7`` with q replaced by q^2, so the chain is not
-stated here a second time.  ``run_check`` clamps the count bounds to what
-the truncation order can show, once for every id, and reports the clamped
-values; a check that compares no facets, or a counts facet of no
-entries, is a usage error, not a pass.
+statement: a chain of forms, count sequence = count sequence, a limit
+stabilizes, and a Bailey relation.  A chain is sum = product, double sum
+= single sum = product, or sum = product = product, plus facets that read
+one side through a view (its z, w markers set to 1, its w-degree-0
+slice) against another series, or its q-coefficients against a count
+oracle.  Only the irregular ids have a builder of their own.  The
+multisums of 4.12 and 4.13 read the Bailey chain of ``bailey.lhs_4_7``
+with q replaced by q^2, so that chain is not stated here a second time.
+``_clamped`` clamps the count bounds to what the truncation order can
+show, for ``run_check`` at every id and for the facet digest script;
+``run_check`` reports the clamped values.  A check that compares no
+facets, or a counts facet of no entries, is a usage error, not a pass.
 """
 
 from __future__ import annotations
@@ -243,9 +246,7 @@ def _hier_rewrite(k: int, order2: int) -> TruncSeries | None:
         ]
     else:
         return None
-    return poch_product(specs, order2=order2) * inv_poch_infinite(
-        Q1F, order2=order2
-    )
+    return _product(*specs, over=[Q1F])(order2)
 
 
 def _upward(f, top: int) -> list:
@@ -265,34 +266,42 @@ def _counts_facet(label, series: TruncSeries, cmax: int, oracle) -> Facet:
 # The callables a row passes in are lambdas that name ggq functions, so
 # the names are looked up when the check runs, not captured when the
 # catalog is built; tooling that rebinds module names (the benchmark's
-# span tracer) then sees every call.
+# span tracer) then sees every call.  A view or an oracle is a lambda
+# too, never a bare ggq function such as collapse_zw or count_p.
 
 
-def _sum_vs_product(lhs, rhs, counted=None):
-    """Builder of "sum = product": lhs and rhs map order2 to a series.
-    counted, when given, is (label, side, oracle): the q^0..q^counts_max
-    coefficients of side(sum, product) against oracle(n)."""
+def _chain(*chain, also=()):
+    """Builder of "side = side = ...": chain alternates sides and labels,
+    side, label, side, ..., each side mapping order2 to a series, each
+    label naming the facet of the two sides beside it.  Each entry of also,
+    (label, i, view, want, bound), is one more facet of side i, read
+    through view(series) when view is given: with bound None, against the
+    series want(order2); otherwise its q^0..q^n coefficients against
+    want(0..n), where n is the bound parameter named (such as
+    "counts_max"), or a fixed number clamped to what order2 shows."""
 
-    def build(order2, counts_max=0):
-        a, b = lhs(order2), rhs(order2)
-        facets = [Facet("sum-vs-product", a, b)]
-        if counted is not None:
-            label, side, oracle = counted
-            facets.append(_counts_facet(label, side(a, b), counts_max, oracle))
+    def build(order2, **bounds):
+        built = [side(order2) for side in chain[::2]]
+        facets = [Facet(label, a, b) for label, a, b in zip(chain[1::2], built, built[1:])]
+        for label, i, view, want, bound in also:
+            s = built[i] if view is None else view(built[i])
+            if bound is None:
+                facets.append(Facet(label, s, want(order2)))
+            else:
+                n = bounds[bound] if isinstance(bound, str) else min(bound, (order2 - 1) // 2)
+                facets.append(_counts_facet(label, s, n, want))
         return facets
 
     return build
 
 
-def _product(*specs, inverse=False):
-    """order2 -> the product of the FactorSpecs, or of their inverses."""
-    if inverse:
-        return lambda order2: prod(inv_poch_infinite(f, order2=order2) for f in specs)
-    return lambda order2: poch_product(specs, order2=order2)
-
-
-def _the_product(_, product):
-    return product
+def _product(*factors, over=()):
+    """order2 -> the product of the FactorSpecs in factors divided by the
+    product of those in over."""
+    return lambda order2: prod(
+        (inv_poch_infinite(f, order2=order2) for f in over),
+        start=poch_product(factors, order2=order2) if factors else 1,
+    )
 
 
 def _sequences(*rows):
@@ -337,27 +346,6 @@ def _bailey_relation(stepped: bool):
         return [
             Facet(f"{label} n={n}", p.beta[n], defining_sum(p, n))
             for n in range(n_max + 1)
-        ]
-
-    return build
-
-
-def _marked(lin, single, product, base):
-    """Builder of "marked double sum = marked single sum = marked product",
-    and of the product with its markers set to 1 against the unmarked
-    product.  The double sum has (q^2; q^2)_{n2} below, no numerator and
-    the linear exponent part lin; single maps order2 to a series; product
-    and base are lists of FactorSpecs."""
-
-    def build(order2):
-        double = _double_sum(order2, lin, None, Q2F, True)
-        single_sum = single(order2)
-        marked = poch_product(product, order2=order2)
-        unmarked = poch_product(base, order2=order2)
-        return [
-            Facet("double-vs-single", double, single_sum),
-            Facet("single-vs-product", single_sum, marked),
-            Facet("collapsed-vs-base", collapse_zw(marked), unmarked),
         ]
 
     return build
@@ -418,35 +406,6 @@ def _distance(got: Counter, want: Counter) -> int:
     return sum(abs(got[x] - want[x]) for x in got.keys() | want.keys())
 
 
-def _build_3_2(order2, counts_max, triples_max):
-    lhs = _double_sum(order2, (0, 2), MQ_Q2, Q4F, False)
-    rhs_a = poch_product([F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)], order2=order2)
-    rhs_b = poch_product([F(-1, 2, 4), F(-1, 8, 8)], order2=order2)
-    return [
-        Facet("sum-vs-product", lhs, rhs_a),
-        Facet("product-vs-product", rhs_a, rhs_b),
-        _counts_facet("sum-vs-counts", lhs, counts_max, lambda n: count_q(2, n)),
-        _counts_facet(
-            "sum-vs-triples", lhs, triples_max, lambda n: len(triple_partitions(n))
-        ),
-    ]
-
-
-_marked_3_7 = _marked(
-    (1, 1),
-    lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, F(-1, 2, 4, 0, 1), [Q2F]),
-    [F(-1, 4, 8), F(-1, 6, 8, 0, 1), F(-1, 8, 8)],
-    [F(-1, 4, 8), F(-1, 6, 8), F(-1, 8, 8)],
-)
-
-
-def _build_3_7(order2):
-    facets = _marked_3_7(order2)
-    j0 = _ratio_sum(order2, lambda n: 2 * n * n + 2 * n, None, [Q2F])
-    double = facets[0].got
-    return facets + [Facet("degree-0-slice", zw_slice(double, dw=0), j0)]
-
-
 def _build_4_5(order2, k_max, n_max):
     base = seed_E4(n_max, order2)
     facets = []
@@ -473,11 +432,7 @@ def _build_4_7(order2, n_max, k_max):
 
 def _build_4_11(order2):
     zspecs = [((1, 0), "z=1"), ((-1, 0), "z=-1"), ((1, 2), "z=q"), ((1, 6), "z=q^3")]
-    facets = []
-    for zspec, label in zspecs:
-        lhs, rhs = jacobi_sides(zspec, order2=order2)
-        facets.append(Facet(label, lhs, rhs))
-    return facets
+    return [Facet(label, *jacobi_sides(zspec, order2=order2)) for zspec, label in zspecs]
 
 
 def _build_4_12(order2, k_list, counts_max):
@@ -503,35 +458,6 @@ def _build_4_12(order2, k_list, counts_max):
             facets.append(_counts_facet("sum-vs-distinct-counts k=2", lhs, counts_max,
                                         lambda n: count_q(2, n)))
     return facets
-
-
-def _build_4_13(order2, counts_max):
-    a = _lhs_hierarchy(2, order2)[1]
-    b = poch_product([F(-1, 2, 4), F(-1, 8, 8)], order2=order2)
-    c = poch_product([F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)], order2=order2)
-    return [
-        Facet("sum-vs-pair-product", a, b),
-        Facet("pair-vs-triple-product", b, c),
-        _counts_facet("sum-vs-counts", a, counts_max, lambda n: count_q(2, n)),
-    ]
-
-
-def _build_4_14(order2, counts_max):
-    lhs = _ratio_sum(order2, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F])
-    form1 = poch_product(
-        [F(1, 4, 8), F(1, 12, 12), F(1, 2, 12), F(1, 10, 12)], order2=order2
-    ) * inv_poch_infinite(Q1F, order2=order2)
-    form2 = poch_infinite(F(-1, 6, 12), order2=order2)
-    for f in (F(1, 8, 24), F(1, 16, 24)):
-        form2 = form2 * inv_poch_infinite(f, order2=order2)
-    # q^0..q^9, or as many as order2 shows
-    head = [1, 0, 0, 1, 1, 0, 0, 1, 2, 1][: (order2 + 1) // 2]
-    return [
-        Facet("sum-vs-product", lhs, form1),
-        Facet("product-forms", form1, form2),
-        Facet("head-coefficients", q_coefficients(lhs, len(head) - 1), head),
-        _counts_facet("sum-vs-counts", lhs, counts_max, count_p),
-    ]
 
 
 # at l = 0 both sides of 4.15 and 4.20 are the zero polynomial, so the
@@ -574,79 +500,118 @@ _Entry = namedtuple("_Entry", "builder quick full")
 
 REGISTRY: dict[str, _Entry] = {
     "1.1": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, MQ_Q2, [Q2F]),
+            "sum-vs-product",
             _product(F(-1, 4, 8), F(-1, 6, 8), F(-1, 8, 8)),
-            ("product-vs-counts", _the_product, lambda n: count_q(1, n)),
+            also=[("product-vs-counts", 1, None, lambda n: count_q(1, n), "counts_max")],
         ),
         {"order2": 201, "counts_max": 60}, {"order2": 301, "counts_max": 72},
     ),
     "1.2": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _single_pair_sum(o, marked=False),
+            "sum-vs-product",
             _product(F(-1, 2, 8), F(-1, 4, 8), F(-1, 8, 8)),
-            ("product-vs-counts", _the_product, lambda n: count_q(3, n)),
+            also=[("product-vs-counts", 1, None, lambda n: count_q(3, n), "counts_max")],
         ),
         {"order2": 201, "counts_max": 60}, {"order2": 301, "counts_max": 72},
     ),
     "1.3": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _ratio_sum(o, lambda n: 2 * n * n, MQ_Q2, [Q2F]),
-            _product(F(1, 2, 16), F(1, 8, 16), F(1, 14, 16), inverse=True),
-            ("product-vs-counts", _the_product, lambda n: count_residue_family(MOD8_CONFIG[1], n)),
+            "sum-vs-product",
+            _product(over=[F(1, 2, 16), F(1, 8, 16), F(1, 14, 16)]),
+            also=[("product-vs-counts", 1, None,
+                   lambda n: count_residue_family(MOD8_CONFIG[1], n), "counts_max")],
         ),
         {"order2": 201, "counts_max": 60}, {"order2": 301, "counts_max": 72},
     ),
     "1.4": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _ratio_sum(o, lambda n: 2 * (n * n + 2 * n), MQ_Q2, [Q2F]),
-            _product(F(1, 6, 16), F(1, 8, 16), F(1, 10, 16), inverse=True),
-            ("product-vs-counts", _the_product, lambda n: count_residue_family(MOD8_CONFIG[3], n)),
+            "sum-vs-product",
+            _product(over=[F(1, 6, 16), F(1, 8, 16), F(1, 10, 16)]),
+            also=[("product-vs-counts", 1, None,
+                   lambda n: count_residue_family(MOD8_CONFIG[3], n), "counts_max")],
         ),
         {"order2": 201, "counts_max": 60}, {"order2": 301, "counts_max": 72},
     ),
     "2.7": _Entry(_build_2_7, {"sigma_max": 36}, {"sigma_max": 40}),
     "3.2": _Entry(
-        _build_3_2,
+        _chain(
+            lambda o: _double_sum(o, (0, 2), MQ_Q2, Q4F, False),
+            "sum-vs-product",
+            _product(F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)),
+            "product-vs-product",
+            _product(F(-1, 2, 4), F(-1, 8, 8)),
+            also=[
+                ("sum-vs-counts", 0, None, lambda n: count_q(2, n), "counts_max"),
+                ("sum-vs-triples", 0, None, lambda n: len(triple_partitions(n)), "triples_max"),
+            ],
+        ),
         {"order2": 81, "counts_max": 40, "triples_max": 36},
         {"order2": 121, "counts_max": 46, "triples_max": 38},
     ),
     "3.3": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _double_sum(o, (0, 2), F(-1, 2, 4, 1), Q4F, True),
+            "sum-vs-product",
             _product(F(-1, 2, 8, 1), F(-1, 6, 8, 1), F(-1, 8, 8, 0, 1)),
         ),
         {"order2": 81}, {"order2": 121},
     ),
     "3.4": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _double_sum(o, (0, 0), F(-1, 2, 4, 1), Q4F, True),
+            "sum-vs-product",
             _product(F(-1, 2, 8, 1), F(-1, 6, 8, 1), F(-1, 4, 8, 0, 1)),
-            ("collapsed-vs-counts", lambda s, _: collapse_zw(s), lambda n: count_q(0, n)),
+            also=[("collapsed-vs-counts", 1, lambda s: collapse_zw(s),
+                   lambda n: count_q(0, n), "counts_max")],
         ),
         {"order2": 81, "counts_max": 40}, {"order2": 121, "counts_max": 46},
     ),
     "3.5": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _double_sum(o, (1, 1), F(-1, 4, 4, 1), Q4F, True),
+            "sum-vs-product",
             _product(F(-1, 4, 8, 1), F(-1, 6, 8, 0, 1), F(-1, 8, 8, 1)),
         ),
         {"order2": 81}, {"order2": 121},
     ),
-    "3.7": _Entry(_build_3_7, {"order2": 121}, {"order2": 161}),
+    "3.7": _Entry(
+        _chain(
+            lambda o: _double_sum(o, (1, 1), None, Q2F, True),
+            "double-vs-single",
+            lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, F(-1, 2, 4, 0, 1), [Q2F]),
+            "single-vs-product",
+            _product(F(-1, 4, 8), F(-1, 6, 8, 0, 1), F(-1, 8, 8)),
+            also=[
+                ("collapsed-vs-base", 2, lambda s: collapse_zw(s),
+                 _product(F(-1, 4, 8), F(-1, 6, 8), F(-1, 8, 8)), None),
+                ("degree-0-slice", 0, lambda s: zw_slice(s, dw=0),
+                 lambda o: _ratio_sum(o, lambda n: 2 * n * n + 2 * n, None, [Q2F]), None),
+            ],
+        ),
+        {"order2": 121}, {"order2": 161},
+    ),
     "3.8": _Entry(
-        _sum_vs_product(
+        _chain(
             lambda o: _double_sum(o, (1, -1), F(-1, 4, 4, 1), Q4F, True),
+            "sum-vs-product",
             _product(F(-1, 4, 8, 1), F(-1, 2, 8, 0, 1), F(-1, 8, 8, 1)),
         ),
         {"order2": 81}, {"order2": 121},
     ),
     "3.10": _Entry(
-        _marked(
-            (1, -1),
+        _chain(
+            lambda o: _double_sum(o, (1, -1), None, Q2F, True),
+            "double-vs-single",
             lambda o: _single_pair_sum(o, marked=True),
-            [F(-1, 4, 8), F(-1, 2, 8, 0, 1), F(-1, 8, 8)],
-            [F(-1, 2, 8), F(-1, 4, 8), F(-1, 8, 8)],
+            "single-vs-product",
+            _product(F(-1, 4, 8), F(-1, 2, 8, 0, 1), F(-1, 8, 8)),
+            also=[("collapsed-vs-base", 2, lambda s: collapse_zw(s),
+                   _product(F(-1, 2, 8), F(-1, 4, 8), F(-1, 8, 8)), None)],
         ),
         {"order2": 121}, {"order2": 161},
     ),
@@ -681,11 +646,29 @@ REGISTRY: dict[str, _Entry] = {
         {"order2": 161, "k_list": [1, 2, 3, 4, 5, 6, 7, 8], "counts_max": 44},
     ),
     "4.13": _Entry(
-        _build_4_13,
+        _chain(
+            lambda o: _lhs_hierarchy(2, o)[1],
+            "sum-vs-pair-product",
+            _product(F(-1, 2, 4), F(-1, 8, 8)),
+            "pair-vs-triple-product",
+            _product(F(-1, 2, 8), F(-1, 6, 8), F(-1, 8, 8)),
+            also=[("sum-vs-counts", 0, None, lambda n: count_q(2, n), "counts_max")],
+        ),
         {"order2": 121, "counts_max": 40}, {"order2": 161, "counts_max": 46},
     ),
     "4.14": _Entry(
-        _build_4_14,
+        _chain(
+            lambda o: _ratio_sum(o, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F]),
+            "sum-vs-product",
+            _product(F(1, 4, 8), F(1, 12, 12), F(1, 2, 12), F(1, 10, 12), over=[Q1F]),
+            "product-forms",
+            _product(F(-1, 6, 12), over=[F(1, 8, 24), F(1, 16, 24)]),
+            also=[
+                # q^0..q^9, or as many as order2 shows
+                ("head-coefficients", 0, None, lambda n: (1, 0, 0, 1, 1, 0, 0, 1, 2, 1)[n], 9),
+                ("sum-vs-counts", 0, None, lambda n: count_p(n), "counts_max"),
+            ],
+        ),
         {"order2": 201, "counts_max": 40}, {"order2": 301, "counts_max": 46},
     ),
     "4.15": _Entry(
@@ -770,7 +753,7 @@ def natural_key(check_id: str):
 
 
 def _facet_mismatch(f: Facet) -> str | None:
-    if isinstance(f.got, TruncSeries):
+    if f.kind == "series":
         d = series_diff(f.got, f.expected)
         if d is not None:
             (e2, dz, dw), want, got = d
@@ -788,7 +771,7 @@ def _facet_mismatch(f: Facet) -> str | None:
 
 
 def _corrupted(f: Facet, c: Corruption) -> Facet:
-    if isinstance(f.got, TruncSeries):
+    if f.kind == "series":
         s = f.got
         if c.key is None:
             key = min(s.terms) if s.terms else (0, 0, 0)
@@ -817,6 +800,18 @@ def _corrupted(f: Facet, c: Corruption) -> Facet:
 
 _LEAST_BOUNDS = {"order2": 3, "n_max": 1, "sigma_max": 1, "k_max": 1, "l_max": 1,
                  "m_max": 0, "j_max": 0, "triples_max": 0, "counts_max": 0}
+
+
+def _clamped(params: dict) -> dict:
+    """params with counts_max clamped to (order2 - 1) // 2, the largest n
+    whose count a series truncated at order2 holds (every id with a count
+    bound has an order2), and triples_max to counts_max."""
+    params = dict(params)
+    if "counts_max" in params:
+        params["counts_max"] = min(params["counts_max"], (params["order2"] - 1) // 2)
+    if "triples_max" in params:
+        params["triples_max"] = min(params["triples_max"], params["counts_max"])
+    return params
 
 
 def run_check(
@@ -850,13 +845,8 @@ def run_check(
             )
     if any(k < 1 for k in params.get("k_list", ())):
         raise ValueError(f"check {check_id}: k must be at least 1, got {params}")
-    # a series truncated at order2 holds counts up to n = (order2 - 1) // 2
-    # only (every id with a count bound has an order2); the report then
-    # echoes the bounds that were compared
-    if "counts_max" in params:
-        params["counts_max"] = min(params["counts_max"], (params["order2"] - 1) // 2)
-    if "triples_max" in params:
-        params["triples_max"] = min(params["triples_max"], params["counts_max"])
+    # the report echoes the bounds that were compared
+    params = _clamped(params)
     t0 = time.perf_counter()
     facets = entry.builder(**params)
     if not facets:

@@ -1,6 +1,8 @@
 """Catalog behavior: parameter handling, corruption, ordering, front doors."""
 
+import functools
 import importlib
+import inspect
 import re
 import runpy
 from pathlib import Path
@@ -21,6 +23,7 @@ from ggq.registry import (
     run_all,
     run_check,
 )
+from ggq.series import inv_poch_infinite, poch_product
 
 SMALL = {"1.1": {"order2": 41, "counts_max": 16}}
 
@@ -236,6 +239,91 @@ def test_facet_digest_script_covers_both_tiers(capsys):
     count, digest = capsys.readouterr().out.splitlines()
     assert count == "763 facets (308 quick + 455 full)"
     assert re.fullmatch("sha256 [0-9a-f]{64}", digest)
+    # every facet's label, orientation and value; a change that alters a
+    # facet on purpose updates this pin and says why
+    assert digest == "sha256 056a8daa1d8bdbfa1660aca374566cef3ceed6af24db37be698f104e5f6ce92f"
+
+
+# the ggq functions each quick-tier row calls through registry's module
+# names; a row that captured a function object when the catalog was built
+# (a bare collapse_zw or count_p where a lambda belongs) calls it past any
+# rebinding of those names, and so out of the benchmark's span trace
+ROW_CALLS = {
+    "1.1": {"_ratio_sum", "count_q", "poch_product", "q_coefficients"},
+    "1.2": {"_divided", "_ratio_sum", "count_q", "monomial", "one", "poch_product",
+            "q_coefficients"},
+    "1.3": {"_ratio_sum", "count_residue_family", "inv_poch_infinite", "q_coefficients"},
+    "1.4": {"_ratio_sum", "count_residue_family", "inv_poch_infinite", "q_coefficients"},
+    "2.7": {"_invert", "_listed_to", "_routes", "ferrers_split", "identify", "split_pairs",
+            "triple_partitions", "weighted_count"},
+    "3.2": {"_sum_of_products", "count_q", "inv_poch_finite", "monomial", "poch_finite",
+            "poch_product", "q_coefficients", "triple_partitions"},
+    "3.3": {"_sum_of_products", "inv_poch_finite", "monomial", "poch_finite", "poch_product"},
+    "3.4": {"_sum_of_products", "collapse_zw", "count_q", "inv_poch_finite", "monomial",
+            "poch_finite", "poch_product", "q_coefficients"},
+    "3.5": {"_sum_of_products", "inv_poch_finite", "monomial", "poch_finite", "poch_product"},
+    "3.7": {"_ratio_sum", "_sum_of_products", "collapse_zw", "inv_poch_finite", "monomial",
+            "poch_product", "zw_slice"},
+    "3.8": {"_sum_of_products", "inv_poch_finite", "monomial", "poch_finite", "poch_product"},
+    "3.10": {"_divided", "_ratio_sum", "_sum_of_products", "collapse_zw", "inv_poch_finite",
+             "monomial", "one", "poch_product"},
+    "4.3": {"defining_sum", "seed_E4", "step"},
+    "4.5": {"iterate_closed", "seed_E4", "step"},
+    "4.6": {"defining_sum", "seed_E4"},
+    "4.7": {"lhs_4_7", "rhs_4_7"},
+    "4.9": {"limit_4_9"},
+    "4.10": {"limit_4_10"},
+    "4.11": {"jacobi_sides"},
+    "4.12": {"_dilate", "_sum_of_products", "count_q", "count_residue_family", "interp_config",
+             "inv_poch_infinite", "lhs_4_7", "monomial", "poch_infinite", "poch_product",
+             "q_coefficients"},
+    "4.13": {"_dilate", "_sum_of_products", "count_q", "lhs_4_7", "monomial", "poch_product",
+             "q_coefficients"},
+    "4.14": {"_ratio_sum", "count_p", "inv_poch_infinite", "poch_product", "q_coefficients"},
+    "4.15": {"sides_4_15"},
+    "4.17": {"limit_4_17"},
+    "4.18": {"limit_4_18"},
+    "4.20": {"sides_4_20"},
+    "thm1": {"count_q", "count_thm1_side"},
+    "thm2": {"count_gg", "count_residue_family"},
+    "thm3": {"count_q", "weighted_count"},
+    "thm4": {"count_q", "weighted_count"},
+    "thm5": {"_ratio_sum", "count_g", "count_p", "q_coefficients"},
+    "lemma1": {"split_pairs", "weighted_count"},
+    "lemma2": {"count_q", "split_pairs", "triple_partitions"},
+}
+
+
+def test_rows_call_layer_functions_through_registry_names(monkeypatch):
+    # each function registry imports from a layer module is rebound to a
+    # recorder, as perfbench/tracer.py rebinds it (classes are left alone:
+    # rebinding TruncSeries would break isinstance)
+    layers = {f"ggq.{m}" for m in ("bailey", "bijection", "partitions", "series", "trinomials")}
+    seen = set()
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            seen.add(name)
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name, value in list(vars(registry).items()):
+        if callable(value) and not inspect.isclass(value) and value.__module__ in layers:
+            monkeypatch.setattr(registry, name, recording(name, value))
+    called = {}
+    for check_id, entry in REGISTRY.items():
+        seen.clear()
+        entry.builder(**entry.quick)
+        called[check_id] = set(seen)
+    assert called == ROW_CALLS
+
+
+def test_product_divides_by_the_factors_over():
+    q1, q2 = registry.Q1F, registry.Q2F
+    assert registry._product(q1, q2, over=[q1])(41) == poch_product([q2], order2=41)
+    assert registry._product(over=[q2])(41) == inv_poch_infinite(q2, order2=41)
 
 
 def _facets_2_7(sigma_max):
@@ -336,8 +424,9 @@ def test_every_exported_name_exists(module):
 
 
 # every (lin, num, den2, z_mark, w_mark) the catalog sums over: 3.2, then
-# 3.3, 3.4, 3.5 and 3.8, then the _marked rows 3.7 and 3.10; _double_sum
-# tracks z^n1 exactly when num carries z, the oracle is told z_mark
+# 3.3, 3.4, 3.5 and 3.8, then the double-vs-single chains 3.7 and 3.10;
+# _double_sum tracks z^n1 exactly when num carries z, the oracle is told
+# z_mark
 _F = registry.F
 DOUBLE_SUMS = [
     ((0, 2), registry.MQ_Q2, registry.Q4F, False, False),
