@@ -60,8 +60,8 @@ class CliConfig(namedtuple("CliConfig", "default_order2 parallelism output_forma
             raise ValueError("default_order2 must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError("output_format must be text, json or csv")
+        if self.output_format not in tuple(_EMITTERS):  # a JSON list is unhashable
+            raise ValueError(f"output_format must be one of {', '.join(_EMITTERS)}")
         return self
 
 
@@ -76,8 +76,7 @@ def load_config(path: str | None) -> CliConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    known = {"default_order2", "parallelism", "output_format", "out_path"}
-    bad = set(raw) - known
+    bad = set(raw) - set(CliConfig._fields)
     if bad:
         raise ValueError(f"unknown config keys: {sorted(bad)}")
     return CliConfig(**raw)
@@ -86,32 +85,26 @@ def load_config(path: str | None) -> CliConfig:
 # -- report serialization -----------------------------------------------
 
 
+# a saved report's names for VerificationReport's fields, in its order
+_REPORT_FIELDS = tuple("params" if f == "parameters" else f for f in VerificationReport._fields)
+# the fields a passing check leaves None, which JSON then leaves out
+_FAILURE_FIELDS = ("first_mismatch", "failed_facet")
+
+
 def report_to_dict(r: VerificationReport) -> dict:
-    d = {
-        "id": r.id,
-        "params": r.parameters,
-        "order2": r.order2,
-        "status": r.status,
-        "elapsed_ms": r.elapsed_ms,
-    }
-    if r.first_mismatch is not None:
-        d["first_mismatch"] = r.first_mismatch
-    if r.failed_facet is not None:
-        d["failed_facet"] = r.failed_facet
-    return d
+    return {k: v for k, v in zip(_REPORT_FIELDS, r) if v is not None or k not in _FAILURE_FIELDS}
 
 
 def report_from_dict(d: dict) -> VerificationReport:
     """A saved check; a missing field, or one of the wrong type, raises
     ValueError."""
-    r = VerificationReport(d.get("id"), d.get("params"), d.get("order2"), d.get("status"),
-                           d.get("first_mismatch"), d.get("elapsed_ms"), d.get("failed_facet"))
+    r = VerificationReport(*map(d.get, _REPORT_FIELDS))
     if not (
         isinstance(r.id, str)
         and isinstance(r.parameters, dict)
         and r.status in ("pass", "fail")
         and type(r.order2) is type(r.elapsed_ms) is int
-        and all(isinstance(d.get(k, ""), str) for k in ("first_mismatch", "failed_facet"))
+        and all(isinstance(d.get(k, ""), str) for k in _FAILURE_FIELDS)
     ):
         raise ValueError(f"malformed report check: {d}")
     return r
@@ -138,25 +131,12 @@ def parse_json(text: str) -> list[VerificationReport]:
     return [report_from_dict(d) for d in checks]
 
 
-_CSV_COLUMNS = ["id", "params", "order2", "status", "first_mismatch", "elapsed_ms", "failed_facet"]
-
-
 def emit_csv(reports: Sequence[VerificationReport]) -> str:
+    # a dict cell is compact sorted JSON; csv writes None as an empty cell
+    rows = ([json.dumps(v, sort_keys=True, separators=(",", ":")) if isinstance(v, dict) else v
+             for v in r] for r in reports)
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_COLUMNS)
-    for r in reports:
-        w.writerow(
-            [
-                r.id,
-                json.dumps(r.parameters, sort_keys=True, separators=(",", ":")),
-                r.order2,
-                r.status,
-                r.first_mismatch or "",
-                r.elapsed_ms,
-                r.failed_facet or "",
-            ]
-        )
+    csv.writer(buf, lineterminator="\n").writerows([_REPORT_FIELDS, *rows])
     return buf.getvalue()
 
 
@@ -177,21 +157,21 @@ def emit_text(reports: Sequence[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EMITTERS = {"json": emit_json, "csv": emit_csv, "text": emit_text}
+# the output formats: --emit's choices and the config's output_format
+_EMITTERS = {"text": emit_text, "json": emit_json, "csv": emit_csv}
 
 
-def _write_out(text: str, out_path: str | None):
-    if out_path is None:
+def _write_out(text: str, cfg: CliConfig):
+    if cfg.out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _emit_reports(reports: Sequence[VerificationReport], args, cfg: CliConfig) -> int:
+def _emit_reports(reports: Sequence[VerificationReport], cfg: CliConfig) -> int:
     """Write the reports in the chosen format; exit 0 when every one passed."""
-    fmt = args.emit or cfg.output_format
-    _write_out(_EMITTERS[fmt](reports), args.out or cfg.out_path)
+    _write_out(_EMITTERS[cfg.output_format](reports), cfg)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -284,22 +264,19 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
         order2 = cfg.default_order2  # may still be None: registry default
     corrupt = _parse_corruption(args.corrupt) if args.corrupt else None
     report = run_check(args.id, order2=order2, corrupt=corrupt, **params)
-    return _emit_reports([report], args, cfg)
+    return _emit_reports([report], cfg)
 
 
 def _cmd_verify_all(args, cfg: CliConfig) -> int:
-    if args.parallelism is not None:
-        # a new config, checked like the loaded one (_replace would skip the checks)
-        cfg = CliConfig(**{**cfg._asdict(), "parallelism": args.parallelism})
     reports = run_all(level=args.level, parallelism=cfg.parallelism, corrupt_id=args.corrupt)
-    return _emit_reports(reports, args, cfg)
+    return _emit_reports(reports, cfg)
 
 
 def _cmd_count(args, cfg: CliConfig) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     counts = _upward(_family_counter(args.family), args.max)
-    fmt = args.emit or cfg.output_format
+    fmt = cfg.output_format
     if fmt == "json":
         text = (
             json.dumps(
@@ -315,7 +292,7 @@ def _cmd_count(args, cfg: CliConfig) -> int:
         text = buf.getvalue()
     else:
         text = ",".join(str(c) for c in counts) + "\n"
-    _write_out(text, args.out or cfg.out_path)
+    _write_out(text, cfg)
     return 0
 
 
@@ -332,14 +309,14 @@ def _cmd_bijection(args, cfg: CliConfig) -> int:
                 shown = "".join("2" if b else "1" for b in choice) or "-"
                 lines.append(f"pi={_fmt(pi)} choice={shown} -> "
                              f"pi1={_fmt(pi1)} pi3={_fmt(pi3)} pi4={_fmt(pi4)}")
-    _write_out("\n".join(lines) + "\n" if lines else "", args.out or cfg.out_path)
+    _write_out("\n".join(lines) + "\n" if lines else "", cfg)
     return 0
 
 
 def _cmd_report(args, cfg: CliConfig) -> int:
     with open(args.input, encoding="utf-8") as fh:
         reports = parse_json(fh.read())
-    return _emit_reports(reports, args, cfg)
+    return _emit_reports(reports, cfg)
 
 
 # -- argument parsing ---------------------------------------------------
@@ -352,9 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="path to a JSON config file")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each flag's dest is the config field it overrides; main merges them
+    def add_out_flag(sp):
+        sp.add_argument("--out", dest="out_path", help="write output to this path")
+
     def add_output_flags(sp):
-        sp.add_argument("--emit", choices=("text", "json", "csv"))
-        sp.add_argument("--out", help="write output to this path")
+        sp.add_argument("--emit", dest="output_format", choices=tuple(_EMITTERS))
+        add_out_flag(sp)
 
     v = sub.add_parser("verify", help="run one catalog check")
     v.add_argument("--id", required=True, help="catalog id, e.g. 1.1 or thm3")
@@ -383,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bijection", help="map weighted members through the pipeline")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--trace", action="store_true", help="print every stage")
-    add_output_flags(b)
+    add_out_flag(b)  # the bijection writes text only
     b.set_defaults(func=_cmd_bijection)
 
     r = sub.add_parser("report", help="convert a saved JSON report")
@@ -398,8 +379,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return args.func(args, cfg)
+        # flags win over the config, and the merged record is checked like a
+        # loaded one; an empty --out falls back to the config or stdout
+        flags = {k: v for k in CliConfig._fields if (v := getattr(args, k, None)) not in (None, "")}
+        return args.func(args, CliConfig(**{**load_config(args.config)._asdict(), **flags}))
     # UnknownCheckError and json.JSONDecodeError are ValueErrors
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -259,10 +259,12 @@ def _check_markers(by_mark: Slices, order2: int) -> None:
 # moves its lowest exponent and marker degrees, and a cut of its list below
 # order2 is scaled.  The packed product below would give the same terms,
 # but one-term operands, such as the monomial heads of the paper's sums, are
-# common.  Sending them through the packed product instead raised the
-# median time of the six marked double sums from 0.451 to 0.550 s and of
-# the full catalog from 0.829 to 0.977 s (7 alternating in-process runs,
-# 2-core x86-64 host, Python 3.11).
+# common.  Sending every product through _sum_of_products instead raised
+# the benchmark's median wall_s on catalog-full from 0.183 to 0.197 s
+# (slower in 4 of 4 pairs) and on marked-series from 0.112 to 0.115 s
+# (2 of 4); series-deep stayed at 0.077 s (scripts/bench_pairs.py, 4
+# alternating pairs of 6 s runs, seeds 1-4, 2-core x86-64 host, Python
+# 3.11.7).
 #
 # Any other product, and every sum of products (one-term operands and all),
 # is one call of _sum_of_products: each pair of marker slices of each pair

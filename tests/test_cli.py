@@ -188,6 +188,23 @@ def test_bijection_summary_and_trace(capsys):
     assert "pi3: 4" in out and "pi4: 1" in out
 
 
+def test_bijection_takes_no_emit_flag(capsys):
+    # the bijection writes text only, so --emit there is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--n", "5", "--emit", "json"])
+    assert exc.value.code == 2
+
+
+def test_bijection_out_writes_what_stdout_shows(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    for trace in ((), ("--trace",)):
+        code, shown, _ = run(capsys, "bijection", "--n", "6", *trace)
+        assert code == 0 and shown
+        code, out, _ = run(capsys, "bijection", "--n", "6", *trace, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == shown
+
+
 def test_verify_all_json_roundtrip(capsys, tmp_path):
     path = tmp_path / "r.json"
     code, _, _ = run(
@@ -220,6 +237,29 @@ def test_report_conversion(capsys, tmp_path):
     assert ",fail," in out
     code, out, _ = run(capsys, "report", str(path))
     assert "2 check(s), 1 failed" in out
+
+
+# each CSV row of a saved report, its elapsed_ms cell written <ms>: params
+# is compact sorted JSON, a list inside it too, and a failure field that is
+# absent is an empty cell
+_CSV_GOLDEN = {
+    "1.1": '1.1,"{""counts_max"":60}",201,fail,"e2=0,dz=0,dw=0,expected=1,got=2",<ms>,'
+           "sum-vs-product",
+    "4.12": '4.12,"{""counts_max"":40,""k_list"":[1,2,3,4,5,6]}",121,pass,,<ms>,',
+}
+
+
+def test_report_csv_rows_are_pinned(capsys, tmp_path):
+    reports = run_all(ids=["4.12", "1.1"], corrupt_id="1.1")
+    path = tmp_path / "r.json"
+    path.write_text(emit_json(reports))
+    code, out, _ = run(capsys, "report", str(path), "--emit", "csv")
+    assert code == 1
+    header, *rows = out.splitlines()
+    assert header == "id,params,order2,status,first_mismatch,elapsed_ms,failed_facet"
+    assert len(rows) == len(reports) == 2
+    for r, row in zip(reports, rows):
+        assert row == _CSV_GOLDEN[r.id].replace("<ms>", str(r.elapsed_ms))
 
 
 def test_failed_facet_in_json_and_text(capsys):
@@ -342,6 +382,17 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     assert "order2=61" in out
 
 
+def test_empty_out_falls_back_to_config_or_stdout(capsys, tmp_path):
+    code, out, _ = run(capsys, "count", "--family", "Q2", "--max", "5", "--out", "")
+    assert code == 0 and out == "1,1,0,1,2,2\n"
+    cfg, saved = tmp_path / "cfg.json", tmp_path / "counts.txt"
+    cfg.write_text(json.dumps({"out_path": str(saved)}))
+    code, out, _ = run(capsys, "--config", str(cfg), "count", "--family", "Q2", "--max", "5",
+                       "--out", "")
+    assert code == 0 and out == ""
+    assert saved.read_text() == "1,1,0,1,2,2\n"
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"order": 10}))
@@ -375,6 +426,8 @@ def test_parallelism_flag_below_one_is_usage_error(capsys, value):
         {"default_order2": 3.5},
         {"default_order2": "41"},
         {"out_path": 5},
+        {"output_format": ["json"]},
+        {"output_format": {}},
         [1, 2],
     ],
 )
