@@ -1,7 +1,9 @@
 """Catalog of verifiable statements with a uniform runner.
 
-Every entry builds a list of facets: pairs of independently computed
+Every entry's builder yields facets: pairs of independently computed
 objects that must agree, either truncated series or count sequences.
+A shared intermediate is built before the first facet that needs it: a
+chain's sides, 4.12's hierarchy of multisums, 2.7's rows of every size.
 The first facet is the primary one; the corruption hook perturbs a
 single coefficient there and must flip the verdict.
 
@@ -19,8 +21,9 @@ multisums of 4.12 and 4.13 read the Bailey chain of ``bailey.lhs_4_7``
 with q replaced by q^2, so that chain is not stated here a second time.
 ``_clamped`` clamps the count bounds to what the truncation order can
 show, for ``run_check`` at every id and for the facet digest script;
-``run_check`` reports the clamped values.  A check that compares no
-facets, or a counts facet of no entries, is a usage error, not a pass.
+``run_check`` reports the clamped values and compares each facet as it
+is yielded.  A check that compares no facets, or a counts facet of no
+entries, is a usage error, not a pass.
 """
 
 from __future__ import annotations
@@ -282,15 +285,15 @@ def _chain(*chain, also=()):
 
     def build(order2, **bounds):
         built = [side(order2) for side in chain[::2]]
-        facets = [Facet(label, a, b) for label, a, b in zip(chain[1::2], built, built[1:])]
+        for label, a, b in zip(chain[1::2], built, built[1:]):
+            yield Facet(label, a, b)
         for label, i, view, want, bound in also:
             s = built[i] if view is None else view(built[i])
             if bound is None:
-                facets.append(Facet(label, s, want(order2)))
+                yield Facet(label, s, want(order2))
             else:
                 n = bounds[bound] if isinstance(bound, str) else min(bound, (order2 - 1) // 2)
-                facets.append(_counts_facet(label, s, n, want))
-        return facets
+                yield _counts_facet(label, s, n, want)
 
     return build
 
@@ -309,10 +312,10 @@ def _sequences(*rows):
     got, expected), got and expected mapping n to an integer."""
 
     def build(n_max):
-        return [
+        return (
             Facet(label, _upward(got, n_max), _upward(want, n_max))
             for label, got, want in rows
-        ]
+        )
 
     return build
 
@@ -329,7 +332,7 @@ def _stabilizes(limit):
         if isinstance(points, int):
             points = range(points + 1)
         got = [1 if limit(x, order2) else 0 for x in points]
-        return [Facet("stabilizes", got, [1] * len(got))]
+        yield Facet("stabilizes", got, [1] * len(got))
 
     return build
 
@@ -343,10 +346,8 @@ def _bailey_relation(stepped: bool):
         p = seed_E4(n_max, order2)
         if stepped:
             p = step(p)
-        return [
-            Facet(f"{label} n={n}", p.beta[n], defining_sum(p, n))
-            for n in range(n_max + 1)
-        ]
+        for n in range(n_max + 1):
+            yield Facet(f"{label} n={n}", p.beta[n], defining_sum(p, n))
 
     return build
 
@@ -383,19 +384,13 @@ def _build_2_7(sigma_max):
                      _distance(triples, Counter(triple_partitions(n))), len(images)))
     fwd_bad, image_bad, triple_bad, fwd_total = map(list, zip(*rows[::-1]))
     zeros = [0] * (sigma_max + 1)
+    yield Facet("forward-roundtrip-failures", fwd_bad, zeros)
+    yield Facet("image-vs-split-pairs", image_bad, zeros)
+    yield Facet("split-image-vs-triples", triple_bad, zeros)
+    yield Facet("choice-count-vs-weight", fwd_total,
+                _upward(lambda n: weighted_count("S", n), sigma_max))
     p3, p4 = ferrers_split((5, 15, 24, 29))
-    worked = [*p3, *p4]
-    return [
-        Facet("forward-roundtrip-failures", fwd_bad, zeros),
-        Facet("image-vs-split-pairs", image_bad, zeros),
-        Facet("split-image-vs-triples", triple_bad, zeros),
-        Facet(
-            "choice-count-vs-weight",
-            fwd_total,
-            _upward(lambda n: weighted_count("S", n), sigma_max),
-        ),
-        Facet("worked-example-split", worked, [4, 12, 20, 24, 1, 5, 7]),
-    ]
+    yield Facet("worked-example-split", [*p3, *p4], [4, 12, 20, 24, 1, 5, 7])
 
 
 def _distance(got: Counter, want: Counter) -> int:
@@ -408,7 +403,6 @@ def _distance(got: Counter, want: Counter) -> int:
 
 def _build_4_5(order2, k_max, n_max):
     base = seed_E4(n_max, order2)
-    facets = []
     cur = base
     for k in range(1, k_max + 1):
         cur = step(cur)
@@ -416,27 +410,25 @@ def _build_4_5(order2, k_max, n_max):
         for n in range(n_max + 1):
             # alpha_n starts at q^(k n^2 / 2 + n^2 - n); past order2 both sides are 0
             if k * n * n + 2 * n * (n - 1) < order2:
-                facets.append(Facet(f"alpha k={k} n={n}", closed.alpha[n], cur.alpha[n]))
-            facets.append(Facet(f"beta k={k} n={n}", closed.beta[n], cur.beta[n]))
-    return facets
+                yield Facet(f"alpha k={k} n={n}", closed.alpha[n], cur.alpha[n])
+            yield Facet(f"beta k={k} n={n}", closed.beta[n], cur.beta[n])
 
 
 def _build_4_7(order2, n_max, k_max):
-    return [
+    return (
         Facet(f"finite-identity n={n} k={k}", lhs, rhs_4_7(n, k, order2))
         for k, level in enumerate(lhs_4_7(n_max, k_max, order2))
         if k
         for n, lhs in enumerate(level)
-    ]
+    )
 
 
 def _build_4_11(order2):
     zspecs = [((1, 0), "z=1"), ((-1, 0), "z=-1"), ((1, 2), "z=q"), ((1, 6), "z=q^3")]
-    return [Facet(label, *jacobi_sides(zspec, order2=order2)) for zspec, label in zspecs]
+    return (Facet(label, *jacobi_sides(zspec, order2=order2)) for zspec, label in zspecs)
 
 
 def _build_4_12(order2, k_list, counts_max):
-    facets = []
     sums = _lhs_hierarchy(max(k_list, default=0), order2)
     for k in k_list:
         lhs = sums[k - 1]
@@ -446,55 +438,52 @@ def _build_4_12(order2, k_list, counts_max):
         form1 = form1 * inv_poch_infinite(Q2F, order2=order2)
         form2 = triple * poch_infinite(F(1, 4, 8), order2=order2)
         form2 = form2 * inv_poch_infinite(Q1F, order2=order2)
-        facets.append(Facet(f"sum-vs-product k={k}", lhs, form1))
-        facets.append(Facet(f"product-forms k={k}", form1, form2))
+        yield Facet(f"sum-vs-product k={k}", lhs, form1)
+        yield Facet(f"product-forms k={k}", form1, form2)
         rewrite = _hier_rewrite(k, order2)
         if rewrite is not None:
-            facets.append(Facet(f"quadruple-form k={k}", form1, rewrite))
+            yield Facet(f"quadruple-form k={k}", form1, rewrite)
         config = interp_config(k)
-        facets.append(_counts_facet(f"sum-vs-counts k={k}", lhs, counts_max,
-                                    lambda n: count_residue_family(config, n)))
+        yield _counts_facet(f"sum-vs-counts k={k}", lhs, counts_max,
+                            lambda n: count_residue_family(config, n))
         if k == 2:
-            facets.append(_counts_facet("sum-vs-distinct-counts k=2", lhs, counts_max,
-                                        lambda n: count_q(2, n)))
-    return facets
+            yield _counts_facet("sum-vs-distinct-counts k=2", lhs, counts_max,
+                                lambda n: count_q(2, n))
 
 
 # at l = 0 both sides of 4.15 and 4.20 are the zero polynomial, so the
 # grids start at l = 1
 def _build_4_15(k_list, l_max, m_max):
-    return [
+    return (
         Facet(f"doubly-bounded k={k} l={l} m={m}", *sides_4_15(k, l, m))
         for k in k_list
         for l in range(1, l_max + 1)
         for m in range(m_max + 1)
-    ]
+    )
 
 
 def _build_4_20(k_list, l_max):
-    return [
+    return (
         Facet(f"singly-bounded k={k} l={l}", *sides_4_20(k, l))
         for k in k_list
         for l in range(1, l_max + 1)
-    ]
+    )
 
 
 def _build_thm5(n_max):
     g = _upward(count_g, n_max)
     p = _upward(count_p, n_max)
+    yield Facet("gap-vs-residue", g, p)
     lhs = _ratio_sum(
         2 * n_max + 1, lambda n: 2 * n * n + 4 * n, MQ_Q2, [Q4F]
     )
-    return [
-        Facet("gap-vs-residue", g, p),
-        Facet("residue-vs-series", p, q_coefficients(lhs, n_max)),
-    ]
+    yield Facet("residue-vs-series", p, q_coefficients(lhs, n_max))
 
 
 # -- the catalog --------------------------------------------------------
 
 
-# builder(**params) -> list[Facet], and the quick and full tiers' params
+# builder(**params) yields Facets; the quick and full tiers' params
 _Entry = namedtuple("_Entry", "builder quick full")
 
 
@@ -848,20 +837,19 @@ def run_check(
     # the report echoes the bounds that were compared
     params = _clamped(params)
     t0 = time.perf_counter()
-    facets = entry.builder(**params)
-    if not facets:
-        raise ValueError(f"check {check_id} compares no facets with {params}")
-    for f in facets:
+    # building goes on past a mismatch, so a later facet's usage error
+    # still raises
+    first = failed_facet = None
+    n = -1
+    for n, f in enumerate(entry.builder(**params)):
         if f.kind == "counts" and not (f.got or f.expected):
             raise ValueError(f"check {check_id}: {f.label} compares no counts with {params}")
-    if corrupt is not None:
-        facets[0] = _corrupted(facets[0], corrupt)
-    first = failed_facet = None
-    for f in facets:
-        first = _facet_mismatch(f)
-        if first is not None:
+        if n == 0 and corrupt is not None:
+            f = _corrupted(f, corrupt)
+        if failed_facet is None and (first := _facet_mismatch(f)) is not None:
             failed_facet = f.label
-            break
+    if n < 0:
+        raise ValueError(f"check {check_id} compares no facets with {params}")
     elapsed = int((time.perf_counter() - t0) * 1000)
     order2 = params.get("order2")
     if order2 is None:

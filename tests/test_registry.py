@@ -137,6 +137,46 @@ def test_counts_facet_without_entries_rejected():
         run_check("4.18", b_list=[])
 
 
+def _yielding(monkeypatch, *facets):
+    # a row "9.9" whose builder yields the given facets one at a time
+    def build():
+        yield from facets
+
+    monkeypatch.setitem(REGISTRY, "9.9", registry._Entry(build, {}, {}))
+
+
+def test_empty_counts_facet_after_a_mismatch_rejected(monkeypatch):
+    # the runner keeps building past a mismatch, so a later empty facet
+    # is still a usage error and not a failure
+    _yielding(monkeypatch, registry.Facet("off", [1], [2]), registry.Facet("empty", [], []))
+    with pytest.raises(ValueError, match="empty compares no counts"):
+        run_check("9.9")
+
+
+def test_corruption_changes_only_the_first_yielded_facet(monkeypatch):
+    corrupted = []
+
+    def recorded(f, c):
+        corrupted.append(f.label)
+        return _corrupted(f, c)
+
+    monkeypatch.setattr(registry, "_corrupted", recorded)
+    _yielding(monkeypatch, registry.Facet("first", [1, 2], [1, 2]),
+              registry.Facet("second", [3], [3]))
+    r = run_check("9.9", corrupt=Corruption())
+    assert (r.status, r.failed_facet, r.first_mismatch) == ("fail", "first", "n=0,expected=1,got=2")
+    assert corrupted == ["first"]
+    assert run_check("9.9").status == "pass"
+
+
+@pytest.mark.parametrize("check_id", registry_ids())
+def test_every_builder_yields_its_facets(check_id):
+    # the runner takes each facet as it is built, so no builder returns a list
+    entry = REGISTRY[check_id]
+    built = entry.builder(**entry.quick)
+    assert iter(built) is built
+
+
 def test_none_override_means_default():
     a = run_check("thm1", n_max=None)
     assert a.parameters["n_max"] == REGISTRY["thm1"].quick["n_max"]
@@ -219,7 +259,7 @@ def test_every_facet_matches_and_fails_under_corruption():
     for level, total in (("quick", 308), ("full", 455)):
         built = {}
         for check_id, entry in REGISTRY.items():
-            facets = entry.builder(**getattr(entry, level))
+            facets = list(entry.builder(**getattr(entry, level)))
             built[check_id] = (len(facets), facets[0].label)
             for f in facets:
                 # two zero series compare no coefficient at all
@@ -315,7 +355,7 @@ def test_rows_call_layer_functions_through_registry_names(monkeypatch):
     called = {}
     for check_id, entry in REGISTRY.items():
         seen.clear()
-        entry.builder(**entry.quick)
+        list(entry.builder(**entry.quick))
         called[check_id] = set(seen)
     assert called == ROW_CALLS
 
@@ -449,7 +489,7 @@ def test_double_sums_cover_the_catalog(monkeypatch):
 
     monkeypatch.setattr(registry, "_double_sum", recorded)
     for entry in REGISTRY.values():
-        entry.builder(**entry.quick)
+        list(entry.builder(**entry.quick))
     assert seen == {(lin, num, den2, w_mark) for lin, num, den2, _, w_mark in DOUBLE_SUMS}
 
 
@@ -494,7 +534,7 @@ def test_single_sums_cover_the_catalog(monkeypatch):
 
     monkeypatch.setattr(registry, "_ratio_sum", recorded)
     for entry in REGISTRY.values():
-        entry.builder(**entry.quick)
+        list(entry.builder(**entry.quick))
     assert seen == {_shape(*args) for args in SINGLE_SUMS}
 
 
